@@ -121,6 +121,12 @@ def exact_matmul(a: ExactRows, b: ExactRows) -> ExactRows:
     )
 
 
+def exact_matvec(a: ExactRows,
+                 v: Sequence[ComplexRational]) -> tuple[ComplexRational, ...]:
+    """Product of an exact square matrix and an exact vector."""
+    return tuple(sum((aij * vj for aij, vj in zip(row, v)), ZERO) for row in a)
+
+
 @dataclass(frozen=True)
 class QuadraticHamiltonian:
     """A validated Hermitian operator with terms of degree 2 and 0 only.

@@ -61,6 +61,13 @@ def _parse_rational(text: str) -> Fraction:
         raise ValidationError(f"not a rational number: {text!r}") from exc
 
 
+def _bateman_params(**fields: Fraction) -> BatemanParams:
+    try:
+        return BatemanParams(**fields)
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from exc
+
+
 def _parse_bateman_spec(spec: str) -> Fraction:
     """'b=<rat>' or 'm=<rat>,gamma=<rat>,omega=<rat>[,hbar=<rat>]' -> b."""
     fields: dict[str, Fraction] = {}
@@ -77,10 +84,9 @@ def _parse_bateman_spec(spec: str) -> Fraction:
         return b
     required = {"m", "gamma", "omega"}
     if required <= set(fields) and set(fields) <= required | {"hbar"}:
-        params = BatemanParams(
+        return dimensionless_b(_bateman_params(
             m=fields["m"], gamma=fields["gamma"], omega=fields["omega"],
-            hbar=fields.get("hbar", Fraction(1)))
-        return dimensionless_b(params)
+            hbar=fields.get("hbar", Fraction(1))))
     raise ValidationError(
         "--bateman expects either b=<rat> or m=<rat>,gamma=<rat>,omega=<rat>")
 
@@ -146,12 +152,11 @@ def _load_model_file(path: str) -> dict:
             if b < 0:
                 raise ValidationError(f"b must be nonnegative, got {b}")
             return {"b": b}
-        params = BatemanParams(
+        return {"b": dimensionless_b(_bateman_params(
             m=_rational_from_json(fields.get("m", 1)),
             gamma=_rational_from_json(fields.get("gamma", 0)),
             omega=_rational_from_json(fields.get("omega", 1)),
-            hbar=_rational_from_json(fields.get("hbar", 1)))
-        return {"b": dimensionless_b(params)}
+            hbar=_rational_from_json(fields.get("hbar", 1))))}
     if "expression" in doc:
         if not isinstance(doc["expression"], str):
             raise ValidationError("'expression' must be a string")
@@ -318,13 +323,6 @@ def _value_str(float_pair, quad) -> str:
     return _complex_str(float_pair)
 
 
-def _scalar_str(quad) -> str:
-    """Exact text for readable denominators, float text for binary-fraction noise."""
-    if abs(quad[1]) <= 10 ** 6 and abs(quad[3]) <= 10 ** 6:
-        return _quad_str(quad)
-    return _float_term_str((quad[0] / quad[1], quad[2] / quad[3]))
-
-
 def _float_term_str(pair) -> str:
     re, im = pair
     if im == 0:
@@ -426,7 +424,7 @@ def render_text(report: dict, color: bool = False) -> str:
             lines.append("")
             lines.append(head("Commutator table [Zi, Zj]"))
             for row in table:
-                lines.append("  [ " + ", ".join(_scalar_str(v) for v in row) + " ]")
+                lines.append("  [ " + ", ".join(_quad_str(v) for v in row) + " ]")
         lines.append("")
 
     if report["families"] is not None:
@@ -454,9 +452,13 @@ def render_text(report: dict, color: bool = False) -> str:
 # ---------------------------------------------------------------------------
 
 def _provenance(exc: BaseException) -> str:
-    """Deepest package frame on the traceback, as the error's module label."""
+    """Deepest package frame on the traceback, as the error's module label.
+
+    A chained error is labelled by the frames of its cause, so an input the
+    CLI rewraps is still attributed to the module that rejected it.
+    """
     module = "quadladder.cli"
-    tb = exc.__traceback__
+    tb = (exc.__cause__ or exc).__traceback__
     while tb is not None:
         name = tb.tb_frame.f_globals.get("__name__", "")
         if name == "__main__":
@@ -496,9 +498,6 @@ def main(argv: list[str] | None = None) -> int:
             report = run_report(
                 b=b, expression=expression, ladder_states=args.ladder_states,
                 tol_cluster=args.tol_cluster, tol_rank=args.tol_rank)
-    except (ValidationError, ValueError) as exc:
-        print(f"error [{_provenance(exc)}]: {exc}", file=sys.stderr)
-        return 2
     except NumericFailureError as exc:
         print(f"error [{_provenance(exc)}]: {exc}", file=sys.stderr)
         return 3

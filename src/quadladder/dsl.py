@@ -116,6 +116,15 @@ class HamiltonianExpr:
         return {name for term in self.terms for name, _ in term.factors}
 
 
+def _int(token: _Token) -> int:
+    try:
+        return int(token.text)
+    except ValueError:   # more digits than the interpreter converts
+        raise ParseError(
+            f"{token.line}:{token.col}: number has too many digits "
+            f"({len(token.text)})", token.line, token.col, ()) from None
+
+
 def _validate_symbol(name: str, token: _Token) -> None:
     if name in _ALIASES or _NUMBERED.match(name):
         return
@@ -190,18 +199,19 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "number":
             self.advance()
-            numerator = int(tok.text)
+            numerator = _int(tok)
             if self.peek().kind == "/":
                 self.advance()
                 den_tok = self.peek()
                 if den_tok.kind != "number":
                     raise self.fail(("number",))
                 self.advance()
-                if int(den_tok.text) == 0:
+                denominator = _int(den_tok)
+                if denominator == 0:
                     raise ParseError(
                         f"{den_tok.line}:{den_tok.col}: zero denominator",
                         den_tok.line, den_tok.col, ())
-                value = Fraction(numerator, int(den_tok.text))
+                value = Fraction(numerator, denominator)
             else:
                 value = Fraction(numerator)
             return [ExprTerm(coeff=ComplexRational(value), factors=())]
@@ -217,7 +227,7 @@ class _Parser:
                 if ptok.kind != "number":
                     raise self.fail(("number",))
                 self.advance()
-                power = int(ptok.text)
+                power = _int(ptok)
             return [ExprTerm(coeff=ONE, factors=((tok.text, power),))]
         if tok.kind == "(":
             self.advance()

@@ -4,22 +4,25 @@ A coefficient vector c with M c = lambda c turns into the degree-1 operator
 Z = sum_j c_j O_j satisfying [H, Z] = lambda Z, so Z ladders eigenfunctions
 of H by lambda.  Construction normalizes each Z so its first nonzero
 coefficient (in the x1..xK, p1..pK basis order) equals exactly 1, verifies
-the commutation relation, and checks that dagger(Z) lies in the eigenspace
-of the paired frequency -conj(lambda).
+M c = lambda c, and checks that dagger(Z), whose coefficients are conj(c),
+is an eigenvector of M at the paired frequency -conj(lambda).
+
+Degree-1 operators need no operator products: [H, Z] has coefficients M c,
+and [Z_a, Z_b] is the scalar i sum_m (a_xm b_pm - a_pm b_xm) given by the
+canonical symplectic form.  ``ladder_shift_check`` recomputes [H, Z] with
+the Weyl product as an independent check.
 """
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .adjoint import QuadraticHamiltonian
+from .adjoint import ExactRows, QuadraticHamiltonian, adjoint_matrix, exact_matvec
 from .errors import (
     DefectiveSpectrumError,
     DimensionMismatchError,
     VerificationError,
 )
 from .spectral import NaturalFrequency, SpectralResult
-from .weyl import ComplexRational, ONE, WeylPolynomial, commutator, dagger
+from .weyl import I, ComplexRational, WeylPolynomial, ZERO, commutator
 
 __all__ = [
     "LadderOperator",
@@ -85,12 +88,14 @@ def _normalize_float(vec: tuple[complex, ...]) -> list[complex]:
     return [c / lead for c in vec]
 
 
-def _span_residual(target: np.ndarray, basis: list[np.ndarray]) -> float:
-    """Distance from target to the span of basis, relative to |target|."""
-    a = np.stack(basis, axis=1)
-    coeff, *_ = np.linalg.lstsq(a, target, rcond=None)
-    resid = target - a @ coeff
-    return float(np.max(np.abs(resid))) / max(1.0, float(np.max(np.abs(target))))
+def _eigen_residual(m: ExactRows, lam: ComplexRational,
+                    c: list[ComplexRational]) -> list[ComplexRational]:
+    """M c - lam c: the coefficients of [H, Z] - lam Z."""
+    return [mc - lam * cj for mc, cj in zip(exact_matvec(m, c), c)]
+
+
+def _worst(residual: list[ComplexRational]) -> float:
+    return max(abs(complex(r)) for r in residual)
 
 
 def build_ladders(ham: QuadraticHamiltonian, spectrum: SpectralResult,
@@ -110,84 +115,74 @@ def build_ladders(ham: QuadraticHamiltonian, spectrum: SpectralResult,
     if len(spectrum.char_poly) - 1 != 2 * num_modes:
         raise DimensionMismatchError(
             "spectral result dimension does not match the Hamiltonian")
+    m = adjoint_matrix(ham).exact
     ladders: list[LadderOperator] = []
     for freq in spectrum.frequencies:
         for k in range(freq.geometric_multiplicity):
             exact_vec = freq.eigenvectors_exact[k]
-            if freq.lam_exact is not None and exact_vec is not None:
+            lam_exact = freq.lam_exact if exact_vec is not None else None
+            if lam_exact is not None:
                 coeffs = _normalize_exact(exact_vec)
-                z = WeylPolynomial.from_linear(coeffs, num_modes)
-                residual = commutator(ham.op, z) - freq.lam_exact * z
-                if not residual.is_zero:
+                residual = _eigen_residual(m, lam_exact, coeffs)
+                if any(residual):
                     raise VerificationError(
-                        f"exact ladder at lambda={freq.lam_exact} fails its "
-                        f"commutation relation; residual {residual}")
-                ladders.append(LadderOperator(
-                    z=z, lam=freq.lam, lam_exact=freq.lam_exact, frequency=freq))
+                        f"exact ladder at lambda={lam_exact} fails its "
+                        f"commutation relation; residual "
+                        f"{WeylPolynomial.from_linear(residual, num_modes)}")
             else:
-                fvec = _normalize_float(freq.eigenvectors[k])
-                coeffs = [ComplexRational.from_complex(c) for c in fvec]
-                z = WeylPolynomial.from_linear(coeffs, num_modes)
-                lam_cr = ComplexRational.from_complex(freq.lam)
-                residual = commutator(ham.op, z) - lam_cr * z
-                worst = max(
-                    (abs(complex(c)) for c in residual.terms.values()), default=0.0)
+                coeffs = [ComplexRational.from_complex(c)
+                          for c in _normalize_float(freq.eigenvectors[k])]
+                worst = _worst(_eigen_residual(
+                    m, ComplexRational.from_complex(freq.lam), coeffs))
                 if worst >= residual_tol:
                     raise VerificationError(
                         f"ladder at lambda={freq.lam} fails its commutation "
                         f"relation with residual {worst:.3e}",
                         (worst,),
                     )
-                ladders.append(LadderOperator(
-                    z=z, lam=freq.lam, lam_exact=None, frequency=freq))
+            ladders.append(LadderOperator(
+                z=WeylPolynomial.from_linear(coeffs, num_modes), lam=freq.lam,
+                lam_exact=lam_exact, frequency=freq))
 
-    _check_dagger_pairing(ladders)
+    _check_dagger_pairing(ladders, m, residual_tol)
     return ladders
 
 
-def _check_dagger_pairing(ladders: list[LadderOperator]) -> None:
-    """dagger(Z) at frequency lambda must lie in the eigenspace at -conj(lambda)."""
-    if not ladders:
-        return
-    num_modes = ladders[0].z.num_modes
+def _check_dagger_pairing(ladders: list[LadderOperator], m: ExactRows,
+                          residual_tol: float) -> None:
+    """dagger(Z) at lambda, with coefficients conj(c), must be an eigenvector
+    of M at -conj(lambda): exactly for exact ladders, else to residual_tol."""
     for lad in ladders:
         target = -lad.lam.conjugate()
-        partners = [o for o in ladders if abs(o.lam - target) < PAIRING_TOL]
-        if not partners:
+        if not any(abs(o.lam - target) < PAIRING_TOL for o in ladders):
             raise VerificationError(
                 f"no partner frequency found for lambda={lad.lam}")
-        dz = dagger(lad.z)
-        dvec = np.array(
-            [complex(c) for c in dz.linear_coefficients()], dtype=np.complex128)
-        basis = [
-            np.array([complex(c) for c in o.z.linear_coefficients()],
-                     dtype=np.complex128)
-            for o in partners
-        ]
-        resid = _span_residual(dvec, basis)
-        if resid >= LADDER_RESIDUAL_TOL:
+        exact = lad.lam_exact is not None
+        lam = (-lad.lam_exact.conjugate() if exact
+               else ComplexRational.from_complex(target))
+        residual = _eigen_residual(
+            m, lam, [c.conjugate() for c in lad.z.linear_coefficients()])
+        worst = _worst(residual)
+        if any(residual) if exact else worst >= residual_tol:
             raise VerificationError(
                 f"dagger of ladder at lambda={lad.lam} is not in the paired "
-                f"eigenspace (residual {resid:.3e})",
-                (resid,),
+                f"eigenspace (residual {worst:.3e})",
+                (worst,),
             )
 
 
 def commutator_table(ladders: list[LadderOperator]) -> CommutatorTable:
-    """Exact pairwise commutators; each must be a scalar.
+    """Exact pairwise commutators [Z_a, Z_b] = i sum_m (a_xm b_pm - a_pm b_xm).
 
-    Degree-1 operators always commute to scalars, so a higher-degree entry
-    indicates an internal error and trips an assertion.
+    Degree-1 operators always commute to scalars, given by the canonical
+    symplectic form on their coefficient vectors.
     """
-    entries: list[tuple[ComplexRational, ...]] = []
-    for a in ladders:
-        row = []
-        for b in ladders:
-            scalar = commutator(a.z, b.z).as_scalar()
-            assert scalar is not None, "commutator of degree-1 operators must be scalar"
-            row.append(scalar)
-        entries.append(tuple(row))
-    return CommutatorTable(entries=tuple(entries))
+    vecs = [lad.z.linear_coefficients() for lad in ladders]
+    k = len(vecs[0]) // 2 if vecs else 0
+    return CommutatorTable(entries=tuple(
+        tuple(I * sum((a[m] * b[k + m] - a[k + m] * b[m] for m in range(k)), ZERO)
+              for b in vecs)
+        for a in vecs))
 
 
 def ladder_shift_check(ham: QuadraticHamiltonian,
@@ -239,7 +234,9 @@ def _exact_ratio(num: WeylPolynomial, den: WeylPolynomial) -> ComplexRational | 
 def ladders_to_json(ladders: list[LadderOperator],
                     table: CommutatorTable | None = None) -> dict:
     """Schema: per-ladder float/exact lambda, coefficient vectors over the
-    flat basis, canonical text; plus the exact commutator table."""
+    flat basis, canonical text; plus the exact commutator table.  Exact forms
+    are null once exactness was lost: a ladder's coefficients when its
+    lambda is not exact, the whole table when any ladder's lambda is not."""
     doc: dict = {
         "ladders": [
             {
@@ -251,16 +248,16 @@ def ladders_to_json(ladders: list[LadderOperator],
                     [complex(c).real, complex(c).imag]
                     for c in lad.z.linear_coefficients()
                 ],
-                "coefficients_exact": [
-                    list(c.as_quad()) for c in lad.z.linear_coefficients()
-                ],
+                "coefficients_exact": (
+                    [list(c.as_quad()) for c in lad.z.linear_coefficients()]
+                    if lad.lam_exact is not None else None),
                 "text": str(lad.z),
             }
             for lad in ladders
         ],
     }
     if table is not None:
-        doc["commutator_table"] = [
-            [list(v.as_quad()) for v in row] for row in table.entries
-        ]
+        doc["commutator_table"] = (
+            [[list(v.as_quad()) for v in row] for row in table.entries]
+            if all(lad.lam_exact is not None for lad in ladders) else None)
     return doc

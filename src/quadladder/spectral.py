@@ -25,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .adjoint import ComplexMatrix
+from .adjoint import ComplexMatrix, exact_matvec
 from .errors import ExactnessLossWarning, NumericFailureError
 from .weyl import ComplexRational, ONE, ZERO
 
@@ -395,17 +395,8 @@ def _verify_eigenvector(
     lam: ComplexRational,
     vec: tuple[ComplexRational, ...],
 ) -> bool:
-    n = len(vec)
-    if all(not c for c in vec):
-        return False
-    for i in range(n):
-        acc = ZERO
-        for j in range(n):
-            acc = acc + exact[i][j] * vec[j]
-        acc = acc - lam * vec[i]
-        if acc:
-            return False
-    return True
+    return any(vec) and all(
+        mv == lam * v for mv, v in zip(exact_matvec(exact, vec), vec))
 
 
 # ---------------------------------------------------------------------------

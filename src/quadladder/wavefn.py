@@ -506,33 +506,23 @@ def _real_part_matrix(quad) -> list[list[Fraction]]:
     return [[2 * v.re for v in row] for row in quad]
 
 
-def _fraction_det(mat: list[list[Fraction]]) -> Fraction:
+def _negative_definite(mat: list[list[Fraction]]) -> bool:
+    """Sylvester test by one elimination pass without row exchanges.
+
+    The k-th pivot equals D_k / D_(k-1), the ratio of consecutive leading
+    principal minors, so the matrix is negative definite exactly when every
+    pivot is negative; the pass stops at the first pivot that is not.
+    """
     m = [row[:] for row in mat]
     n = len(m)
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = Fraction(1) / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                factor = m[r][col] * inv
-                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-    return det
-
-
-def _negative_definite(mat: list[list[Fraction]]) -> bool:
-    """Sylvester test: (-1)^k * (k-th leading principal minor) > 0 for all k."""
-    n = len(mat)
-    for k in range(1, n + 1):
-        minor = _fraction_det([row[:k] for row in mat[:k]])
-        if (-1) ** k * minor <= 0:
+    for k in range(n):
+        pivot = m[k][k]
+        if pivot >= 0:
             return False
+        for r in range(k + 1, n):
+            factor = m[r][k] / pivot
+            if factor:
+                m[r] = [a - factor * b for a, b in zip(m[r], m[k])]
     return True
 
 

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from quadladder import cli
 from quadladder.cli import render_text, run_report
 from quadladder.errors import ValidationError
 
@@ -74,6 +75,15 @@ class TestJsonReports:
         assert doc["model"]["num_modes"] == 1
         assert [lad["lambda_exact"] for lad in doc["ladders"]["ladders"]] == [
             [-1, 1, 0, 1], [1, 1, 0, 1]]
+
+    def test_float_ladders_have_null_exact_forms(self):
+        result = run_cli("--expr", "1/2*p1^2 + x1^2", "--format", "json")
+        assert result.returncode == 0
+        doc = json.loads(result.stdout)["ladders"]
+        assert [lad["lambda_exact"] for lad in doc["ladders"]] == [None, None]
+        assert [lad["coefficients_exact"] for lad in doc["ladders"]] == [None, None]
+        assert doc["commutator_table"] is None
+        assert "Commutator table" not in run_cli("--expr", "1/2*p1^2 + x1^2").stdout
 
     def test_defective_model_reports_without_ladders(self):
         result = run_cli("--expr", "1/2*p1^2", "--format", "json")
@@ -173,6 +183,23 @@ class TestFailures:
             result = run_cli(*args)
             assert result.returncode == 2, args
             assert result.stderr.startswith("error [quadladder."), args
+
+    def test_rewrapped_input_errors_exit_2(self, tmp_path):
+        result = run_cli("--bateman", "m=0,gamma=1,omega=1")
+        assert result.returncode == 2
+        assert result.stderr.startswith("error [quadladder.bateman]:")
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"bateman": {"gamma": -1}}))
+        assert run_cli("--model", str(path)).returncode == 2
+        assert run_cli("--expr", "1" * 5000 + "*x1^2 + p1^2").returncode == 2
+
+    def test_internal_value_error_is_not_user_error(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("internal bug")
+
+        monkeypatch.setattr(cli, "eigen_decompose", broken)
+        with pytest.raises(ValueError, match="internal bug"):
+            cli.main(["--bateman", "b=1", "--format", "json"])
 
     def test_error_provenance_module(self):
         result = run_cli("--expr", "2x")

@@ -1,13 +1,17 @@
 """Ladder operators: construction, verification, pairing, the table."""
 
+import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_hermitian_quadratic
 from quadladder.adjoint import ComplexMatrix, adjoint_matrix, validate_quadratic
 from quadladder.bateman import build_hd
-from quadladder.errors import DefectiveSpectrumError
+from quadladder.errors import DefectiveSpectrumError, VerificationError
 from quadladder.ladders import (
     build_ladders,
     commutator_table,
@@ -144,6 +148,69 @@ class TestRandomHamiltonians:
                     coeffs = ([residual.constant_term()]
                               + residual.linear_coefficients())
                     assert max(abs(complex(c)) for c in coeffs) < 1e-8
+
+
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 2**32 - 1), num_modes=st.integers(1, 3))
+def test_closed_forms_match_weyl_products(seed, num_modes):
+    """The symplectic-form table, M = -conj(M) and [H, Z] = lambda Z agree
+    with the general Weyl product on random Hermitian quadratics."""
+    ham = validate_quadratic(
+        random_hermitian_quadratic(random.Random(seed), num_modes))
+    matrix = adjoint_matrix(ham)
+    assert all(v == -v.conjugate() for row in matrix.exact for v in row)
+    spectrum = eigen_decompose(matrix)
+    assume(not spectrum.defective)
+    ladders = build_ladders(ham, spectrum)
+    table = commutator_table(ladders)
+    for i, a in enumerate(ladders):
+        for j, b in enumerate(ladders):
+            assert table[i, j] == commutator(a.z, b.z).as_scalar()
+        if a.lam_exact is not None:
+            assert commutator(ham.op, a.z) == a.lam_exact * a.z
+
+
+class TestVerificationFailures:
+    """Eigen-data that breaks an identity makes build_ladders refuse."""
+
+    @staticmethod
+    def spectrum_with(spectrum, index, **changes):
+        freqs = list(spectrum.frequencies)
+        freqs[index] = dataclasses.replace(freqs[index], **changes)
+        return dataclasses.replace(spectrum, frequencies=tuple(freqs))
+
+    def test_altered_exact_eigenvector(self):
+        ham = build_hd(Fraction(1, 2))
+        spectrum = eigen_decompose(adjoint_matrix(ham))
+        vec = list(spectrum.frequencies[0].eigenvectors_exact[0])
+        vec[1] = vec[1] + ComplexRational(0, Fraction(1, 3))
+        bad = self.spectrum_with(spectrum, 0, eigenvectors_exact=(tuple(vec),))
+        with pytest.raises(VerificationError, match="exact ladder"):
+            build_ladders(ham, bad)
+
+    def test_perturbed_float_eigenvector(self):
+        ham = build_hd(Fraction(1, 2))
+        spectrum = eigen_decompose(adjoint_matrix(ham))
+        vec = list(spectrum.frequencies[0].eigenvectors[0])
+        vec[2] += 1e-6
+        bad = self.spectrum_with(spectrum, 0, lam_exact=None,
+                                 eigenvectors=(tuple(vec),),
+                                 eigenvectors_exact=(None,))
+        with pytest.raises(VerificationError,
+                           match="fails its commutation relation") as info:
+            build_ladders(ham, bad)
+        assert 1e-7 < info.value.residuals[0] < 1e-5
+
+    def test_missing_partner_frequency(self):
+        ham = build_hd(Fraction(1, 2))
+        spectrum = eigen_decompose(adjoint_matrix(ham))
+        lams = [f.lam_exact for f in spectrum.frequencies]
+        partner = lams.index(-lams[0].conjugate())
+        bad = dataclasses.replace(spectrum, frequencies=tuple(
+            f for i, f in enumerate(spectrum.frequencies) if i != partner))
+        with pytest.raises(VerificationError, match="no partner"):
+            build_ladders(ham, bad)
 
 
 class TestFloatPath:

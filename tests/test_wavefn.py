@@ -4,9 +4,10 @@ import cmath
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from conftest import random_polynomial
+from conftest import random_fraction, random_polynomial
 from quadladder.adjoint import adjoint_matrix, validate_quadratic
 from quadladder.bateman import build_hd, vacuum_functions
 from quadladder.errors import DivergentInputError, VerificationError
@@ -17,6 +18,7 @@ from quadladder.wavefn import (
     GaussianPolyFunction,
     GaussianPolySum,
     annihilation_check,
+    _negative_definite,
     apply_operator,
     eigencheck,
     function_to_json,
@@ -232,6 +234,33 @@ class TestSquareIntegrability:
     def test_zero_counts_as_integrable(self):
         f = gauss_1d(-HALF)
         assert is_square_integrable(f - f)
+
+    def test_sylvester_pivots_match_eigenvalues(self, rng):
+        """Negative definite iff the largest eigenvalue is negative, on
+        random rational symmetric matrices: general (mostly indefinite),
+        -B^T B with square B, and singular -B^T B with B one row short."""
+        verdicts = {True: 0, False: 0}
+        for trial in range(600):
+            n = rng.randint(1, 4)
+            kind = trial % 3
+            if kind == 0:
+                mat = [[random_fraction(rng) for _ in range(n)] for _ in range(n)]
+                mat = [[mat[i][j] + mat[j][i] for j in range(n)] for i in range(n)]
+            else:
+                b = [[random_fraction(rng) for _ in range(n)]
+                     for _ in range(n - (kind == 2))]
+                mat = [[-sum((row[i] * row[j] for row in b), Fraction(0))
+                        for j in range(n)] for i in range(n)]
+            top = float(np.max(np.linalg.eigvalsh(np.array(mat, dtype=float))))
+            if kind == 2:
+                assert abs(top) < 1e-9
+                assert not _negative_definite(mat)
+            elif abs(top) > 1e-9:
+                verdicts[top < 0] += 1
+                assert _negative_definite(mat) == (top < 0), mat
+            else:
+                assert not _negative_definite(mat), mat
+        assert min(verdicts.values()) > 50
 
     def test_indefinite_direction_detected(self):
         f = GaussianPolyFunction.pure_gaussian(
