@@ -49,6 +49,11 @@ __all__ = ["main", "run_report", "render_text", "build_parser"]
 REPORT_SCHEMA = "quadladder.report/1"
 SWEEP_SCHEMA = "quadladder.sweep/1"
 
+# Input bounds, each refused with a ValidationError (exit 2) before the work
+# it bounds starts.  Family cost grows about 3x per +2 in N.
+MAX_LADDER_STATES = 16
+MAX_SWEEP_VALUES = 1000
+
 
 # ---------------------------------------------------------------------------
 # argument handling
@@ -109,6 +114,10 @@ def _parse_sweep_spec(spec: str) -> list[Fraction]:
         raise ValidationError(f"sweep range is empty: {start} > {end}")
     if start < 0:
         raise ValidationError(f"b must be nonnegative, got {start}")
+    count = (end - start) // step + 1
+    if count > MAX_SWEEP_VALUES:
+        raise ValidationError(
+            f"sweep has {count} values; the limit is {MAX_SWEEP_VALUES}")
     values = []
     value = start
     while value <= end:
@@ -257,8 +266,10 @@ def run_report(*, b: Fraction | None = None, expression: str | None = None,
             raise ValidationError(
                 "--ladder-states requires a --bateman model (its vacuum "
                 "wavefunctions seed the families)")
-        if ladder_states < 0:
-            raise ValidationError("--ladder-states must be nonnegative")
+        if not 0 <= ladder_states <= MAX_LADDER_STATES:
+            raise ValidationError(
+                f"--ladder-states must be between 0 and {MAX_LADDER_STATES}, "
+                f"got {ladder_states}")
         report["families"] = _families_doc(ham, ladders, ladder_states)
     return report
 

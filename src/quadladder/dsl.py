@@ -8,8 +8,8 @@ Grammar (whitespace-insensitive; no implicit multiplication):
     number := uint | uint "/" uint
 
 Symbols are either the two-mode aliases x, y, px, py or the numbered forms
-x<N>, p<N> with N >= 1; mixing the two styles in one expression is an error
-that names the clashing symbols.  Powers attach to symbols only.
+x<N>, p<N> with 1 <= N <= MAX_MODES; mixing the two styles in one expression
+is an error that names the clashing symbols.  Powers attach to symbols only.
 
 Parsing produces a flat sum-of-products AST: products are flattened left to
 right, parenthesized sums are distributed, and like terms are never merged,
@@ -40,6 +40,10 @@ __all__ = [
     "render",
     "parse_to_polynomial",
 ]
+
+# Largest mode index a numbered symbol may carry; the 2K x 2K adjoint matrix
+# and its exact char-poly take about 2 s at K = 16.
+MAX_MODES = 16
 
 _ALIASES = {"x": ("x", 1), "y": ("x", 2), "px": ("p", 1), "py": ("p", 2)}
 _NUMBERED = re.compile(r"^([xp])([1-9][0-9]*)$")
@@ -256,15 +260,32 @@ def parse_hamiltonian(text: str) -> HamiltonianExpr:
     return expr
 
 
+def _mode_index(symbol: str) -> int:
+    """Index N of a numbered symbol x<N>/p<N>, refused above MAX_MODES.
+
+    The digit count is checked first, so an index too long for ``int`` is
+    refused the same way.
+    """
+    digits = _NUMBERED.match(symbol).group(2)
+    if len(digits) > len(str(MAX_MODES)) or int(digits) > MAX_MODES:
+        shown = symbol if len(digits) <= 12 else \
+            f"{symbol[:7]}... ({len(digits)} digits)"
+        raise ParseError(
+            f"symbol {shown!r} exceeds the limit of {MAX_MODES} modes")
+    return int(digits)
+
+
 def infer_num_modes(expr: HamiltonianExpr) -> int:
     """Mode count: 2 for alias style, the largest index for numbered style,
-    and 1 for constant expressions with no symbols at all."""
+    and 1 for constant expressions with no symbols at all.
+
+    Raises ParseError for a mode index above MAX_MODES.
+    """
     symbols = expr.symbols()
     _check_no_mixing(symbols)
     if any(s in _ALIASES for s in symbols):
         return 2
-    modes = [int(_NUMBERED.match(s).group(2)) for s in symbols]
-    return max(modes, default=1)
+    return max((_mode_index(s) for s in sorted(symbols)), default=1)
 
 
 def lower(expr: HamiltonianExpr) -> WeylPolynomial:

@@ -7,6 +7,10 @@ factors stand to the left of all momentum factors, and modes appear in
 ascending order.  Coefficients are exact complex rationals, so all algebraic
 identities in this module hold exactly, not up to rounding.
 
+A complex rational is three Python ints (a, b, d) meaning (a + b*i)/d, kept
+canonical: d > 0 and gcd(a, b, d) == 1.  Arithmetic is integer arithmetic
+plus one gcd per result, and equality compares the three ints.
+
 Products are computed with the per-mode reordering identity
 
     p^b x^c = sum_k  k! C(b,k) C(c,k) (-i)^k  x^(c-k) p^(b-k),
@@ -19,7 +23,7 @@ makes them safe to share across threads.
 
 from fractions import Fraction
 from itertools import product as _cartesian
-from math import comb, factorial
+from math import comb, factorial, gcd
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Union
 
@@ -48,18 +52,37 @@ ScalarLike = Union[int, Fraction, "ComplexRational"]
 class ComplexRational:
     """A complex number with exact rational real and imaginary parts.
 
+    Stored as three Python ints ``(a, b, d)`` meaning ``(a + b*i) / d``, with
+    ``d > 0`` and ``gcd(a, b, d) == 1``.  The form is canonical, so equal
+    values have equal triples; zero is ``(0, 0, 1)``.  Every operation is
+    integer arithmetic followed by at most one three-argument gcd.
+
     Closed under +, -, *, and / (nonzero divisor).  Instances are immutable
-    and hashable.  ``complex(z)`` gives the float approximation.
+    (the triple is private, as in ``fractions.Fraction``) and hashable, and a
+    real value hashes like the ``Fraction`` it equals.  ``re`` and ``im`` are
+    read-only ``Fraction`` views; ``complex(z)`` gives the float approximation.
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re: RationalLike = 0, im: RationalLike = 0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ComplexRational is immutable")
+        if type(re) is int and type(im) is int:
+            self._a, self._b, self._d = re, im, 1
+            return
+        if not isinstance(re, Fraction):
+            re = Fraction(re)
+        if not isinstance(im, Fraction):
+            im = Fraction(im)
+        d1, d2 = re.denominator, im.denominator
+        if d1 == d2:
+            self._a, self._b, self._d = re.numerator, im.numerator, d1
+        else:
+            # Both parts are in lowest terms, so over lcm(d1, d2) the triple
+            # is already canonical.
+            d = d1 // gcd(d1, d2) * d2
+            self._a = re.numerator * (d // d1)
+            self._b = im.numerator * (d // d2)
+            self._d = d
 
     @classmethod
     def from_complex(cls, z: complex) -> "ComplexRational":
@@ -74,29 +97,52 @@ class ComplexRational:
             return ComplexRational(value)
         return NotImplemented
 
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
+
     def conjugate(self) -> "ComplexRational":
-        return ComplexRational(self.re, -self.im)
+        return _canonical(self._a, -self._b, self._d)
 
     @property
     def is_real(self) -> bool:
-        return self.im == 0
+        return self._b == 0
 
     def __bool__(self) -> bool:
-        return self.re != 0 or self.im != 0
+        return self._a != 0 or self._b != 0
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return ComplexRational(self.re + other.re, self.im + other.im)
+        if type(other) is int:
+            # gcd(a + n*d, b, d) == gcd(a, b, d): still canonical.
+            return _canonical(self._a + other * self._d, self._b, self._d)
+        if type(other) is not ComplexRational:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        d1, d2 = self._d, other._d
+        if d1 == d2:
+            return _reduced(self._a + other._a, self._b + other._b, d1)
+        return _reduced(self._a * d2 + other._a * d1,
+                        self._b * d2 + other._b * d1, d1 * d2)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return ComplexRational(self.re - other.re, self.im - other.im)
+        if type(other) is int:
+            return _canonical(self._a - other * self._d, self._b, self._d)
+        if type(other) is not ComplexRational:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        d1, d2 = self._d, other._d
+        if d1 == d2:
+            return _reduced(self._a - other._a, self._b - other._b, d1)
+        return _reduced(self._a * d2 - other._a * d1,
+                        self._b * d2 - other._b * d1, d1 * d2)
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -105,27 +151,33 @@ class ComplexRational:
         return other - self
 
     def __mul__(self, other):
+        if type(other) is ComplexRational:
+            a1, b1, a2, b2 = self._a, self._b, other._a, other._b
+            return _reduced(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2,
+                            self._d * other._d)
+        if type(other) is int:
+            return _reduced(self._a * other, self._b * other, self._d)
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return ComplexRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        return self * other
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        den = other.re * other.re + other.im * other.im
-        if den == 0:
+        if type(other) is not ComplexRational:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a1, b1, a2, b2 = self._a, self._b, other._a, other._b
+        norm = a2 * a2 + b2 * b2
+        if norm == 0:
             raise ZeroDivisionError("division by zero ComplexRational")
-        return ComplexRational(
-            (self.re * other.re + self.im * other.im) / den,
-            (self.im * other.re - self.re * other.im) / den,
-        )
+        # (a1 + b1 i)/d1 / ((a2 + b2 i)/d2)
+        #     = (a1 + b1 i)(a2 - b2 i) d2 / (d1 (a2^2 + b2^2))
+        d2 = other._d
+        return _reduced((a1 * a2 + b1 * b2) * d2, (b1 * a2 - a1 * b2) * d2,
+                        self._d * norm)
 
     def __rtruediv__(self, other):
         other = self._coerce(other)
@@ -134,7 +186,7 @@ class ComplexRational:
         return other / self
 
     def __neg__(self):
-        return ComplexRational(-self.re, -self.im)
+        return _canonical(-self._a, -self._b, self._d)
 
     def __pos__(self):
         return self
@@ -153,41 +205,74 @@ class ComplexRational:
         return out
 
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        if isinstance(other, ComplexRational):
+            return (self._a == other._a and self._b == other._b
+                    and self._d == other._d)
+        if isinstance(other, int):
+            return self._b == 0 and self._d == 1 and self._a == other
+        if isinstance(other, Fraction):
+            return (self._b == 0 and self._a == other.numerator
+                    and self._d == other.denominator)
+        return NotImplemented
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        if self._b == 0:
+            return hash(Fraction(self._a, self._d))
+        return hash((self._a, self._b, self._d))
 
     def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        # int / int is correctly rounded, as Fraction.__float__ is.
+        return complex(self._a / self._d, self._b / self._d)
 
     def __abs__(self) -> float:
         return abs(complex(self))
 
     def as_quad(self) -> tuple[int, int, int, int]:
         """Numerator/denominator quadruple used by the JSON serializers."""
-        return (self.re.numerator, self.re.denominator,
-                self.im.numerator, self.im.denominator)
+        a, b, d = self._a, self._b, self._d
+        ga, gb = gcd(a, d), gcd(b, d)
+        return (a // ga, d // ga, b // gb, d // gb)
 
     def __repr__(self):
         return f"ComplexRational({self.re!r}, {self.im!r})"
 
     def __str__(self):
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            if self.im == 1:
+        re, im = self.re, self.im
+        if im == 0:
+            return str(re)
+        if re == 0:
+            if im == 1:
                 return "i"
-            if self.im == -1:
+            if im == -1:
                 return "-i"
-            return f"{self.im}*i"
-        sign = "+" if self.im > 0 else "-"
-        mag = abs(self.im)
+            return f"{im}*i"
+        sign = "+" if im > 0 else "-"
+        mag = abs(im)
         imtxt = "i" if mag == 1 else f"{mag}*i"
-        return f"{self.re}{sign}{imtxt}"
+        return f"{re}{sign}{imtxt}"
+
+
+_new = object.__new__
+
+
+def _canonical(a: int, b: int, d: int) -> ComplexRational:
+    """Wrap a triple that is already canonical (d > 0, gcd(a, b, d) == 1)."""
+    z = _new(ComplexRational)
+    z._a, z._b, z._d = a, b, d
+    return z
+
+
+def _reduced(a: int, b: int, d: int) -> ComplexRational:
+    """Canonical ComplexRational for (a + b*i)/d with d > 0."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a //= g
+            b //= g
+            d //= g
+    z = _new(ComplexRational)
+    z._a, z._b, z._d = a, b, d
+    return z
 
 
 ZERO = ComplexRational(0)

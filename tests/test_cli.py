@@ -143,6 +143,36 @@ class TestSweep:
         assert run_cli("--sweep", "x=0..1:1").returncode == 2
 
 
+class TestInputBounds:
+    """Each cap is refused with exit 2 before the oversized job starts."""
+
+    def test_mode_index_cap(self, capsys):
+        assert cli.main(["--expr", "x99999^2 + p99999^2"]) == 2
+        assert cli.main(["--expr", "x" + "1" * 5000 + "^2 + p1^2"]) == 2
+        assert "exceeds the limit of 16 modes" in capsys.readouterr().err
+
+    def test_ladder_states_cap(self, monkeypatch, capsys):
+        # Stub the family generation so the largest allowed N costs nothing.
+        monkeypatch.setattr(cli, "_families_doc", lambda *args: [])
+        report = run_report(b=Fraction(1), ladder_states=cli.MAX_LADDER_STATES)
+        assert report["families"] == []
+        with pytest.raises(ValidationError, match="between 0 and 16"):
+            run_report(b=Fraction(1), ladder_states=cli.MAX_LADDER_STATES + 1)
+        assert cli.main(["--bateman", "b=1", "--ladder-states", "17"]) == 2
+        assert cli.main(["--bateman", "b=1", "--ladder-states", "-1"]) == 2
+        assert "--ladder-states must be between 0 and 16" in capsys.readouterr().err
+
+    def test_sweep_value_cap(self, capsys):
+        limit = cli.MAX_SWEEP_VALUES
+        assert len(cli._parse_sweep_spec(f"b=0..{limit - 1}:1")) == limit
+        assert len(cli._parse_sweep_spec("b=1/3..1:1/3")) == 3
+        with pytest.raises(ValidationError, match=f"{limit + 1} values"):
+            cli._parse_sweep_spec(f"b=0..{limit}:1")
+        # A trillion values: counted, never listed.
+        assert cli.main(["--sweep", "b=0..1:1/1000000000000"]) == 2
+        assert "1000000000001 values; the limit is 1000" in capsys.readouterr().err
+
+
 class TestTextOutput:
     def test_sections(self):
         result = run_cli("--bateman", "b=1", "--ladder-states", "1")

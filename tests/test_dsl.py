@@ -6,6 +6,7 @@ import pytest
 
 from quadladder.bateman import build_hd
 from quadladder.dsl import (
+    MAX_MODES,
     infer_num_modes,
     lower,
     parse_hamiltonian,
@@ -70,6 +71,17 @@ class TestModeInference:
 
     def test_scalar_defaults_to_one_mode(self):
         assert infer_num_modes(parse_hamiltonian("5")) == 1
+
+    def test_mode_index_is_capped(self):
+        top = f"x{MAX_MODES}^2 + p1^2"
+        assert infer_num_modes(parse_hamiltonian(top)) == MAX_MODES
+        with pytest.raises(ParseError, match=r"'p99999' exceeds the limit of 16"):
+            infer_num_modes(parse_hamiltonian("x99999^2 + p99999^2"))
+        with pytest.raises(ParseError, match=r"'x17' exceeds"):
+            infer_num_modes(parse_hamiltonian(f"x{MAX_MODES + 1}^2"))
+        # Too many digits for int(): refused by length, before conversion.
+        with pytest.raises(ParseError, match=r"\(5000 digits\)' exceeds"):
+            infer_num_modes(parse_hamiltonian("x" + "1" * 5000 + "^2"))
 
 
 class TestRendering:
