@@ -29,6 +29,7 @@ from .adjoint import QuadraticHamiltonian, adjoint_matrix, matrix_to_json, valid
 from .bateman import BatemanParams, build_hd, dimensionless_b, vacuum_functions
 from .dsl import parse_to_polynomial
 from .errors import (
+    NotQuadraticError,
     NumericFailureError,
     QuadladderError,
     ValidationError,
@@ -37,7 +38,7 @@ from .ladders import build_ladders, commutator_table, ladders_to_json
 from .spectral import CLUSTER_TOL, RANK_TOL, eigen_decompose, spectral_to_json
 from .wavefn import (
     annihilation_check,
-    eigencheck,
+    eigencheck,  # not called here; perfbench/trace.py wraps cli.eigencheck
     function_to_json,
     ladder_spectrum,
     spectrum_to_json,
@@ -50,7 +51,8 @@ REPORT_SCHEMA = "quadladder.report/1"
 SWEEP_SCHEMA = "quadladder.sweep/1"
 
 # Input bounds, each refused with a ValidationError (exit 2) before the work
-# it bounds starts.  Family cost grows about 3x per +2 in N.
+# it bounds starts.  Family cost grows about 2-2.5x per +2 in N (b = 1/2:
+# about 0.07 s at N = 8 and 0.7 s at N = 16 on a 2-core x86-64 VM).
 MAX_LADDER_STATES = 16
 MAX_SWEEP_VALUES = 1000
 
@@ -237,6 +239,12 @@ def run_report(*, b: Fraction | None = None, expression: str | None = None,
         }
     else:
         ham = validate_quadratic(parse_to_polynomial(expression))
+        if ham.op.degree != 2:
+            # validate_quadratic lets constants through (split_h0_h1 needs
+            # the zero operator), but a model needs a quadratic part.
+            raise NotQuadraticError(
+                "operator has no degree-2 part; a Hamiltonian must have "
+                "total degree exactly 2")
         model_doc = {
             "kind": "expression",
             "b": None,
@@ -287,7 +295,8 @@ def _families_doc(ham: QuadraticHamiltonian, ladders, n_max: int) -> list[dict]:
             ham, vacuum, raise_a, raise_b, n_max, n_max, family=family)
         doc = spectrum_to_json(entries)
         doc["vacuum"] = function_to_json(vacuum)
-        doc["vacuum_energy_exact"] = list(eigencheck(ham, vacuum).as_quad())
+        # ladder_spectrum found the vacuum energy as the (0, 0) entry's.
+        doc["vacuum_energy_exact"] = list(entries[0].energy.as_quad())
         doc["raising"] = [str(raise_a.z), str(raise_b.z)]
         doc["annihilated_by"] = [
             str(lad.z) for lad in killers if annihilation_check(lad, vacuum)]

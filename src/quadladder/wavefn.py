@@ -7,6 +7,21 @@ needs: multiplying by positions, applying momenta p_j = -i d/dx_j, and hence
 applying any normal-ordered operator polynomial.  Ladder operators generated
 from a quadratic Hamiltonian therefore act exactly, with no floats anywhere.
 
+Operators act through a sector map.  A sector is one Gaussian exponent
+Q(x) = x^T S x + l^T x, and conjugating by it turns each momentum into a
+differential operator on the polynomial part alone:
+exp(-Q) p_j exp(Q) = -i D_j with D_j = d/dx_j + 2(Sx)_j + l_j.  The D_j
+commute because S is symmetric, so a normal-ordered term c x^a p^b becomes
+c (-i)^|b| x^a D^b, which is expanded once into terms w x^g d^h.  Applying
+such a term to x^e needs only a falling factorial, d^h x^e =
+prod_j e_j (e_j - 1) ... (e_j - h_j + 1) x^(e - h).  The map keeps its
+weights as Gaussian-integer numerators over one shared denominator, the
+kernel puts the input polynomial over one denominator the same way,
+accumulates plain int pairs, and normalises each output coefficient once.
+All states of a ladder family share the vacuum's sector, so ladder_spectrum
+builds one map each for H and the two raising ladders and reuses them for
+the whole grid.
+
 Sums of such functions over distinct exponents (needed to witness that a
 mixture of eigenfunctions is not an eigenfunction) are represented by
 GaussianPolySum, which the checking operations accept as well.
@@ -22,17 +37,19 @@ has positive real part under it, so the principal branch is always correct.
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, perm
+from operator import add
 
 from .adjoint import QuadraticHamiltonian
 from .errors import DivergentInputError, NumericFailureError, VerificationError
 from .ladders import LadderOperator
 from .weyl import (
     ComplexRational,
-    Monomial,
     ONE,
     WeylPolynomial,
     ZERO,
+    _common_denominator,
+    _reduced,
     render_terms,
 )
 
@@ -106,27 +123,6 @@ def _cp_mul(a: CPoly, b: CPoly) -> CPoly:
         for eb, cb in b.items():
             _cp_add_term(out, tuple(x + y for x, y in zip(ea, eb)), ca * cb)
     return out
-
-
-def _cp_pow(p: CPoly, n: int, nvars: int) -> CPoly:
-    out: CPoly = {(0,) * nvars: ONE}
-    for _ in range(n):
-        out = _cp_mul(out, p)
-    return out
-
-
-def _cp_diff(p: CPoly, j: int) -> CPoly:
-    out: CPoly = {}
-    for exps, coeff in p.items():
-        if exps[j] == 0:
-            continue
-        lowered = exps[:j] + (exps[j] - 1,) + exps[j + 1:]
-        _cp_add_term(out, lowered, coeff * exps[j])
-    return out
-
-
-def _cp_shift_x(p: CPoly, j: int) -> CPoly:
-    return {e[:j] + (e[j] + 1,) + e[j + 1:]: c for e, c in p.items()}
 
 
 def _cp_conj(p: CPoly) -> CPoly:
@@ -319,44 +315,111 @@ class GaussianPolySum:
 # applying operators
 # ---------------------------------------------------------------------------
 
-def _apply_gaussian_derivative(g: CPoly, j: int,
-                               f: GaussianPolyFunction) -> CPoly:
-    """d/dx_j of g(x)*exp(Q) divided by exp(Q): product rule against the exponent."""
+def _left_d(terms: dict, j: int, quad, lin) -> dict:
+    """D_j composed from the left onto {(gamma, delta): w} = sum w x^gamma d^delta.
+
+    D_j = d/dx_j + L_j with L_j = sum_t 2*quad[j][t]*x_t + lin[j]; moving
+    d/dx_j past x^gamma leaves gamma_j * x^(gamma - e_j) behind.
+    """
+    out: dict = {}
+    for (gamma, delta), w in terms.items():
+        if gamma[j]:
+            lowered = gamma[:j] + (gamma[j] - 1,) + gamma[j + 1:]
+            _cp_add_term(out, (lowered, delta), w * gamma[j])
+        _cp_add_term(out, (gamma, delta[:j] + (delta[j] + 1,) + delta[j + 1:]), w)
+        for t, s in enumerate(quad[j]):
+            if s:
+                raised = gamma[:t] + (gamma[t] + 1,) + gamma[t + 1:]
+                _cp_add_term(out, (raised, delta), w * (2 * s))
+        if lin[j]:
+            _cp_add_term(out, (gamma, delta), w * lin[j])
+    return out
+
+
+def _sector_map(op: WeylPolynomial, f: GaussianPolyFunction):
+    """op conjugated by exp(Q) for f's exponent Q, as integer terms.
+
+    exp(-Q) p_j exp(Q) = -i D_j, so the term c x^alpha p^beta acts on the
+    polynomial part as c (-i)^|beta| x^alpha D^beta.  Expanded, that is a
+    sum of w x^gamma d^delta, and d^delta x^e is a falling factorial times
+    x^(e - delta).  The map is ``(den, groups)``: each group holds the
+    nonzero orders ``(j, delta_j)`` of one delta and its terms
+    ``(gamma - delta, a, b)`` with w = (a + b*i)/den.
+    """
     k = f.num_modes
-    linear_factor: CPoly = {}
-    for t in range(k):
-        coeff = 2 * f.quad[j][t]
-        if coeff:
-            exps = [0] * k
-            exps[t] = 1
-            _cp_add_term(linear_factor, tuple(exps), coeff)
-    if f.lin[j]:
-        _cp_add_term(linear_factor, (0,) * k, f.lin[j])
-    return _cp_add(_cp_diff(g, j), _cp_mul(g, linear_factor))
+    if op.num_modes != k:
+        raise ValueError("operator and function mode counts differ")
+    zero = (0,) * k
+    terms: dict = {}
+    for mono, coeff in op.terms.items():
+        alpha, beta = mono.exps[:k], mono.exps[k:]
+        d_beta: dict = {(zero, zero): coeff * _NEG_I ** sum(beta)}
+        for j, b in enumerate(beta):
+            for _ in range(b):
+                d_beta = _left_d(d_beta, j, f.quad, f.lin)
+        for (gamma, delta), w in d_beta.items():
+            shift = tuple(a + g - d for a, g, d in zip(alpha, gamma, delta))
+            _cp_add_term(terms, (delta, shift), w)
+    den, pairs = _common_denominator(terms.values())
+    groups: dict = {}
+    for ((delta, shift), (a, b)) in zip(terms, pairs):
+        groups.setdefault(delta, []).append((shift, a, b))
+    return den, tuple(
+        (tuple((j, d) for j, d in enumerate(delta) if d), group)
+        for delta, group in groups.items())
+
+
+def _apply_map(smap, f: GaussianPolyFunction) -> GaussianPolyFunction:
+    """smap's operator applied to f, which must lie in smap's sector.
+
+    Integer kernel: f's coefficients go over one shared denominator, every
+    product accumulates as a pair of ints, and each output coefficient is
+    normalised once at the end.
+    """
+    den, groups = smap
+    f_den, f_pairs = _common_denominator(f.poly.values())
+    acc: dict = {}
+    for e, (fa, fb) in zip(f.poly, f_pairs):
+        for derivs, group in groups:
+            ff = 1
+            for j, d in derivs:
+                ff *= perm(e[j], d)
+            if not ff:
+                continue
+            qa, qb = ff * fa, ff * fb
+            for shift, wa, wb in group:
+                out = tuple(map(add, e, shift))
+                re = wa * qa - wb * qb
+                im = wa * qb + wb * qa
+                slot = acc.get(out)
+                if slot is None:
+                    acc[out] = [re, im]
+                else:
+                    slot[0] += re
+                    slot[1] += im
+    d = den * f_den
+    return _in_sector(f, {
+        e: _reduced(a, b, d) for e, (a, b) in acc.items() if a or b})
+
+
+def _in_sector(f: GaussianPolyFunction, poly: CPoly) -> GaussianPolyFunction:
+    """poly times f's Gaussian, skipping re-validation.
+
+    f's quad and lin were validated when f was built, and poly must map
+    exponent tuples of length K to canonical nonzero coefficients.
+    """
+    g = object.__new__(GaussianPolyFunction)
+    object.__setattr__(g, "num_modes", f.num_modes)
+    object.__setattr__(g, "poly", poly)
+    object.__setattr__(g, "quad", f.quad)
+    object.__setattr__(g, "lin", f.lin)
+    return g
 
 
 def _apply_to_function(op: WeylPolynomial,
                        f: GaussianPolyFunction) -> GaussianPolyFunction:
-    if op.num_modes != f.num_modes:
-        raise ValueError("operator and function mode counts differ")
-    k = f.num_modes
-    acc: CPoly = {}
-    for mono, coeff in op.terms.items():
-        x_part = mono.exps[:k]
-        p_part = mono.exps[k:]
-        g = dict(f.poly)
-        # momenta act first (they stand rightmost in normal order)
-        for j in range(k):
-            for _ in range(p_part[j]):
-                g = _apply_gaussian_derivative(g, j, f)
-        total_p = sum(p_part)
-        scale = coeff * (_NEG_I ** total_p)
-        for j in range(k):
-            for _ in range(x_part[j]):
-                g = _cp_shift_x(g, j)
-        for exps, c in g.items():
-            _cp_add_term(acc, exps, c * scale)
-    return GaussianPolyFunction(k, acc, f.quad, f.lin)
+    """op applied to f through one sector map built for f's sector."""
+    return _apply_map(_sector_map(op, f), f)
 
 
 def apply_operator(op, f):
@@ -453,25 +516,32 @@ def ladder_spectrum(ham: QuadraticHamiltonian,
                     family: str = "") -> list[SpectrumEntry]:
     """States raise_a^n raise_b^m vacuum for the full (n, m) grid, verified.
 
-    The vacuum must be an eigenfunction and both ladders must carry exact
-    frequencies; each generated state is then eigencheck-verified against
-    E(vacuum) + n*lambda_a + m*lambda_b exactly, and any mismatch raises
+    The vacuum must be a nonzero eigenfunction and both ladders must carry
+    exact frequencies.  Each generated state is then verified by applying H
+    to it exactly and testing proportionality against
+    E(vacuum) + n*lambda_a + m*lambda_b; any mismatch raises
     VerificationError.  Vanishing states are reported as annihilated entries
-    rather than errors.
+    rather than errors.  Every state lies in the vacuum's Gaussian sector, so
+    H and both ladders are each turned into one sector map for the grid.
     """
-    e_vac = eigencheck(ham, vacuum)
+    if vacuum.is_zero:
+        raise ValueError("ladder_spectrum requires a nonzero vacuum")
+    h_map = _sector_map(ham.op, vacuum)
+    e_vac = _proportionality(_apply_map(h_map, vacuum), vacuum)
     if e_vac is None:
         raise ValueError("vacuum is not an eigenfunction of the Hamiltonian")
     if raise_a.lam_exact is None or raise_b.lam_exact is None:
         raise ValueError("ladder_spectrum needs ladders with exact frequencies")
     lam_a = raise_a.lam_exact
     lam_b = raise_b.lam_exact
+    a_map = _sector_map(raise_a.z, vacuum)
+    b_map = _sector_map(raise_b.z, vacuum)
     base_row = [vacuum]
     for _ in range(m_max):
-        base_row.append(_apply_to_function(raise_b.z, base_row[-1]))
+        base_row.append(_apply_map(b_map, base_row[-1]))
     grid = [base_row]
     for _ in range(n_max):
-        grid.append([_apply_to_function(raise_a.z, fn) for fn in grid[-1]])
+        grid.append([_apply_map(a_map, fn) for fn in grid[-1]])
     entries: list[SpectrumEntry] = []
     for n in range(n_max + 1):
         for m in range(m_max + 1):
@@ -482,7 +552,7 @@ def ladder_spectrum(ham: QuadraticHamiltonian,
                     n=n, m=m, energy=energy, family=family,
                     function=None, annihilated=True))
                 continue
-            found = eigencheck(ham, current)
+            found = _proportionality(_apply_map(h_map, current), current)
             if found != energy:
                 raise VerificationError(
                     f"state (n={n}, m={m}) has eigenvalue {found}, "

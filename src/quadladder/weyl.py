@@ -23,7 +23,7 @@ makes them safe to share across threads.
 
 from fractions import Fraction
 from itertools import product as _cartesian
-from math import comb, factorial, gcd
+from math import comb, factorial, gcd, lcm
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Union
 
@@ -273,6 +273,22 @@ def _reduced(a: int, b: int, d: int) -> ComplexRational:
     z = _new(ComplexRational)
     z._a, z._b, z._d = a, b, d
     return z
+
+
+def _common_denominator(values: Iterable[ComplexRational]
+                        ) -> tuple[int, list[tuple[int, int]]]:
+    """The least common denominator d of values and their numerators over it.
+
+    Returns ``(d, [(a, b), ...])`` with ``value == (a + b*i)/d`` for each
+    value in order; ``_reduced(a, b, d)`` turns a pair back into a value.
+    """
+    values = list(values)
+    d = lcm(*(v._d for v in values))
+    pairs = []
+    for v in values:
+        m = d // v._d
+        pairs.append((v._a * m, v._b * m))
+    return d, pairs
 
 
 ZERO = ComplexRational(0)

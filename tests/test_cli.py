@@ -10,7 +10,7 @@ import pytest
 
 from quadladder import cli
 from quadladder.cli import render_text, run_report
-from quadladder.errors import ValidationError
+from quadladder.errors import NotQuadraticError, ValidationError
 
 CMD = [sys.executable, "-m", "quadladder.cli"]
 
@@ -222,6 +222,18 @@ class TestFailures:
         path.write_text(json.dumps({"bateman": {"gamma": -1}}))
         assert run_cli("--model", str(path)).returncode == 2
         assert run_cli("--expr", "1" * 5000 + "*x1^2 + p1^2").returncode == 2
+
+    @pytest.mark.parametrize("text", ["1", "0", "5/2 + i*(x1*p1 - p1*x1)"])
+    def test_expression_without_quadratic_part(self, text, tmp_path, capsys):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"expression": text}))
+        for source in (["--expr", text], ["--model", str(path)]):
+            assert cli.main(source + ["--format", "json"]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error [quadladder.cli]:")
+            assert "no degree-2 part" in err
+        with pytest.raises(NotQuadraticError):
+            run_report(expression=text)
 
     def test_internal_value_error_is_not_user_error(self, monkeypatch):
         def broken(*args, **kwargs):

@@ -1,6 +1,7 @@
 """Symbolic Gaussian-polynomial wavefunctions: operators, spectra, integrals."""
 
 import cmath
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -212,6 +213,26 @@ class TestLadderSpectrum:
         stripped = dataclasses.replace(ladders[2], lam_exact=None)
         with pytest.raises(ValueError):
             ladder_spectrum(ham, psi0, stripped, ladders[3], 1, 1)
+
+    def test_bad_vacuum_rejected(self):
+        ham, ladders, psi0, _ = bateman_setup(Fraction(1))
+        not_eigen = psi0 + GaussianPolyFunction(2, {(1, 0): ONE}, psi0.quad, psi0.lin)
+        for vacuum in (psi0 - psi0, not_eigen):
+            with pytest.raises(ValueError, match="vacuum"):
+                ladder_spectrum(ham, vacuum, ladders[2], ladders[3], 1, 1)
+
+    @pytest.mark.parametrize("which", ["a", "b"])
+    def test_wrong_frequency_fails_the_per_state_check(self, which):
+        # the states are right, so only the exact per-state check of H can
+        # notice that the energies predicted from a wrong frequency are off
+        ham, ladders, psi0, _ = bateman_setup(Fraction(1, 2))
+        raise_a, raise_b = ladders[2], ladders[3]
+        if which == "a":
+            raise_a = dataclasses.replace(raise_a, lam_exact=raise_a.lam_exact + 1)
+        else:
+            raise_b = dataclasses.replace(raise_b, lam_exact=raise_b.lam_exact + 1)
+        with pytest.raises(VerificationError, match="has eigenvalue"):
+            ladder_spectrum(ham, psi0, raise_a, raise_b, 1, 1)
 
 
 class TestSquareIntegrability:
