@@ -5,9 +5,16 @@ O = (x1..xK, p1..pK) into itself under commutation:
 
     [H, O_i] = sum_j  M[j][i] * O_j.
 
-The 2K x 2K matrix M built column by column from those commutators is the
-adjoint matrix of H.  Its eigenvalues are the natural frequencies of the
-system and its eigenvectors are the coefficient vectors of ladder operators.
+The 2K x 2K matrix M is the adjoint matrix of H.  Its eigenvalues are the
+natural frequencies of the system and its eigenvectors are the coefficient
+vectors of ladder operators.
+
+M needs no operator products.  Write H = 1/2 O^T A O + const with A
+symmetric: a term c O_a^2 puts 2c on A[a][a], and a term c O_a O_b with
+a != b (normal ordering only moves the constant) puts c on A[a][b] and
+A[b][a].  With [O_a, O_b] = i Omega[a][b], where Omega = [[0, I], [-I, 0]]
+is the canonical symplectic form, [H, O_i] = i sum_j (A Omega)[j][i] O_j,
+so M = i A Omega.
 
 Matrices carry an exact complex-rational mirror alongside the float entries
 whenever they were built from exact data, so downstream exact computations
@@ -15,7 +22,6 @@ whenever they were built from exact data, so downstream exact computations
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -26,12 +32,12 @@ from .errors import (
     NotQuadraticError,
 )
 from .weyl import (
-    BasisIndex,
     ComplexRational,
     WeylPolynomial,
     ZERO,
     ONE,
-    commutator,
+    I,
+    commutator,  # not called here; perfbench/trace.py wraps adjoint.commutator
     degree_decompose,
     is_hermitian,
 )
@@ -172,20 +178,31 @@ def validate_quadratic(op: WeylPolynomial) -> QuadraticHamiltonian:
 
 
 def adjoint_matrix(ham: QuadraticHamiltonian) -> ComplexMatrix:
-    """Exact 2K x 2K matrix M with [H, O_i] = sum_j M[j][i] O_j.
+    """Exact 2K x 2K matrix M = i A Omega, so [H, O_i] = sum_j M[j][i] O_j.
 
-    Column i holds the expansion of [H, O_i] over the basis; each such
-    commutator is homogeneous of degree 1 (or zero), which is asserted.
+    A is read off the degree-2 terms of H; constants drop out, and a term of
+    any other degree raises NotQuadraticError (a hand-built Hamiltonian may
+    not have passed validate_quadratic).
     """
-    num_modes = ham.num_modes
-    dim = 2 * num_modes
-    columns: list[list[ComplexRational]] = []
-    for i in range(dim):
-        basis_op = WeylPolynomial.basis_element(
-            BasisIndex.from_flat(i, num_modes), num_modes)
-        columns.append(commutator(ham.op, basis_op).linear_coefficients())
-    exact = tuple(tuple(columns[i][j] for i in range(dim)) for j in range(dim))
-    return ComplexMatrix.from_exact(exact)
+    k = ham.num_modes
+    dim = 2 * k
+    a = [[ZERO] * dim for _ in range(dim)]
+    for mono, coeff in ham.op.terms.items():
+        degree = mono.degree
+        if degree == 0:
+            continue
+        if degree != 2:
+            validate_quadratic(ham.op)  # raises NotQuadraticError naming the terms
+        first, second = (
+            flat for flat, exp in enumerate(mono.exps) for _ in range(exp))
+        if first == second:
+            a[first][first] = 2 * coeff
+        else:
+            a[first][second] = a[second][first] = coeff
+    # (A Omega)[j][i] is -A[j][i+K] for an x column, +A[j][i-K] for a p column.
+    return ComplexMatrix.from_exact(
+        tuple(-I * row[i + k] if i < k else I * row[i - k] for i in range(dim))
+        for row in a)
 
 
 def matrices_commute(a: ComplexMatrix, b: ComplexMatrix,

@@ -268,7 +268,11 @@ def run_report(*, b: Fraction | None = None, expression: str | None = None,
                 "--ladder-states is unavailable: the spectrum is defective")
         return report
     ladders = build_ladders(ham, spectrum)
-    report["ladders"] = ladders_to_json(ladders, commutator_table(ladders))
+    if all(lad.lam_exact is not None for lad in ladders):
+        report["ladders"] = ladders_to_json(ladders, commutator_table(ladders))
+    else:
+        # The exact table is null once a ladder is inexact; skip building it.
+        report["ladders"] = {**ladders_to_json(ladders), "commutator_table": None}
     if ladder_states is not None:
         if b is None:
             raise ValidationError(

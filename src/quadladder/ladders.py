@@ -115,7 +115,7 @@ def build_ladders(ham: QuadraticHamiltonian, spectrum: SpectralResult,
     if len(spectrum.char_poly) - 1 != 2 * num_modes:
         raise DimensionMismatchError(
             "spectral result dimension does not match the Hamiltonian")
-    m = adjoint_matrix(ham).exact
+    m = adjoint_matrix(ham).exact  # closed form: cheap enough to rebuild
     ladders: list[LadderOperator] = []
     for freq in spectrum.frequencies:
         for k in range(freq.geometric_multiplicity):

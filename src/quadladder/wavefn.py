@@ -773,9 +773,26 @@ def function_to_json(f: GaussianPolyFunction) -> dict:
     }
 
 
-def _entry_row(entry: SpectrumEntry) -> dict:
-    integrable = (
-        None if entry.function is None else is_square_integrable(entry.function))
+def _integrable_flags(entries: list[SpectrumEntry]) -> list[bool | None]:
+    """is_square_integrable of each entry's function (None without one).
+
+    The verdict depends only on the Gaussian exponent, and a family's states
+    share their vacuum's, so it is decided once per distinct ``quad``.
+    """
+    by_quad: dict = {}
+    flags: list[bool | None] = []
+    for entry in entries:
+        f = entry.function
+        if isinstance(f, GaussianPolyFunction) and not f.is_zero:
+            if f.quad not in by_quad:
+                by_quad[f.quad] = is_square_integrable(f)
+            flags.append(by_quad[f.quad])
+        else:
+            flags.append(None if f is None else is_square_integrable(f))
+    return flags
+
+
+def _entry_row(entry: SpectrumEntry, integrable: bool | None) -> dict:
     return {
         "n": entry.n,
         "m": entry.m,
@@ -792,7 +809,8 @@ def spectrum_to_json(entries: list[SpectrumEntry],
     exact), annihilation flag, and square-integrability flag."""
     doc: dict = {
         "family": entries[0].family if entries else "",
-        "states": [_entry_row(e) for e in entries],
+        "states": [_entry_row(e, flag)
+                   for e, flag in zip(entries, _integrable_flags(entries))],
     }
     if include_functions:
         for row, entry in zip(doc["states"], entries):
@@ -804,9 +822,9 @@ def spectrum_to_json(entries: list[SpectrumEntry],
 def spectrum_to_csv(entries: list[SpectrumEntry]) -> str:
     """CSV columns: n, m, energy_re, energy_im, annihilated, square_integrable."""
     lines = ["n,m,energy_re,energy_im,annihilated,square_integrable"]
-    for e in entries:
-        row = _entry_row(e)
-        flag = "" if row["square_integrable"] is None else str(row["square_integrable"]).lower()
+    for e, integrable in zip(entries, _integrable_flags(entries)):
+        row = _entry_row(e, integrable)
+        flag = "" if integrable is None else str(integrable).lower()
         lines.append(
             f"{e.n},{e.m},{row['energy'][0]!r},{row['energy'][1]!r},"
             f"{str(e.annihilated).lower()},{flag}")

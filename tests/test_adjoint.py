@@ -3,10 +3,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_hermitian_quadratic
 from quadladder.adjoint import (
     ComplexMatrix,
+    QuadraticHamiltonian,
     adjoint_matrix,
     exact_matmul,
     matrices_commute,
@@ -18,8 +21,10 @@ from quadladder.errors import NotHermitianError, NotQuadraticError
 from quadladder.weyl import (
     BasisIndex,
     ComplexRational,
+    Monomial,
     WeylPolynomial,
     commutator,
+    dagger,
 )
 
 
@@ -77,20 +82,83 @@ class TestSingleModeOracles:
         )
 
 
+def commutator_matrix(ham):
+    """Oracle: column i holds the coefficients of the Weyl-product [H, O_i]."""
+    num_modes = ham.num_modes
+    dim = 2 * num_modes
+    columns = [
+        commutator(ham.op, WeylPolynomial.basis_element(
+            BasisIndex.from_flat(i, num_modes), num_modes)).linear_coefficients()
+        for i in range(dim)
+    ]
+    return tuple(tuple(columns[i][j] for i in range(dim)) for j in range(dim))
+
+
+# Degree-2 monomial shapes over flat indices (x1..xK, p1..pK): each maps
+# (K, a, b) with a != b to the two flat factors of the monomial.
+SHAPES = {
+    "x_a^2": lambda k, a, b: (a, a),
+    "p_a^2": lambda k, a, b: (k + a, k + a),
+    "x_a*x_b": lambda k, a, b: (a, b),
+    "p_a*p_b": lambda k, a, b: (k + a, k + b),
+    "x_a*p_b": lambda k, a, b: (a, k + b),
+    "x_a*p_a": lambda k, a, b: (a, k + a),
+}
+TWO_MODE_SHAPES = ("x_a*x_b", "p_a*p_b", "x_a*p_b")
+
+rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+complex_rationals = st.builds(ComplexRational, rationals, rationals)
+
+
+@st.composite
+def quadratic_operators(draw):
+    """(K, op, hermitian) with op a sum of degree-2 monomials of every shape,
+    optionally symmetrized into a Hermitian operator, plus an optional
+    constant."""
+    num_modes = draw(st.integers(1, 4))
+    terms: dict[Monomial, ComplexRational] = {}
+    for shape, flats in SHAPES.items():
+        if num_modes == 1 and shape in TWO_MODE_SHAPES:
+            continue
+        for _ in range(draw(st.integers(0, 2))):
+            a, b = (draw(st.permutations(range(num_modes)))[:2]
+                    if num_modes > 1 else (0, 0))
+            exps = [0] * (2 * num_modes)
+            for flat in flats(num_modes, a, b):
+                exps[flat] += 1
+            terms[Monomial(exps)] = draw(complex_rationals)
+    op = WeylPolynomial(num_modes, terms)
+    hermitian = draw(st.booleans())
+    if hermitian:
+        op = op + dagger(op)
+    if draw(st.booleans()):
+        offset = draw(rationals) if hermitian else draw(complex_rationals)
+        op = op + WeylPolynomial.constant(offset, num_modes)
+    return num_modes, op, hermitian
+
+
 class TestDefiningIdentity:
     def test_columns_are_commutator_coefficients(self, rng):
         for _ in range(40):
             num_modes = rng.choice((1, 2, 3))
             ham = validate_quadratic(random_hermitian_quadratic(rng, num_modes))
             matrix = adjoint_matrix(ham)
-            dim = 2 * num_modes
-            assert matrix.dim == dim
-            for i in range(dim):
-                basis_i = WeylPolynomial.basis_element(
-                    BasisIndex.from_flat(i, num_modes), num_modes)
-                column = [matrix.exact[j][i] for j in range(dim)]
-                assert commutator(ham.op, basis_i) \
-                    == WeylPolynomial.from_linear(column, num_modes)
+            assert matrix.dim == 2 * num_modes
+            assert matrix.exact == commutator_matrix(ham)
+
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(case=quadratic_operators())
+    def test_closed_form_matches_commutators(self, case):
+        """M = i A Omega equals the column-by-column Weyl-product construction,
+        for validated Hermitian operators and for hand-built wrappers alike."""
+        num_modes, op, hermitian = case
+        if hermitian:
+            ham = validate_quadratic(op)
+        else:
+            ham = QuadraticHamiltonian(
+                op=op, num_modes=num_modes, energy_offset=op.constant_term())
+        assert adjoint_matrix(ham).exact == commutator_matrix(ham)
 
     def test_trace_always_zero(self, rng):
         for _ in range(20):
@@ -136,6 +204,23 @@ class TestValidation:
             (ComplexRational(0), ComplexRational(0)),
             (ComplexRational(0), ComplexRational(0)),
         )
+
+
+class TestClosedFormRefusesBadDegrees:
+    """A hand-built wrapper skips validate_quadratic; the closed form must
+    still refuse terms of degree other than 0 and 2, never skip them."""
+
+    @pytest.mark.parametrize("degree, offending", [(1, "x"), (3, "x^2*py")])
+    def test_refused(self, degree, offending):
+        x = WeylPolynomial.position(1, 2)
+        p = WeylPolynomial.momentum(2, 2)
+        odd = x if degree == 1 else x * x * p
+        op = Fraction(1, 2) * (p * p + x * x) + odd + WeylPolynomial.constant(3, 2)
+        with pytest.raises(NotQuadraticError) as err:
+            adjoint_matrix(QuadraticHamiltonian(
+                op=op, num_modes=2, energy_offset=op.constant_term()))
+        assert f"degree {degree} " in str(err.value)
+        assert err.value.offending == (offending,)
 
 
 class TestMatrixHelpers:

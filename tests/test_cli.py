@@ -85,6 +85,24 @@ class TestJsonReports:
         assert doc["commutator_table"] is None
         assert "Commutator table" not in run_cli("--expr", "1/2*p1^2 + x1^2").stdout
 
+    def test_table_built_only_for_exact_ladders(self, monkeypatch):
+        calls = []
+        table = cli.commutator_table
+
+        def counting_table(ladders):
+            calls.append(len(ladders))
+            return table(ladders)
+
+        monkeypatch.setattr(cli, "commutator_table", counting_table)
+        float_doc = run_report(expression="1/2*p1^2 + x1^2")["ladders"]
+        assert calls == []
+        assert list(float_doc) == ["ladders", "commutator_table"]
+        assert float_doc["commutator_table"] is None
+        exact_doc = run_report(expression="1/2*(p1^2 + x1^2)")["ladders"]
+        assert calls == [2]
+        assert exact_doc["commutator_table"] == [
+            [[0, 1, 0, 1], [2, 1, 0, 1]], [[-2, 1, 0, 1], [0, 1, 0, 1]]]
+
     def test_defective_model_reports_without_ladders(self):
         result = run_cli("--expr", "1/2*p1^2", "--format", "json")
         assert result.returncode == 0

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import random_fraction, random_polynomial
+from quadladder import wavefn
 from quadladder.adjoint import adjoint_matrix, validate_quadratic
 from quadladder.bateman import build_hd, vacuum_functions
 from quadladder.errors import DivergentInputError, VerificationError
@@ -407,6 +408,30 @@ class TestSerialization:
         assert first["energy_exact"] == [1, 1, 0, 1]
         assert first["square_integrable"] is False
         assert first["function"]["text"] == "(1) * exp(-(1/2)*x^2 + (1/2)*y^2)"
+
+    def test_integrability_decided_once_per_exponent(self, monkeypatch):
+        ham, ladders, psi0, _ = bateman_setup(Fraction(1))
+        entries = ladder_spectrum(
+            ham, psi0, ladders[2], ladders[3], 2, 2, family="vacuum0")
+        expected = spectrum_to_json(entries)
+        calls = []
+
+        def counting(f):
+            calls.append(f.quad)
+            return is_square_integrable(f)
+
+        monkeypatch.setattr(wavefn, "is_square_integrable", counting)
+        assert spectrum_to_json(entries) == expected
+        assert calls == [psi0.quad]
+        assert [s["square_integrable"] for s in expected["states"]] == [False] * 9
+
+        other = dataclasses.replace(entries[1], function=gauss_1d(-1))
+        gone = dataclasses.replace(entries[2], function=None, annihilated=True)
+        calls.clear()
+        doc = spectrum_to_json([entries[0], other, gone, entries[3]])
+        assert calls == [psi0.quad, other.function.quad]
+        assert [s["square_integrable"] for s in doc["states"]] == [
+            False, True, None, False]
 
     def test_spectrum_csv_golden(self):
         ham, ladders, psi0, _ = bateman_setup(Fraction(1))
