@@ -16,15 +16,14 @@ A[b][a].  With [O_a, O_b] = i Omega[a][b], where Omega = [[0, I], [-I, 0]]
 is the canonical symplectic form, [H, O_i] = i sum_j (A Omega)[j][i] O_j,
 so M = i A Omega.
 
-Matrices carry an exact complex-rational mirror alongside the float entries
-whenever they were built from exact data, so downstream exact computations
-(characteristic polynomial, eigenvalue verification) never touch floats.
+Every matrix is exact: its rows are Gaussian rationals, so downstream
+exact computations (characteristic polynomial, eigenvalue verification)
+never touch floats.  The same rows as Python complex numbers serve the float
+work on irrational frequencies.
 """
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import Iterable, Sequence, TypeVar
 
 from .errors import (
     DimensionMismatchError,
@@ -35,7 +34,6 @@ from .weyl import (
     ComplexRational,
     WeylPolynomial,
     ZERO,
-    ONE,
     I,
     commutator,  # not called here; perfbench/trace.py wraps adjoint.commutator
     degree_decompose,
@@ -47,72 +45,48 @@ __all__ = [
     "QuadraticHamiltonian",
     "validate_quadratic",
     "adjoint_matrix",
+    "eigen_residual",
     "matrices_commute",
     "matrix_to_json",
-    "COMMUTE_TOL",
 ]
-
-# Absolute entrywise tolerance for the float path of matrices_commute.
-COMMUTE_TOL = 1e-12
 
 ExactRows = tuple[tuple[ComplexRational, ...], ...]
 
 
 class ComplexMatrix:
-    """Dense square complex matrix with an optional exact rational mirror.
+    """Dense square matrix over the Gaussian rationals.
 
-    ``entries`` is a read-only complex128 array.  ``exact`` is either None or
-    a tuple-of-tuples of ComplexRational agreeing with ``entries`` entry by
-    entry; operations that can preserve exactness do so.
+    ``exact`` holds the rows as tuples of ComplexRational; ``entries`` is the
+    same matrix as tuples of Python complex, for float work.
     """
 
     __slots__ = ("dim", "entries", "exact")
 
-    def __init__(self, entries: np.ndarray, exact: ExactRows | None = None):
-        arr = np.array(entries, dtype=np.complex128)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise DimensionMismatchError(f"matrix must be square, got shape {arr.shape}")
-        arr.setflags(write=False)
-        object.__setattr__(self, "dim", arr.shape[0])
-        object.__setattr__(self, "entries", arr)
-        if exact is not None:
-            exact = tuple(tuple(row) for row in exact)
-            if len(exact) != self.dim or any(len(r) != self.dim for r in exact):
-                raise DimensionMismatchError("exact mirror shape mismatch")
+    def __init__(self, rows: Iterable[Iterable[ComplexRational]]):
+        exact = tuple(tuple(ComplexRational._coerce(v) for v in row) for row in rows)
+        if any(v is NotImplemented for row in exact for v in row):
+            raise TypeError("matrix entries must be ComplexRational, int or Fraction")
+        dim = len(exact)
+        if any(len(row) != dim for row in exact):
+            raise DimensionMismatchError(
+                f"matrix must be square, got row lengths {[len(r) for r in exact]}")
+        object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "exact", exact)
+        object.__setattr__(
+            self, "entries", tuple(tuple(complex(v) for v in row) for row in exact))
 
     def __setattr__(self, name, value):
         raise AttributeError("ComplexMatrix is immutable")
 
-    @classmethod
-    def from_exact(cls, rows: Iterable[Iterable[ComplexRational]]) -> "ComplexMatrix":
-        exact = tuple(tuple(ComplexRational._coerce(v) for v in row) for row in rows)
-        arr = np.array([[complex(v) for v in row] for row in exact], dtype=np.complex128)
-        return cls(arr, exact)
-
-    @classmethod
-    def identity(cls, dim: int) -> "ComplexMatrix":
-        exact = tuple(
-            tuple(ONE if i == j else ZERO for j in range(dim)) for i in range(dim))
-        return cls(np.eye(dim, dtype=np.complex128), exact)
-
-    def trace_exact(self) -> ComplexRational | None:
-        if self.exact is None:
-            return None
-        total = ZERO
-        for i in range(self.dim):
-            total = total + self.exact[i][i]
-        return total
+    def trace_exact(self) -> ComplexRational:
+        return sum((self.exact[i][i] for i in range(self.dim)), ZERO)
 
     def norm_inf(self) -> float:
         """Max absolute row sum; the scale used by relative tolerances."""
-        if self.dim == 0:
-            return 0.0
-        return float(np.max(np.sum(np.abs(self.entries), axis=1)))
+        return max((sum(abs(z) for z in row) for row in self.entries), default=0.0)
 
     def __repr__(self):
-        tag = "exact" if self.exact is not None else "float"
-        return f"<ComplexMatrix dim={self.dim} {tag}>"
+        return f"<ComplexMatrix dim={self.dim}>"
 
 
 def exact_matmul(a: ExactRows, b: ExactRows) -> ExactRows:
@@ -127,10 +101,14 @@ def exact_matmul(a: ExactRows, b: ExactRows) -> ExactRows:
     )
 
 
-def exact_matvec(a: ExactRows,
-                 v: Sequence[ComplexRational]) -> tuple[ComplexRational, ...]:
-    """Product of an exact square matrix and an exact vector."""
-    return tuple(sum((aij * vj for aij, vj in zip(row, v)), ZERO) for row in a)
+Scalar = TypeVar("Scalar", ComplexRational, complex)
+
+
+def eigen_residual(rows: Sequence[Sequence[Scalar]], lam: Scalar,
+                   vec: Sequence[Scalar]) -> list[Scalar]:
+    """M v - lam v: exact over ``exact`` rows, in complex floats over ``entries``."""
+    return [sum(mij * vj for mij, vj in zip(row, vec)) - lam * vi
+            for row, vi in zip(rows, vec)]
 
 
 @dataclass(frozen=True)
@@ -200,39 +178,23 @@ def adjoint_matrix(ham: QuadraticHamiltonian) -> ComplexMatrix:
         else:
             a[first][second] = a[second][first] = coeff
     # (A Omega)[j][i] is -A[j][i+K] for an x column, +A[j][i-K] for a p column.
-    return ComplexMatrix.from_exact(
+    return ComplexMatrix(
         tuple(-I * row[i + k] if i < k else I * row[i - k] for i in range(dim))
         for row in a)
 
 
-def matrices_commute(a: ComplexMatrix, b: ComplexMatrix,
-                     tol: float = COMMUTE_TOL) -> bool:
-    """Whether AB - BA vanishes: exactly when both mirrors exist, else to tol."""
+def matrices_commute(a: ComplexMatrix, b: ComplexMatrix) -> bool:
+    """Whether AB - BA vanishes, decided exactly."""
     if a.dim != b.dim:
         raise DimensionMismatchError(f"dimensions differ: {a.dim} vs {b.dim}")
-    if a.exact is not None and b.exact is not None:
-        ab = exact_matmul(a.exact, b.exact)
-        ba = exact_matmul(b.exact, a.exact)
-        return all(
-            ab[i][j] == ba[i][j]
-            for i in range(a.dim) for j in range(a.dim)
-        )
-    resid = a.entries @ b.entries - b.entries @ a.entries
-    return bool(np.max(np.abs(resid)) < tol) if resid.size else True
+    return exact_matmul(a.exact, b.exact) == exact_matmul(b.exact, a.exact)
 
 
 def matrix_to_json(m: ComplexMatrix) -> dict:
-    """Schema: {"dim": n, "entries": [[re, im], ...] row-major}, plus
-    "entries_exact" (numerator/denominator quadruples) when available."""
-    doc: dict = {
+    """Schema: {"dim": n, "entries": [[re, im], ...] row-major,
+    "entries_exact": numerator/denominator quadruples, row-major}."""
+    return {
         "dim": m.dim,
-        "entries": [
-            [float(z.real), float(z.imag)]
-            for row in m.entries for z in row
-        ],
+        "entries": [[z.real, z.imag] for row in m.entries for z in row],
+        "entries_exact": [list(v.as_quad()) for row in m.exact for v in row],
     }
-    if m.exact is not None:
-        doc["entries_exact"] = [
-            list(v.as_quad()) for row in m.exact for v in row
-        ]
-    return doc

@@ -87,7 +87,3 @@ class VerificationError(NumericFailureError):
     ladder operator satisfying its commutation relation) does not, which
     indicates numerical trouble rather than bad user input.
     """
-
-
-class ExactnessLossWarning(UserWarning):
-    """Exact arithmetic was requested but only floats were available."""

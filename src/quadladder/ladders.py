@@ -15,7 +15,7 @@ the Weyl product as an independent check.
 
 from dataclasses import dataclass
 
-from .adjoint import ExactRows, QuadraticHamiltonian, adjoint_matrix, exact_matvec
+from .adjoint import ComplexMatrix, QuadraticHamiltonian, adjoint_matrix, eigen_residual
 from .errors import (
     DefectiveSpectrumError,
     DimensionMismatchError,
@@ -82,19 +82,16 @@ def _normalize_exact(vec: tuple[ComplexRational, ...]) -> list[ComplexRational]:
 
 
 def _normalize_float(vec: tuple[complex, ...]) -> list[complex]:
-    lead = next((c for c in vec if abs(c) > 1e-10), None)
-    if lead is None:
+    at = next((i for i, c in enumerate(vec) if abs(c) > 1e-10), None)
+    if at is None:
         raise VerificationError("eigenvector is numerically zero")
-    return [c / lead for c in vec]
+    lead = vec[at]
+    out = [c / lead for c in vec]
+    out[at] = 1 + 0j  # lead / lead can leave a rounding-sized imaginary part
+    return out
 
 
-def _eigen_residual(m: ExactRows, lam: ComplexRational,
-                    c: list[ComplexRational]) -> list[ComplexRational]:
-    """M c - lam c: the coefficients of [H, Z] - lam Z."""
-    return [mc - lam * cj for mc, cj in zip(exact_matvec(m, c), c)]
-
-
-def _worst(residual: list[ComplexRational]) -> float:
+def _worst(residual: list) -> float:
     return max(abs(complex(r)) for r in residual)
 
 
@@ -104,8 +101,8 @@ def build_ladders(ham: QuadraticHamiltonian, spectrum: SpectralResult,
 
     Raises DefectiveSpectrumError when the spectrum is defective (a complete
     ladder set does not exist then).  Exact eigen-data is verified exactly;
-    float eigen-data must satisfy the commutation relation with coefficient
-    residual below ``residual_tol``.
+    float eigen-data must satisfy the commutation relation, evaluated in
+    complex floats, with coefficient residual below ``residual_tol``.
     """
     if spectrum.defective:
         raise DefectiveSpectrumError(
@@ -115,7 +112,7 @@ def build_ladders(ham: QuadraticHamiltonian, spectrum: SpectralResult,
     if len(spectrum.char_poly) - 1 != 2 * num_modes:
         raise DimensionMismatchError(
             "spectral result dimension does not match the Hamiltonian")
-    m = adjoint_matrix(ham).exact  # closed form: cheap enough to rebuild
+    m = adjoint_matrix(ham)  # closed form: cheap enough to rebuild
     ladders: list[LadderOperator] = []
     for freq in spectrum.frequencies:
         for k in range(freq.geometric_multiplicity):
@@ -123,23 +120,22 @@ def build_ladders(ham: QuadraticHamiltonian, spectrum: SpectralResult,
             lam_exact = freq.lam_exact if exact_vec is not None else None
             if lam_exact is not None:
                 coeffs = _normalize_exact(exact_vec)
-                residual = _eigen_residual(m, lam_exact, coeffs)
+                residual = eigen_residual(m.exact, lam_exact, coeffs)
                 if any(residual):
                     raise VerificationError(
                         f"exact ladder at lambda={lam_exact} fails its "
                         f"commutation relation; residual "
                         f"{WeylPolynomial.from_linear(residual, num_modes)}")
             else:
-                coeffs = [ComplexRational.from_complex(c)
-                          for c in _normalize_float(freq.eigenvectors[k])]
-                worst = _worst(_eigen_residual(
-                    m, ComplexRational.from_complex(freq.lam), coeffs))
+                floats = _normalize_float(freq.eigenvectors[k])
+                worst = _worst(eigen_residual(m.entries, freq.lam, floats))
                 if worst >= residual_tol:
                     raise VerificationError(
                         f"ladder at lambda={freq.lam} fails its commutation "
                         f"relation with residual {worst:.3e}",
                         (worst,),
                     )
+                coeffs = [ComplexRational.from_complex(c) for c in floats]
             ladders.append(LadderOperator(
                 z=WeylPolynomial.from_linear(coeffs, num_modes), lam=freq.lam,
                 lam_exact=lam_exact, frequency=freq))
@@ -148,20 +144,23 @@ def build_ladders(ham: QuadraticHamiltonian, spectrum: SpectralResult,
     return ladders
 
 
-def _check_dagger_pairing(ladders: list[LadderOperator], m: ExactRows,
+def _check_dagger_pairing(ladders: list[LadderOperator], m: ComplexMatrix,
                           residual_tol: float) -> None:
     """dagger(Z) at lambda, with coefficients conj(c), must be an eigenvector
-    of M at -conj(lambda): exactly for exact ladders, else to residual_tol."""
+    of M at -conj(lambda): exactly for exact ladders, else in complex floats
+    to residual_tol."""
     for lad in ladders:
         target = -lad.lam.conjugate()
         if not any(abs(o.lam - target) < PAIRING_TOL for o in ladders):
             raise VerificationError(
                 f"no partner frequency found for lambda={lad.lam}")
         exact = lad.lam_exact is not None
-        lam = (-lad.lam_exact.conjugate() if exact
-               else ComplexRational.from_complex(target))
-        residual = _eigen_residual(
-            m, lam, [c.conjugate() for c in lad.z.linear_coefficients()])
+        coeffs = lad.z.linear_coefficients()
+        residual = (
+            eigen_residual(m.exact, -lad.lam_exact.conjugate(),
+                           [c.conjugate() for c in coeffs]) if exact
+            else eigen_residual(m.entries, target,
+                                [complex(c).conjugate() for c in coeffs]))
         worst = _worst(residual)
         if any(residual) if exact else worst >= residual_tol:
             raise VerificationError(

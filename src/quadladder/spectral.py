@@ -3,8 +3,7 @@
 The pipeline runs in three layers of decreasing exactness:
 
 1. The characteristic polynomial det(M - lambda*I) is computed exactly over
-   complex rationals with the Faddeev-LeVerrier trace recurrence whenever the
-   matrix carries an exact mirror.
+   complex rationals with the Faddeev-LeVerrier trace recurrence.
 2. The exact polynomial is split into square-free factors (Yun's algorithm,
    exact gcds), which pins down every algebraic multiplicity before any
    floating-point work; the factors have only simple roots, so the
@@ -15,18 +14,15 @@ The pipeline runs in three layers of decreasing exactness:
    exact values, accepting them only when exact back-substitution verifies.
 
 Everything is deterministic: fixed seed circle for the iteration, fixed
-pivoting rules, fixed ordering of results by (Re, Im).
+pivoting and normalization rules, fixed ordering of results by (Re, Im).
 """
 
 import cmath
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from .adjoint import ComplexMatrix, exact_matvec
-from .errors import ExactnessLossWarning, NumericFailureError
+from .adjoint import ComplexMatrix, eigen_residual
+from .errors import NumericFailureError
 from .weyl import ComplexRational, ONE, ZERO
 
 __all__ = [
@@ -47,6 +43,9 @@ RANK_TOL = 1e-10     # relative pivot threshold for null-space extraction
 ROOT_RESIDUAL_TOL = 1e-9   # relative bound on |p(root)| for accepted roots
 MAX_SWEEPS = 500           # Durand-Kerner iteration cap
 RECONSTRUCT_DEN_CAP = 10**6
+# A null vector is normalized at its first entry whose modulus is within this
+# relative gap of the largest, so float rounding cannot break exact ties.
+PEAK_TIE_TOL = 1e-9
 
 Poly = list[ComplexRational]  # coefficients, ascending degree
 
@@ -180,48 +179,29 @@ def characteristic_polynomial(m: ComplexMatrix) -> Poly:
     """Coefficients of det(M - lambda*I), ascending, exact.
 
     Uses the Faddeev-LeVerrier recurrence, which needs only ring operations
-    and divisions by small integers, on the exact mirror.  A matrix without
-    an exact mirror falls back to the same recurrence in floats; the result
-    is then wrapped in (exactly represented) binary fractions and an
-    ExactnessLossWarning is emitted.
+    and divisions by small integers.
     """
     n = m.dim
-    if m.exact is not None:
-        a = m.exact
-        coeffs: list[ComplexRational] = [ZERO] * (n + 1)
-        coeffs[n] = ONE
-        mk = [[ZERO] * n for _ in range(n)]  # M_0 = 0
-        for k in range(1, n + 1):
-            shift = coeffs[n - k + 1]
-            mk = [
-                [
-                    sum((a[i][t] * mk[t][j] for t in range(n)), ZERO)
-                    + (shift if i == j else ZERO)
-                    for j in range(n)
-                ]
-                for i in range(n)
-            ]
-            tr = ZERO
-            for i in range(n):
-                tr = tr + sum((a[i][t] * mk[t][i] for t in range(n)), ZERO)
-            coeffs[n - k] = -tr / k
-        sign = ONE if n % 2 == 0 else -ONE
-        return [sign * c for c in coeffs]
-    warnings.warn(
-        "matrix has no exact mirror; characteristic polynomial computed in floats",
-        ExactnessLossWarning,
-        stacklevel=2,
-    )
-    a_f = m.entries
-    cs = np.zeros(n + 1, dtype=np.complex128)
-    cs[n] = 1.0
-    mk_f = np.zeros((n, n), dtype=np.complex128)
-    eye = np.eye(n, dtype=np.complex128)
+    a = m.exact
+    coeffs: list[ComplexRational] = [ZERO] * (n + 1)
+    coeffs[n] = ONE
+    mk = [[ZERO] * n for _ in range(n)]  # M_0 = 0
     for k in range(1, n + 1):
-        mk_f = a_f @ mk_f + cs[n - k + 1] * eye
-        cs[n - k] = -np.trace(a_f @ mk_f) / k
-    sign_f = 1.0 if n % 2 == 0 else -1.0
-    return [ComplexRational.from_complex(sign_f * z) for z in cs]
+        shift = coeffs[n - k + 1]
+        mk = [
+            [
+                sum((a[i][t] * mk[t][j] for t in range(n)), ZERO)
+                + (shift if i == j else ZERO)
+                for j in range(n)
+            ]
+            for i in range(n)
+        ]
+        tr = ZERO
+        for i in range(n):
+            tr = tr + sum((a[i][t] * mk[t][i] for t in range(n)), ZERO)
+        coeffs[n - k] = -tr / k
+    sign = ONE if n % 2 == 0 else -ONE
+    return [sign * c for c in coeffs]
 
 
 # ---------------------------------------------------------------------------
@@ -335,16 +315,16 @@ def roots(p: Poly, tol_cluster: float = CLUSTER_TOL) -> list[tuple[complex, int]
 # null spaces and rational reconstruction
 # ---------------------------------------------------------------------------
 
-def _nullspace(a: np.ndarray, threshold: float) -> list[np.ndarray]:
+def _nullspace(a: list[list[complex]], threshold: float) -> list[list[complex]]:
     """Basis of the null space by Gaussian elimination with partial pivoting.
 
     Columns whose best remaining pivot falls below ``threshold`` are treated
     as free; one basis vector is produced per free column by back
-    substitution.  Each vector is normalized so its largest-modulus entry
-    (first such, in index order) equals exactly 1.
+    substitution.  Each vector is divided by its first entry whose modulus
+    lies within PEAK_TIE_TOL of the largest.
     """
-    m = np.array(a, dtype=np.complex128)
-    n = m.shape[0]
+    m = [list(r) for r in a]
+    n = len(m)
     pivot_cols: list[int] = []
     free_cols: list[int] = []
     row = 0
@@ -352,28 +332,29 @@ def _nullspace(a: np.ndarray, threshold: float) -> list[np.ndarray]:
         if row >= n:
             free_cols.append(col)
             continue
-        sub = np.abs(m[row:, col])
-        best = int(np.argmax(sub)) + row
-        if np.abs(m[best, col]) <= threshold:
+        best = max(range(row, n), key=lambda r: abs(m[r][col]))
+        if abs(m[best][col]) <= threshold:
             free_cols.append(col)
             continue
-        if best != row:
-            m[[row, best]] = m[[best, row]]
-        m[row] = m[row] / m[row, col]
+        m[row], m[best] = m[best], m[row]
+        pivot = m[row][col]
+        m[row] = [z / pivot for z in m[row]]
         for r in range(n):
-            if r != row and m[r, col] != 0:
-                m[r] = m[r] - m[r, col] * m[row]
+            factor = m[r][col]
+            if r != row and factor != 0:
+                m[r] = [z - factor * p for z, p in zip(m[r], m[row])]
         pivot_cols.append(col)
         row += 1
     basis = []
     for free in free_cols:
-        v = np.zeros(n, dtype=np.complex128)
-        v[free] = 1.0
+        v = [0j] * n
+        v[free] = 1 + 0j
         for r, col in enumerate(pivot_cols):
-            v[col] = -m[r, free]
-        big = int(np.argmax(np.abs(v)))
-        v = v / v[big]
-        basis.append(v)
+            v[col] = -m[r][free]
+        floor = (1 - PEAK_TIE_TOL) * max(abs(z) for z in v)
+        big = next(i for i, z in enumerate(v) if abs(z) >= floor)
+        lead = v[big]
+        basis.append([z / lead for z in v])
     return basis
 
 
@@ -395,8 +376,7 @@ def _verify_eigenvector(
     lam: ComplexRational,
     vec: tuple[ComplexRational, ...],
 ) -> bool:
-    return any(vec) and all(
-        mv == lam * v for mv, v in zip(exact_matvec(exact, vec), vec))
+    return any(vec) and not any(eigen_residual(exact, lam, vec))
 
 
 # ---------------------------------------------------------------------------
@@ -442,11 +422,12 @@ def eigen_decompose(m: ComplexMatrix,
     """
     char = characteristic_polynomial(m)
     root_list = roots(char, tol_cluster)
-    scale = max(1.0, float(np.max(np.abs(m.entries))) if m.dim else 1.0)
+    scale = max(1.0, max((abs(z) for row in m.entries for z in row), default=0.0))
     frequencies: list[NaturalFrequency] = []
     defective = False
     for lam, alg in root_list:
-        shifted = m.entries - lam * np.eye(m.dim, dtype=np.complex128)
+        shifted = [[z - lam if i == j else z for j, z in enumerate(row)]
+                   for i, row in enumerate(m.entries)]
         basis = _nullspace(shifted, tol_rank * scale)
         geo = len(basis)
         if geo == 0:
@@ -457,7 +438,7 @@ def eigen_decompose(m: ComplexMatrix,
             relaxed = _nullspace(shifted, tol_cluster * scale)
             basis = [
                 v for v in relaxed
-                if float(np.max(np.abs(shifted @ np.asarray(v)))) <= tol_cluster * scale
+                if max(map(abs, eigen_residual(m.entries, lam, v))) <= tol_cluster * scale
             ][:alg]
             geo = len(basis)
         if geo == 0 or geo > alg:
@@ -470,20 +451,19 @@ def eigen_decompose(m: ComplexMatrix,
             defective = True
         lam_exact = None
         vecs_exact: list[tuple[ComplexRational, ...] | None] = [None] * geo
-        if m.exact is not None:
-            cand = _reconstruct_scalar(lam)
-            if not poly_eval(char, cand):
-                lam_exact = cand
-                for idx, v in enumerate(basis):
-                    vc = tuple(_reconstruct_scalar(z) for z in v)
-                    if _verify_eigenvector(m.exact, cand, vc):
-                        vecs_exact[idx] = vc
+        cand = _reconstruct_scalar(lam)
+        if not poly_eval(char, cand):
+            lam_exact = cand
+            for idx, v in enumerate(basis):
+                vc = tuple(_reconstruct_scalar(z) for z in v)
+                if _verify_eigenvector(m.exact, cand, vc):
+                    vecs_exact[idx] = vc
         frequencies.append(NaturalFrequency(
             lam=lam,
             lam_exact=lam_exact,
             algebraic_multiplicity=alg,
             geometric_multiplicity=geo,
-            eigenvectors=tuple(tuple(complex(z) for z in v) for v in basis),
+            eigenvectors=tuple(tuple(v) for v in basis),
             eigenvectors_exact=tuple(vecs_exact),
         ))
 

@@ -249,7 +249,7 @@ def test_criterion_11_random_hamiltonian_invariants():
         # (b) eigenvector residuals
         for f in spectrum.frequencies:
             for vec in f.eigenvectors:
-                image = matrix.entries @ np.array(vec)
+                image = np.array(matrix.entries) @ np.array(vec)
                 residual = max(abs(iv - f.lam * v) for iv, v in zip(image, vec))
                 ok = ok and residual < 1e-10 * scale
 

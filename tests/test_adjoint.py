@@ -234,15 +234,18 @@ class TestMatrixHelpers:
                     complex(a[r][k]) * complex(b[k][c]) for k in range(4))
                 assert abs(complex(product[r][c]) - expected) < 1e-12
 
-    def test_commute_float_fallback(self):
-        a = ComplexMatrix.from_exact((
-            (ComplexRational(0), ComplexRational(1)),
-            (ComplexRational(1), ComplexRational(0)),
-        ))
-        b = ComplexMatrix([[0.0, 2.0], [2.0, 0.0]])
-        assert matrices_commute(a, b)
-        c = ComplexMatrix([[1.0, 0.0], [0.0, -1.0]])
-        assert not matrices_commute(a, c)
+    def test_commute_is_exact(self):
+        a = ComplexMatrix(((0, 1), (1, 0)))
+        assert matrices_commute(a, ComplexMatrix(((0, 2), (2, 0))))
+        assert not matrices_commute(a, ComplexMatrix(((1, 0), (0, -1))))
+
+    def test_entries_mirror_exact_rows(self):
+        half = ComplexRational(Fraction(1, 2), -3)
+        matrix = ComplexMatrix(((half, 1), (0, ComplexRational(0, 1))))
+        assert matrix.entries == ((0.5 - 3j, 1 + 0j), (0j, 1j))
+        assert matrix.norm_inf() == abs(0.5 - 3j) + 1
+        with pytest.raises(TypeError):
+            ComplexMatrix(((0.5, 0), (0, 1)))
 
     def test_json_schema(self):
         matrix = adjoint_matrix(

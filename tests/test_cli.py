@@ -281,3 +281,34 @@ class TestFailures:
         result = run_cli("--bateman", "b=1", "--tol-cluster", "1e-7",
                          "--tol-rank", "1e-9", "--format", "json")
         assert result.returncode == 0
+
+
+class TestWithoutNumpy:
+    """The package runs on the standard library alone; numpy is a test
+    dependency only."""
+
+    SCRIPT = """
+import json, os, sys
+sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+from quadladder import cli
+for argv in json.loads(sys.argv[1]):
+    code = cli.main([*argv, "--out", os.devnull])
+    if code != 0:
+        sys.exit(f"exit {code} for {argv}")
+"""
+
+    def test_cli_runs_with_numpy_blocked(self):
+        from test_golden import MODELS
+        argvs = [["--bateman", "b=1/2", "--ladder-states", "2"],
+                 MODELS["gyroscopic_float"]]
+        result = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, json.dumps(argvs)],
+            capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+
+    def test_import_does_not_load_numpy(self):
+        result = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, quadladder.cli; print('numpy' in sys.modules)"],
+            capture_output=True, text=True)
+        assert result.stdout == "False\n", result.stderr

@@ -9,8 +9,9 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_hermitian_quadratic
-from quadladder.adjoint import ComplexMatrix, adjoint_matrix, validate_quadratic
+from quadladder.adjoint import adjoint_matrix, validate_quadratic
 from quadladder.bateman import build_hd
+from quadladder.dsl import parse_to_polynomial
 from quadladder.errors import DefectiveSpectrumError, VerificationError
 from quadladder.ladders import (
     build_ladders,
@@ -213,17 +214,23 @@ class TestVerificationFailures:
             build_ladders(ham, bad)
 
 
-class TestFloatPath:
-    def test_float_matrix_still_yields_ladders(self):
-        ham = build_hd(Fraction(1))
-        float_matrix = ComplexMatrix(adjoint_matrix(ham).entries)
-        with pytest.warns(Warning):
-            spectrum = eigen_decompose(float_matrix)
-        ladders = build_ladders(ham, spectrum)
-        assert len(ladders) == 4
+class TestFloatLadders:
+    # Irrational frequencies; at Z1 the complex division lead / lead leaves an
+    # imaginary part of order 1e-17 unless the lead is set to 1 explicitly.
+    EXPR = "1/2*p1^2 + 1/2*p2^2 + 2/3*x1^2 - x1*x2 + 5/6*x2^2 - x1*p2 + x2*p1"
+
+    def test_lead_coefficient_is_exactly_one(self):
+        ham = validate_quadratic(parse_to_polynomial(self.EXPR))
+        ladders = build_ladders(ham, eigen_decompose(adjoint_matrix(ham)))
+        assert all(lad.lam_exact is None for lad in ladders)
         for lad in ladders:
-            got = ladder_shift_check(ham, lad)
-            assert abs(complex(got) - lad.lam) < 1e-9
+            coeffs = lad.z.linear_coefficients()
+            assert next(c for c in coeffs if abs(c) > 1e-10) == ComplexRational(1)
+
+    def test_weyl_product_confirms_float_ladders(self):
+        ham = validate_quadratic(parse_to_polynomial(self.EXPR))
+        for lad in build_ladders(ham, eigen_decompose(adjoint_matrix(ham))):
+            assert abs(complex(ladder_shift_check(ham, lad)) - lad.lam) < 1e-9
 
 
 class TestSerialization:

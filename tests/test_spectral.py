@@ -1,14 +1,20 @@
 """Characteristic polynomials, root finding, and eigen decomposition."""
 
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_hermitian_quadratic
 from quadladder.adjoint import ComplexMatrix, adjoint_matrix, validate_quadratic
 from quadladder.bateman import build_hd
-from quadladder.errors import ExactnessLossWarning
 from quadladder.spectral import (
+    PEAK_TIE_TOL,
+    RANK_TOL,
+    _nullspace,
     characteristic_polynomial,
     eigen_decompose,
     poly_eval,
@@ -57,24 +63,16 @@ class TestCharacteristicPolynomial:
 
     def test_identity_matrix(self):
         one = ComplexRational(1)
-        m = ComplexMatrix.from_exact(((one, ComplexRational(0)),
-                                      (ComplexRational(0), one)))
+        m = ComplexMatrix(((one, ComplexRational(0)),
+                           (ComplexRational(0), one)))
         assert list(characteristic_polynomial(m)) \
             == [ComplexRational(1), ComplexRational(-2), ComplexRational(1)]
 
     def test_nilpotent_matrix(self):
         zero = ComplexRational(0)
-        m = ComplexMatrix.from_exact(((zero, ComplexRational(1)), (zero, zero)))
+        m = ComplexMatrix(((zero, ComplexRational(1)), (zero, zero)))
         assert list(characteristic_polynomial(m)) \
             == [zero, zero, ComplexRational(1)]
-
-    def test_float_fallback_warns_and_agrees(self):
-        exact = adjoint_matrix(build_hd(Fraction(1)))
-        float_only = ComplexMatrix(exact.entries)
-        with pytest.warns(ExactnessLossWarning):
-            coeffs = characteristic_polynomial(float_only)
-        for got, want in zip(coeffs, poly_from_roots(bateman_roots(Fraction(1)))):
-            assert abs(complex(got) - complex(want)) < 1e-12
 
     def test_poly_eval_is_exact(self):
         p = poly_from_roots([ComplexRational(2, 1), ComplexRational(-1)])
@@ -207,7 +205,7 @@ class TestEigenDecompose:
                 assert 1 <= f.geometric_multiplicity <= f.algebraic_multiplicity
                 total_geo += f.geometric_multiplicity
                 for vec in f.eigenvectors:
-                    image = matrix.entries @ __import__("numpy").array(vec)
+                    image = np.array(matrix.entries) @ np.array(vec)
                     residual = max(
                         abs(iv - f.lam * v) for iv, v in zip(image, vec))
                     assert residual < 1e-10 * scale
@@ -224,6 +222,64 @@ class TestEigenDecompose:
         assert [f.geometric_multiplicity for f in loose.frequencies] == [2, 2]
         tight = eigen_decompose(matrix)
         assert [f.algebraic_multiplicity for f in tight.frequencies] == [1, 1, 1, 1]
+
+
+class TestNullspace:
+    @pytest.mark.parametrize("two", [2.0, math.nextafter(2.0, 0.0),
+                                     math.nextafter(2.0, 3.0)])
+    def test_equal_moduli_normalize_at_the_first(self, two):
+        # null vector (i, 1): both entries have modulus 1, and a 1-ulp
+        # change to the pivot row must not move the normalization to the second
+        basis = _nullspace([[1, -1j], [2, -two * 1j]], RANK_TOL)
+        assert len(basis) == 1
+        assert basis[0][0] == 1
+        assert abs(abs(basis[0][1]) - 1) < 1e-15
+
+
+def _gaussian(parts):
+    re, im = parts
+    return ComplexRational(re, im)
+
+
+@st.composite
+def known_rank_matrices(draw):
+    """A = P L D U Q over Q(i): L, U unit triangular, D with r nonzero
+    entries, P, Q permutations, so rank A = r exactly."""
+    n = draw(st.integers(1, 8))
+    r = draw(st.integers(0, n))
+    small = st.tuples(st.integers(-1, 1), st.integers(-1, 1)).map(_gaussian)
+    pivots = st.sampled_from([Fraction(v) for v in (1, -1, 2, -2)]
+                             + [Fraction(1, 3), Fraction(-3, 2)])
+    zero, one = ComplexRational(0), ComplexRational(1)
+    lower = [[draw(small) if j < i else (one if i == j else zero)
+              for j in range(n)] for i in range(n)]
+    upper = [[draw(small) if j > i else (one if i == j else zero)
+              for j in range(n)] for i in range(n)]
+    diag = [ComplexRational(draw(pivots)) if i < r else zero for i in range(n)]
+    rows = draw(st.permutations(range(n)))
+    cols = draw(st.permutations(range(n)))
+    a = [[sum((lower[rows[i]][k] * diag[k] * upper[k][cols[j]] for k in range(n)),
+              zero) for j in range(n)] for i in range(n)]
+    return [[complex(v) for v in row] for row in a], r
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=known_rank_matrices())
+def test_nullspace_against_numpy(case):
+    a, rank = case
+    n = len(a)
+    scale = max(1.0, max(abs(z) for row in a for z in row))
+    basis = _nullspace(a, RANK_TOL * scale)
+    assert np.linalg.matrix_rank(np.array(a)) == rank
+    assert len(basis) == n - rank
+    if basis:
+        assert np.linalg.matrix_rank(np.array(basis)) == n - rank
+    for v in basis:
+        assert max(abs(np.array(a) @ np.array(v))) <= 1e-10 * scale
+        floor = (1 - PEAK_TIE_TOL) * max(abs(z) for z in v)
+        lead = next(z for z in v if abs(z) >= floor)
+        assert lead.real == 1 and abs(lead.imag) < 1e-15
 
 
 class TestSerialization:
