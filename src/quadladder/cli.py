@@ -35,7 +35,7 @@ from .errors import (
     ValidationError,
 )
 from .ladders import build_ladders, commutator_table, ladders_to_json
-from .spectral import CLUSTER_TOL, RANK_TOL, eigen_decompose, spectral_to_json
+from .spectral import RANK_TOL, eigen_decompose, spectral_to_json
 from .wavefn import (
     annihilation_check,
     eigencheck,  # not called here; perfbench/trace.py wraps cli.eigencheck
@@ -43,7 +43,7 @@ from .wavefn import (
     ladder_spectrum,
     spectrum_to_json,
 )
-from .weyl import BasisIndex, ComplexRational, render_terms
+from .weyl import ComplexRational, render_terms
 
 __all__ = ["main", "run_report", "render_text", "build_parser"]
 
@@ -204,11 +204,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--out", metavar="PATH", default=None,
         help="write the report to PATH instead of stdout")
     parser.add_argument(
-        "--tol-cluster", type=float, default=CLUSTER_TOL, metavar="X",
-        help=f"relative root clustering tolerance (default {CLUSTER_TOL})")
-    parser.add_argument(
         "--tol-rank", type=float, default=RANK_TOL, metavar="X",
-        help=f"relative null-space rank tolerance (default {RANK_TOL})")
+        help=f"relative null-space rank tolerance for irrational frequencies "
+             f"(default {RANK_TOL})")
     return parser
 
 
@@ -218,7 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run_report(*, b: Fraction | None = None, expression: str | None = None,
                ladder_states: int | None = None,
-               tol_cluster: float = CLUSTER_TOL,
                tol_rank: float = RANK_TOL) -> dict:
     """Run the full pipeline for one model and return the JSON-able report.
 
@@ -253,7 +250,7 @@ def run_report(*, b: Fraction | None = None, expression: str | None = None,
             "energy_offset": list(ham.energy_offset.as_quad()),
         }
     matrix = adjoint_matrix(ham)
-    spectrum = eigen_decompose(matrix, tol_cluster=tol_cluster, tol_rank=tol_rank)
+    spectrum = eigen_decompose(matrix, tol_rank=tol_rank)
     report: dict = {
         "schema": REPORT_SCHEMA,
         "model": model_doc,
@@ -309,12 +306,9 @@ def _families_doc(ham: QuadraticHamiltonian, ladders, n_max: int) -> list[dict]:
 
 
 def run_sweep(values: list[Fraction], *, ladder_states: int | None,
-              tol_cluster: float, tol_rank: float) -> dict:
-    runs = [
-        run_report(b=value, ladder_states=ladder_states,
-                   tol_cluster=tol_cluster, tol_rank=tol_rank)
-        for value in values
-    ]
+              tol_rank: float) -> dict:
+    runs = [run_report(b=value, ladder_states=ladder_states, tol_rank=tol_rank)
+            for value in values]
     return {
         "schema": SWEEP_SCHEMA,
         "parameter": "b",
@@ -345,26 +339,6 @@ def _value_str(float_pair, quad) -> str:
     if quad is not None:
         return f"{_quad_str(quad)} (exact)"
     return _complex_str(float_pair)
-
-
-def _float_term_str(pair) -> str:
-    re, im = pair
-    if im == 0:
-        return f"{re:.10g}"
-    if re == 0:
-        return f"{im:.10g}i"
-    return f"({re:.10g}{im:+.10g}i)"
-
-
-def _float_ladder_text(coefficients, num_modes: int) -> str:
-    """Readable form for ladders whose coefficients are float eigendata."""
-    parts = []
-    for flat, (re, im) in enumerate(coefficients):
-        if re == 0 and im == 0:
-            continue
-        name = BasisIndex.from_flat(flat, num_modes).symbol(num_modes)
-        parts.append(f"{_float_term_str((re, im))}*{name}")
-    return " + ".join(parts) if parts else "0"
 
 
 def _char_poly_str(quads) -> str:
@@ -437,12 +411,8 @@ def render_text(report: dict, color: bool = False) -> str:
         lines.append(head("Ladder operators"))
         for idx, lad in enumerate(report["ladders"]["ladders"], start=1):
             value = _value_str(lad["lambda"], lad["lambda_exact"])
-            if lad["lambda_exact"] is not None:
-                text = lad["text"]
-            else:
-                text = _float_ladder_text(lad["coefficients"], model["num_modes"])
             lines.append(f"  Z{idx}: lambda = {value}")
-            lines.append(f"      Z{idx} = {text}")
+            lines.append(f"      Z{idx} = {lad['text']}")
         table = report["ladders"].get("commutator_table")
         if table is not None:
             lines.append("")
@@ -505,7 +475,7 @@ def main(argv: list[str] | None = None) -> int:
             values = _parse_sweep_spec(args.sweep)
             report = run_sweep(
                 values, ladder_states=args.ladder_states,
-                tol_cluster=args.tol_cluster, tol_rank=args.tol_rank)
+                tol_rank=args.tol_rank)
         else:
             b = None
             expression = None
@@ -521,7 +491,7 @@ def main(argv: list[str] | None = None) -> int:
                 parser.error("one of --bateman, --expr, --model, --sweep is required")
             report = run_report(
                 b=b, expression=expression, ladder_states=args.ladder_states,
-                tol_cluster=args.tol_cluster, tol_rank=args.tol_rank)
+                tol_rank=args.tol_rank)
     except NumericFailureError as exc:
         print(f"error [{_provenance(exc)}]: {exc}", file=sys.stderr)
         return 3

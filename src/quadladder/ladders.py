@@ -22,7 +22,7 @@ from .errors import (
     VerificationError,
 )
 from .spectral import NaturalFrequency, SpectralResult
-from .weyl import I, ComplexRational, WeylPolynomial, ZERO, commutator
+from .weyl import I, BasisIndex, ComplexRational, WeylPolynomial, ZERO, commutator
 
 __all__ = [
     "LadderOperator",
@@ -230,12 +230,26 @@ def _exact_ratio(num: WeylPolynomial, den: WeylPolynomial) -> ComplexRational | 
     return ratio if num == ratio * den else None
 
 
+def _float_ladder_text(coefficients: list[complex], num_modes: int) -> str:
+    """Readable form of a ladder with float coefficients, in 10 digits, so
+    that no binary fraction passes for an exact rational."""
+    parts = []
+    for flat, c in enumerate(coefficients):
+        if c:
+            term = (f"{c.real:.10g}" if not c.imag else f"{c.imag:.10g}i" if not c.real
+                    else f"({c.real:.10g}{c.imag:+.10g}i)")
+            name = BasisIndex.from_flat(flat, num_modes).symbol(num_modes)
+            parts.append(f"{term}*{name}")
+    return " + ".join(parts) or "0"
+
+
 def ladders_to_json(ladders: list[LadderOperator],
                     table: CommutatorTable | None = None) -> dict:
     """Schema: per-ladder float/exact lambda, coefficient vectors over the
-    flat basis, canonical text; plus the exact commutator table.  Exact forms
-    are null once exactness was lost: a ladder's coefficients when its
-    lambda is not exact, the whole table when any ladder's lambda is not."""
+    flat basis, text; plus the exact commutator table.  Exact forms are null
+    once exactness was lost: a ladder's coefficients when its lambda is not
+    exact, the whole table when any ladder's lambda is not.  The text is the
+    exact operator for an exact ladder and 10-digit floats otherwise."""
     doc: dict = {
         "ladders": [
             {
@@ -250,7 +264,11 @@ def ladders_to_json(ladders: list[LadderOperator],
                 "coefficients_exact": (
                     [list(c.as_quad()) for c in lad.z.linear_coefficients()]
                     if lad.lam_exact is not None else None),
-                "text": str(lad.z),
+                "text": (
+                    str(lad.z) if lad.lam_exact is not None
+                    else _float_ladder_text(
+                        [complex(c) for c in lad.z.linear_coefficients()],
+                        lad.z.num_modes)),
             }
             for lad in ladders
         ],

@@ -111,6 +111,59 @@ class TestJsonReports:
         assert doc["ladders"] is None
 
 
+class TestExactFrequencies:
+    """Close and large-denominator frequencies come out exact, and float
+    frequencies carry no rounding residue in an exactly zero part."""
+
+    @staticmethod
+    def report(expr, tmp_path, fmt="json"):
+        out = tmp_path / f"report.{fmt}"
+        assert cli.main(["--expr", expr, "--format", fmt, "--out", str(out)]) == 0
+        text = out.read_text()
+        return json.loads(text) if fmt == "json" else text
+
+    @pytest.mark.parametrize("expr, positive", [
+        ("1/2*(p1^2+p2^2+p3^2+p4^2) + 2*x1^2 + 121/50*x2^2 + 49/18*x3^2"
+         " + 98/25*x4^2", ["2", "11/5", "7/3", "14/5"]),
+        ("1/2*(p1^2+p2^2+p3^2) + 176787152753689/200000000000000*x1^2"
+         " + 178328968796169/200000000000000*x2^2 + 1/8*x3^2",
+         ["13296133/10000000", "13353987/10000000", "1/2"]),
+        ("1/2*p1^2 + 1/2000012000018*x1^2", ["1/1000003"]),
+    ])
+    def test_frequencies_are_exact(self, expr, positive, tmp_path):
+        freqs = self.report(expr, tmp_path)["spectral"]["frequencies"]
+        want = sorted(sign * Fraction(v) for v in positive for sign in (1, -1))
+        assert [f["lambda_exact"] for f in freqs] == [
+            [w.numerator, w.denominator, 0, 1] for w in want]
+        assert [f["lambda"] for f in freqs] == [[float(w), 0.0] for w in want]
+
+    def test_large_denominator_prints_exact(self, tmp_path):
+        text = self.report("1/2*p1^2 + 1/2000012000018*x1^2", tmp_path, "text")
+        assert "lambda = 1/1000003 (exact)" in text
+        assert "lambda = -1/1000003 (exact)" in text
+
+    def test_real_float_frequency_has_zero_imaginary_part(self, tmp_path):
+        freqs = self.report("1/2*p1^2 + x1^2", tmp_path)["spectral"]["frequencies"]
+        assert [f["lambda"][1] for f in freqs] == [0.0, 0.0]
+        assert "i   (algebraic" not in self.report("1/2*p1^2 + x1^2", tmp_path, "text")
+
+    def test_frequency_below_the_float_range_fails(self, tmp_path, capsys):
+        expr = "1/2*p1^2 + 1/2" + "0" * 401 + "*x1^2"  # s = 10^-401, not a square
+        assert cli.main(["--expr", expr, "--out", str(tmp_path / "report")]) == 3
+        assert "underflows" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("expr", [
+        "1/2*p1^2 + x1^2",
+        "1/2*p1^2 + 1/2*p2^2 + 5/4*x1^2 - 3/4*x1*x2 + 5/4*x2^2"
+        " - 1/4*x1*p2 + 1/4*x2*p1",
+    ])
+    def test_float_ladder_text_has_no_fractions(self, expr, tmp_path):
+        ladders = self.report(expr, tmp_path)["ladders"]["ladders"]
+        floats = [lad for lad in ladders if lad["lambda_exact"] is None]
+        assert floats
+        assert not any("/" in lad["text"] for lad in floats)
+
+
 class TestModelFiles:
     def test_bateman_file_forms(self, tmp_path):
         for payload in (
@@ -278,8 +331,8 @@ class TestFailures:
             run_report(b=Fraction(1), expression="x1^2")
 
     def test_tolerance_flags_accepted(self):
-        result = run_cli("--bateman", "b=1", "--tol-cluster", "1e-7",
-                         "--tol-rank", "1e-9", "--format", "json")
+        result = run_cli("--bateman", "b=1", "--tol-rank", "1e-9",
+                         "--format", "json")
         assert result.returncode == 0
 
 

@@ -3,10 +3,11 @@
 Each model below has a JSON and a text report under ``tests/golden/``,
 written by ``cli.main([*argv, "--format", fmt, "--out", path])``.  They
 cover an exact Bateman model with ladder families, an exact two-mode
-coupled oscillator, the float fallback of a seven-digit frequency, a
-gyroscopic model with irrational complex frequencies, and a defective
-spectrum.  Speed work must leave every report byte-identical: a golden file
-may only change in a change that explains why its report had to change.
+coupled oscillator, an exact seven-digit frequency (its square has a
+fifteen-digit denominator), a gyroscopic model with irrational frequencies
+(the float path), and a defective spectrum.  Speed work must leave every
+report byte-identical: a golden file may only change in a change that
+explains why its report had to change.
 """
 
 from pathlib import Path
@@ -21,7 +22,7 @@ MODELS = {
     "bateman_b1_2_states2": ["--bateman", "b=1/2", "--ladder-states", "2"],
     "coupled_k2_exact": [
         "--expr", "1/2*p1^2 + 1/2*p2^2 + 5/4*x1^2 + 3/2*x1*x2 + 5/4*x2^2"],
-    "measured_frequency_float": [
+    "measured_frequency_exact": [
         "--expr", "1/2*p1^2 + 325247554613641/200000000000000*x1^2"],
     "gyroscopic_float": [
         "--expr", "1/2*p1^2 + 1/2*p2^2 + 5/4*x1^2 - 3/4*x1*x2 + 5/4*x2^2"

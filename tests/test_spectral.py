@@ -1,6 +1,7 @@
 """Characteristic polynomials, root finding, and eigen decomposition."""
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from conftest import random_hermitian_quadratic
 from quadladder.adjoint import ComplexMatrix, adjoint_matrix, validate_quadratic
 from quadladder.bateman import build_hd
+from quadladder.errors import NumericFailureError
 from quadladder.spectral import (
     PEAK_TIE_TOL,
     RANK_TOL,
@@ -46,6 +48,24 @@ def bateman_roots(b):
         ComplexRational(1, -half),
         ComplexRational(1, half),
     ]
+
+
+def faddeev_leverrier(m):
+    """det(M - lambda*I), ascending, by the Faddeev-LeVerrier trace
+    recurrence: an O(n^4) oracle independent of the Hessenberg reduction."""
+    n = m.dim
+    a = m.exact
+    zero = ComplexRational(0)
+    coeffs = [zero] * n + [ComplexRational(1)]
+    mk = [[zero] * n for _ in range(n)]  # M_0 = 0
+    for k in range(1, n + 1):
+        shift = coeffs[n - k + 1]
+        mk = [[sum((a[i][t] * mk[t][j] for t in range(n)), zero)
+               + (shift if i == j else zero) for j in range(n)]
+              for i in range(n)]
+        trace = sum((a[i][t] * mk[t][i] for i in range(n) for t in range(n)), zero)
+        coeffs[n - k] = -trace / k
+    return coeffs if n % 2 == 0 else [-c for c in coeffs]
 
 
 def exact_matvec(rows, vec):
@@ -107,14 +127,6 @@ class TestRoots:
         assert sum(m for _, m in got) == 2
         for r, _ in got:
             assert abs(r - 1.0) < 5e-8
-
-    def test_explicit_cluster_tolerance_merges(self):
-        p = poly_from_roots(
-            [ComplexRational(1), ComplexRational(Fraction(10001, 10000))])
-        got = roots(p, tol_cluster=1e-3)
-        assert len(got) == 1
-        assert got[0][1] == 2
-        assert abs(got[0][0] - 1.00005) < 1e-6
 
     def test_separated_pair_stays_split(self):
         p = poly_from_roots([ComplexRational(1), ComplexRational(Fraction(101, 100))])
@@ -214,14 +226,17 @@ class TestEigenDecompose:
             assert spectrum.defective == (total_geo < matrix.dim)
 
     def test_cluster_tolerance_is_honored(self):
-        # at b = 1e-6 the four frequencies come in pairs 1e-6 apart; loose
-        # tolerances merge each pair, the defaults keep all four apart
+        # at b = 1e-6 the four frequencies come in pairs 1e-6 apart; the
+        # exact roots of q keep all four apart
         matrix = adjoint_matrix(build_hd(Fraction(1, 1000000)))
-        loose = eigen_decompose(matrix, tol_cluster=1e-3, tol_rank=1e-3)
-        assert [f.algebraic_multiplicity for f in loose.frequencies] == [2, 2]
-        assert [f.geometric_multiplicity for f in loose.frequencies] == [2, 2]
         tight = eigen_decompose(matrix)
         assert [f.algebraic_multiplicity for f in tight.frequencies] == [1, 1, 1, 1]
+
+    def test_non_hamiltonian_matrix_is_refused(self):
+        one, zero = ComplexRational(1), ComplexRational(0)
+        m = ComplexMatrix(((one, zero), (zero, ComplexRational(2))))
+        with pytest.raises(NumericFailureError, match="not symmetric"):
+            eigen_decompose(m)
 
 
 class TestNullspace:
@@ -260,14 +275,15 @@ def known_rank_matrices(draw):
     cols = draw(st.permutations(range(n)))
     a = [[sum((lower[rows[i]][k] * diag[k] * upper[k][cols[j]] for k in range(n)),
               zero) for j in range(n)] for i in range(n)]
-    return [[complex(v) for v in row] for row in a], r
+    return a, r
 
 
 @settings(max_examples=150, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(case=known_rank_matrices())
 def test_nullspace_against_numpy(case):
-    a, rank = case
+    exact, rank = case
+    a = [[complex(v) for v in row] for row in exact]
     n = len(a)
     scale = max(1.0, max(abs(z) for row in a for z in row))
     basis = _nullspace(a, RANK_TOL * scale)
@@ -280,6 +296,66 @@ def test_nullspace_against_numpy(case):
         floor = (1 - PEAK_TIE_TOL) * max(abs(z) for z in v)
         lead = next(z for z in v if abs(z) >= floor)
         assert lead.real == 1 and abs(lead.imag) < 1e-15
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=known_rank_matrices())
+def test_exact_nullspace_has_exact_rank(case):
+    a, rank = case
+    basis = _nullspace(a, 0)
+    assert len(basis) == len(a) - rank
+    for v in basis:
+        assert not any(exact_matvec(a, v))
+        assert all(isinstance(z, ComplexRational) for z in v)
+
+
+@st.composite
+def gaussian_matrices(draw):
+    """Square matrices over Q(i) with many zeros, so the Hessenberg
+    reduction meets zero subdiagonal entries and has to search for a pivot;
+    optionally with the first subdiagonal entry forced to zero."""
+    n = draw(st.integers(1, 8))
+    part = st.sampled_from([Fraction(v) for v in (0, 0, 0, 1, -1, 2)]
+                           + [Fraction(1, 2), Fraction(-2, 3)])
+    rows = [[ComplexRational(draw(part), draw(part)) for _ in range(n)]
+            for _ in range(n)]
+    if n > 1 and draw(st.booleans()):
+        rows[1][0] = ComplexRational(0)
+    return ComplexMatrix(rows)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(m=gaussian_matrices())
+def test_charpoly_matches_faddeev_leverrier(m):
+    assert characteristic_polynomial(m) == faddeev_leverrier(m)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 2 ** 32), k=st.integers(1, 4))
+def test_exact_frequencies_are_roots_and_match_numpy(seed, k):
+    rng = random.Random(seed)
+    matrix = adjoint_matrix(validate_quadratic(random_hermitian_quadratic(rng, k)))
+    char = characteristic_polynomial(matrix)
+    assert char == faddeev_leverrier(matrix)
+    spectrum = eigen_decompose(matrix)
+    eig = list(np.linalg.eigvals(np.array(matrix.entries)))
+    scale = max(1.0, matrix.norm_inf())
+    for f in spectrum.frequencies:
+        if f.lam_exact is not None:
+            assert not poly_eval(char, f.lam_exact)
+            assert f.lam == complex(f.lam_exact)
+        # the mean of a cluster of float eigenvalues is well conditioned
+        # even where the cluster itself is a defective eigenvalue
+        near = sorted(eig, key=lambda z: abs(z - f.lam))[:f.algebraic_multiplicity]
+        for z in near:
+            eig.remove(z)
+        assert abs(sum(near) / len(near) - f.lam) < 1e-7 * scale
+        assert max(abs(z - f.lam) for z in near) < 1e-2 * scale
+    assert not eig
+    assert len({f.lam for f in spectrum.frequencies}) == len(spectrum.frequencies)
 
 
 class TestSerialization:
