@@ -35,7 +35,7 @@ from .errors import (
     ValidationError,
 )
 from .ladders import build_ladders, commutator_table, ladders_to_json
-from .spectral import RANK_TOL, eigen_decompose, spectral_to_json
+from .spectral import eigen_decompose, spectral_to_json
 from .wavefn import (
     annihilation_check,
     eigencheck,  # not called here; perfbench/trace.py wraps cli.eigencheck
@@ -203,10 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--out", metavar="PATH", default=None,
         help="write the report to PATH instead of stdout")
-    parser.add_argument(
-        "--tol-rank", type=float, default=RANK_TOL, metavar="X",
-        help=f"relative null-space rank tolerance for irrational frequencies "
-             f"(default {RANK_TOL})")
     return parser
 
 
@@ -215,8 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 def run_report(*, b: Fraction | None = None, expression: str | None = None,
-               ladder_states: int | None = None,
-               tol_rank: float = RANK_TOL) -> dict:
+               ladder_states: int | None = None) -> dict:
     """Run the full pipeline for one model and return the JSON-able report.
 
     Exactly one of ``b`` (Bateman damping ratio) and ``expression`` selects
@@ -250,7 +245,7 @@ def run_report(*, b: Fraction | None = None, expression: str | None = None,
             "energy_offset": list(ham.energy_offset.as_quad()),
         }
     matrix = adjoint_matrix(ham)
-    spectrum = eigen_decompose(matrix, tol_rank=tol_rank)
+    spectrum = eigen_decompose(matrix)
     report: dict = {
         "schema": REPORT_SCHEMA,
         "model": model_doc,
@@ -305,10 +300,8 @@ def _families_doc(ham: QuadraticHamiltonian, ladders, n_max: int) -> list[dict]:
     return docs
 
 
-def run_sweep(values: list[Fraction], *, ladder_states: int | None,
-              tol_rank: float) -> dict:
-    runs = [run_report(b=value, ladder_states=ladder_states, tol_rank=tol_rank)
-            for value in values]
+def run_sweep(values: list[Fraction], *, ladder_states: int | None) -> dict:
+    runs = [run_report(b=value, ladder_states=ladder_states) for value in values]
     return {
         "schema": SWEEP_SCHEMA,
         "parameter": "b",
@@ -473,9 +466,7 @@ def main(argv: list[str] | None = None) -> int:
             if args.bateman is not None:
                 raise ValidationError("--sweep replaces --bateman; use one of them")
             values = _parse_sweep_spec(args.sweep)
-            report = run_sweep(
-                values, ladder_states=args.ladder_states,
-                tol_rank=args.tol_rank)
+            report = run_sweep(values, ladder_states=args.ladder_states)
         else:
             b = None
             expression = None
@@ -490,8 +481,7 @@ def main(argv: list[str] | None = None) -> int:
             else:
                 parser.error("one of --bateman, --expr, --model, --sweep is required")
             report = run_report(
-                b=b, expression=expression, ladder_states=args.ladder_states,
-                tol_rank=args.tol_rank)
+                b=b, expression=expression, ladder_states=args.ladder_states)
     except NumericFailureError as exc:
         print(f"error [{_provenance(exc)}]: {exc}", file=sys.stderr)
         return 3
@@ -508,8 +498,13 @@ def main(argv: list[str] | None = None) -> int:
             and not os.environ.get("QUADLADDER_NO_COLOR"))
         payload = render_text(report, color=color)
     if args.out is not None:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            print(f"error [quadladder.cli]: cannot write report to {args.out}: {exc}",
+                  file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(payload)
     return 0

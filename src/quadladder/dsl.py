@@ -28,7 +28,7 @@ from .weyl import (
     ONE,
     I,
     WeylPolynomial,
-    format_coefficient,
+    render_terms,
 )
 
 __all__ = [
@@ -44,6 +44,11 @@ __all__ = [
 # Largest mode index a numbered symbol may carry; the 2K x 2K adjoint matrix
 # and its exact char-poly take about 2 s at K = 16.
 MAX_MODES = 16
+# Degree of one flattened term and terms one product flattens to: they admit a
+# K = 16 quadratic form written as a 32-symbol sum squared; the costliest
+# admitted product (that form times p1*x1*p2*x2) lowers in 2.3 s (2-core VM).
+MAX_TERM_DEGREE = 6
+MAX_PRODUCT_TERMS = 1024
 
 _ALIASES = {"x": ("x", 1), "y": ("x", 2), "px": ("p", 1), "py": ("p", 2)}
 _NUMBERED = re.compile(r"^([xp])([1-9][0-9]*)$")
@@ -102,6 +107,11 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
+def _error_at(tok: _Token, message: str, expected: tuple[str, ...] = ()) -> ParseError:
+    """A ParseError whose message starts with tok's line:column."""
+    return ParseError(f"{tok.line}:{tok.col}: {message}", tok.line, tok.col, expected)
+
+
 @dataclass(frozen=True)
 class ExprTerm:
     """One flattened product: a scalar times an ordered word of symbol powers."""
@@ -124,18 +134,15 @@ def _int(token: _Token) -> int:
     try:
         return int(token.text)
     except ValueError:   # more digits than the interpreter converts
-        raise ParseError(
-            f"{token.line}:{token.col}: number has too many digits "
-            f"({len(token.text)})", token.line, token.col, ()) from None
+        raise _error_at(
+            token, f"number has too many digits ({len(token.text)})") from None
 
 
 def _validate_symbol(name: str, token: _Token) -> None:
     if name in _ALIASES or _NUMBERED.match(name):
         return
-    raise ParseError(
-        f"{token.line}:{token.col}: unknown symbol {name!r}; expected one of "
-        "x, y, px, py or numbered x<N>, p<N> with N >= 1",
-        token.line, token.col, ("symbol",))
+    raise _error_at(token, f"unknown symbol {name!r}; expected one of x, y, px, "
+                    "py or numbered x<N>, p<N> with N >= 1", ("symbol",))
 
 
 def _check_no_mixing(symbols: set[str], line: int = 1, col: int = 1) -> None:
@@ -165,9 +172,7 @@ class _Parser:
         tok = self.peek()
         got = "end of input" if tok.kind == "end" else repr(tok.text)
         names = ", ".join(expected)
-        return ParseError(
-            f"{tok.line}:{tok.col}: expected {names}; got {got}",
-            tok.line, tok.col, expected)
+        return _error_at(tok, f"expected {names}; got {got}", expected)
 
     def parse_expr(self) -> list[ExprTerm]:
         terms: list[ExprTerm] = []
@@ -188,16 +193,30 @@ class _Parser:
         ]
 
     def parse_term(self) -> list[ExprTerm]:
-        product = self.parse_factor()
+        product, degree = self._bounded_factor(0)
         while self.peek().kind == "*":
-            self.advance()
-            rhs = self.parse_factor()
+            star = self.advance()
+            rhs, degree = self._bounded_factor(degree)
+            size = len(product) * len(rhs)
+            if size > MAX_PRODUCT_TERMS:
+                raise _error_at(star, f"product flattens to {size} terms; the "
+                                      f"limit is {MAX_PRODUCT_TERMS}")
             product = [
                 ExprTerm(coeff=a.coeff * b.coeff, factors=a.factors + b.factors)
                 for a in product
                 for b in rhs
             ]
         return product
+
+    def _bounded_factor(self, degree: int) -> tuple[list[ExprTerm], int]:
+        """The next factor and the term degree, refused above MAX_TERM_DEGREE."""
+        tok = self.peek()
+        factor = self.parse_factor()
+        degree += max(sum(power for _, power in t.factors) for t in factor)
+        if degree > MAX_TERM_DEGREE:
+            raise _error_at(
+                tok, f"term has degree {degree}; the limit is {MAX_TERM_DEGREE}")
+        return factor, degree
 
     def parse_factor(self) -> list[ExprTerm]:
         tok = self.peek()
@@ -212,9 +231,7 @@ class _Parser:
                 self.advance()
                 denominator = _int(den_tok)
                 if denominator == 0:
-                    raise ParseError(
-                        f"{den_tok.line}:{den_tok.col}: zero denominator",
-                        den_tok.line, den_tok.col, ())
+                    raise _error_at(den_tok, "zero denominator")
                 value = Fraction(numerator, denominator)
             else:
                 value = Fraction(numerator)
@@ -315,18 +332,10 @@ def render(expr: HamiltonianExpr) -> str:
     or purely imaginary; hand-built mixed coefficients still render, but
     reparse as their distributed two-term form.)
     """
-    pieces: list[str] = []
-    for term in expr.terms:
-        factor_txt = "*".join(
-            name if power == 1 else f"{name}^{power}"
-            for name, power in term.factors)
-        sign, body = format_coefficient(term.coeff, standalone=not factor_txt)
-        text = body + factor_txt if factor_txt else body
-        if not pieces:
-            pieces.append(text if sign == "+" else f"-{text}")
-        else:
-            pieces.append(f" {sign} {text}")
-    return "".join(pieces) if pieces else "0"
+    return render_terms(
+        (term.coeff, "*".join(name if power == 1 else f"{name}^{power}"
+                              for name, power in term.factors))
+        for term in expr.terms)
 
 
 def parse_to_polynomial(text: str) -> WeylPolynomial:

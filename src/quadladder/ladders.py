@@ -22,7 +22,7 @@ from .errors import (
     VerificationError,
 )
 from .spectral import NaturalFrequency, SpectralResult
-from .weyl import I, BasisIndex, ComplexRational, WeylPolynomial, ZERO, commutator
+from .weyl import I, BasisIndex, ComplexRational, WeylPolynomial, ZERO, _ratio, commutator
 
 __all__ = [
     "LadderOperator",
@@ -95,14 +95,14 @@ def _worst(residual: list) -> float:
     return max(abs(complex(r)) for r in residual)
 
 
-def build_ladders(ham: QuadraticHamiltonian, spectrum: SpectralResult,
-                  residual_tol: float = LADDER_RESIDUAL_TOL) -> list[LadderOperator]:
+def build_ladders(ham: QuadraticHamiltonian,
+                  spectrum: SpectralResult) -> list[LadderOperator]:
     """One ladder per eigenvector, ordered by (Re lambda, Im lambda).
 
     Raises DefectiveSpectrumError when the spectrum is defective (a complete
     ladder set does not exist then).  Exact eigen-data is verified exactly;
     float eigen-data must satisfy the commutation relation, evaluated in
-    complex floats, with coefficient residual below ``residual_tol``.
+    complex floats, with coefficient residual below LADDER_RESIDUAL_TOL.
     """
     if spectrum.defective:
         raise DefectiveSpectrumError(
@@ -129,7 +129,7 @@ def build_ladders(ham: QuadraticHamiltonian, spectrum: SpectralResult,
             else:
                 floats = _normalize_float(freq.eigenvectors[k])
                 worst = _worst(eigen_residual(m.entries, freq.lam, floats))
-                if worst >= residual_tol:
+                if worst >= LADDER_RESIDUAL_TOL:
                     raise VerificationError(
                         f"ladder at lambda={freq.lam} fails its commutation "
                         f"relation with residual {worst:.3e}",
@@ -140,15 +140,14 @@ def build_ladders(ham: QuadraticHamiltonian, spectrum: SpectralResult,
                 z=WeylPolynomial.from_linear(coeffs, num_modes), lam=freq.lam,
                 lam_exact=lam_exact, frequency=freq))
 
-    _check_dagger_pairing(ladders, m, residual_tol)
+    _check_dagger_pairing(ladders, m)
     return ladders
 
 
-def _check_dagger_pairing(ladders: list[LadderOperator], m: ComplexMatrix,
-                          residual_tol: float) -> None:
+def _check_dagger_pairing(ladders: list[LadderOperator], m: ComplexMatrix) -> None:
     """dagger(Z) at lambda, with coefficients conj(c), must be an eigenvector
     of M at -conj(lambda): exactly for exact ladders, else in complex floats
-    to residual_tol."""
+    to LADDER_RESIDUAL_TOL."""
     for lad in ladders:
         target = -lad.lam.conjugate()
         if not any(abs(o.lam - target) < PAIRING_TOL for o in ladders):
@@ -162,7 +161,7 @@ def _check_dagger_pairing(ladders: list[LadderOperator], m: ComplexMatrix,
             else eigen_residual(m.entries, target,
                                 [complex(c).conjugate() for c in coeffs]))
         worst = _worst(residual)
-        if any(residual) if exact else worst >= residual_tol:
+        if any(residual) if exact else worst >= LADDER_RESIDUAL_TOL:
             raise VerificationError(
                 f"dagger of ladder at lambda={lad.lam} is not in the paired "
                 f"eigenspace (residual {worst:.3e})",
@@ -197,7 +196,7 @@ def ladder_shift_check(ham: QuadraticHamiltonian,
         raise VerificationError("ladder operator is zero")
     comm = commutator(ham.op, z)
     if ladder.lam_exact is not None:
-        ratio = _exact_ratio(comm, z)
+        ratio = _ratio(comm.terms, z.terms)
         if ratio is None:
             raise VerificationError(
                 f"[H, Z] is not exactly proportional to Z for lambda={ladder.lam_exact}")
@@ -214,20 +213,6 @@ def ladder_shift_check(ham: QuadraticHamiltonian,
         raise VerificationError(
             f"[H, Z] deviates from lambda*Z by {worst:.3e}", (worst,))
     return lam
-
-
-def _exact_ratio(num: WeylPolynomial, den: WeylPolynomial) -> ComplexRational | None:
-    """The scalar r with num == r*den, or None when no such scalar exists."""
-    if den.is_zero:
-        return None
-    if num.is_zero:
-        return ComplexRational(0)
-    lead = max(den.terms, key=lambda m: m.sort_key)
-    top = num.coefficient(lead)
-    if not top:
-        return None
-    ratio = top / den.coefficient(lead)
-    return ratio if num == ratio * den else None
 
 
 def _float_ladder_text(coefficients: list[complex], num_modes: int) -> str:

@@ -40,7 +40,7 @@ __all__ = [
     "RANK_TOL",
 ]
 
-RANK_TOL = 1e-10  # relative float null-space pivot threshold; the CLI can override
+RANK_TOL = 1e-10  # float null-space pivot threshold, in units of max(1, max |M_ij|)
 
 ROOT_RESIDUAL_TOL = 1e-9   # relative bound on |p(root)| for accepted roots
 MAX_SWEEPS = 500           # Durand-Kerner iteration cap
@@ -352,13 +352,15 @@ def _sqrt_exact(s: ComplexRational) -> ComplexRational | None:
 # ---------------------------------------------------------------------------
 
 def _nullspace(a: Sequence[Sequence[Scalar]], threshold: float) -> list[list[Scalar]]:
-    """Basis of the null space by Gaussian elimination with partial pivoting.
+    """Basis of the null space by Gauss-Jordan elimination.
 
-    Runs in complex floats, or exactly over the Gaussian rationals with
-    threshold 0.  Columns whose best remaining pivot has modulus at most
-    ``threshold`` are treated as free; one basis vector is produced per free
-    column by back substitution.  Each vector is divided by its first entry
-    whose float modulus lies within PEAK_TIE_TOL of the largest.
+    Runs in complex floats with partial pivoting, or exactly over the
+    Gaussian rationals with threshold 0 and the first nonzero pivot (the
+    reduced form is unique).  Columns whose best remaining pivot has
+    modulus at most ``threshold`` are treated as free; one basis vector is
+    produced per free column by back substitution.  Each vector is divided
+    by its first entry whose float modulus lies within PEAK_TIE_TOL of the
+    largest.
     """
     m = [list(r) for r in a]
     n = len(m)
@@ -370,8 +372,9 @@ def _nullspace(a: Sequence[Sequence[Scalar]], threshold: float) -> list[list[Sca
         if row >= n:
             free_cols.append(col)
             continue
-        best = max(range(row, n), key=lambda r: abs(m[r][col]))
-        if abs(m[best][col]) <= threshold:
+        best = (max(range(row, n), key=lambda r: abs(m[r][col])) if threshold
+                else next((r for r in range(row, n) if m[r][col]), row))
+        if not m[best][col] or (threshold and abs(m[best][col]) <= threshold):
             free_cols.append(col)
             continue
         m[row], m[best] = m[best], m[row]
@@ -449,15 +452,15 @@ def _eigenvalues(q: Poly) -> list[tuple[complex, ComplexRational | None, int]]:
     return out
 
 
-def eigen_decompose(m: ComplexMatrix, tol_rank: float = RANK_TOL) -> SpectralResult:
+def eigen_decompose(m: ComplexMatrix) -> SpectralResult:
     """Full spectral data of an adjoint matrix.
 
     The input must be the adjoint matrix of a Hermitian quadratic operator,
     whose characteristic polynomial is q(lambda^2) with q real; anything else
     raises NumericFailureError.  Frequencies come as +-sqrt(s) for the roots s
     of q, so -conj(lambda) is one whenever lambda is.  A float eigenvalue
-    without eigenvectors at ``tol_rank`` (relative), or with more than its
-    multiplicity, also raises NumericFailureError.
+    without eigenvectors at the relative pivot threshold RANK_TOL, or with
+    more than its multiplicity, also raises NumericFailureError.
     """
     char = characteristic_polynomial(m)
     q = char[::2]
@@ -471,7 +474,7 @@ def eigen_decompose(m: ComplexMatrix, tol_rank: float = RANK_TOL) -> SpectralRes
     scale = max(1.0, max((abs(z) for row in m.entries for z in row), default=0.0))
     frequencies: list[NaturalFrequency] = []
     for lam, lam_exact, alg in _eigenvalues(q):
-        rows, shift, threshold = ((m.entries, lam, tol_rank * scale)
+        rows, shift, threshold = ((m.entries, lam, RANK_TOL * scale)
                                   if lam_exact is None else (m.exact, lam_exact, 0))
         basis = _nullspace([[z - shift if i == j else z for j, z in enumerate(row)]
                             for i, row in enumerate(rows)], threshold)
@@ -479,7 +482,7 @@ def eigen_decompose(m: ComplexMatrix, tol_rank: float = RANK_TOL) -> SpectralRes
         if geo == 0 or geo > alg:
             raise NumericFailureError(
                 f"null space extraction found {geo} vectors for a root of "
-                f"multiplicity {alg}; rank tolerance {tol_rank} is inconsistent",
+                f"multiplicity {alg}; rank tolerance {RANK_TOL} is inconsistent",
                 (float(geo), float(alg)),
             )
         frequencies.append(NaturalFrequency(

@@ -233,6 +233,13 @@ class TestInputBounds:
         assert cli.main(["--bateman", "b=1", "--ladder-states", "-1"]) == 2
         assert "--ladder-states must be between 0 and 16" in capsys.readouterr().err
 
+    def test_expression_size_caps(self, capsys):
+        assert cli.main(["--expr", "*".join(["(x+y+px+py)"] * 10)]) == 2
+        assert cli.main(["--expr", "p1^400*x1^400 - x1^400*p1^400"]) == 2
+        err = capsys.readouterr().err
+        assert "error [quadladder.dsl]: 1:60: product flattens to 4096 terms" in err
+        assert "error [quadladder.dsl]: 1:1: term has degree 400" in err
+
     def test_sweep_value_cap(self, capsys):
         limit = cli.MAX_SWEEP_VALUES
         assert len(cli._parse_sweep_spec(f"b=0..{limit - 1}:1")) == limit
@@ -330,10 +337,20 @@ class TestFailures:
         with pytest.raises(ValidationError):
             run_report(b=Fraction(1), expression="x1^2")
 
-    def test_tolerance_flags_accepted(self):
+    def test_tolerance_flag_is_gone(self):
+        """The rank tolerance is the constant spectral.RANK_TOL."""
         result = run_cli("--bateman", "b=1", "--tol-rank", "1e-9",
                          "--format", "json")
-        assert result.returncode == 0
+        assert result.returncode == 2
+        assert "unrecognized arguments: --tol-rank" in result.stderr
+
+    def test_unwritable_out_path(self, tmp_path):
+        target = tmp_path / "missing" / "r.txt"
+        result = run_cli("--bateman", "b=1/2", "--out", str(target))
+        assert result.returncode == 2
+        assert result.stderr.startswith(
+            f"error [quadladder.cli]: cannot write report to {target}:")
+        assert "Traceback" not in result.stderr
 
 
 class TestWithoutNumpy:

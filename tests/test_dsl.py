@@ -7,6 +7,8 @@ import pytest
 from quadladder.bateman import build_hd
 from quadladder.dsl import (
     MAX_MODES,
+    MAX_PRODUCT_TERMS,
+    MAX_TERM_DEGREE,
     infer_num_modes,
     lower,
     parse_hamiltonian,
@@ -148,3 +150,28 @@ class TestErrors:
     def test_alias_conflict_is_a_parse_error(self):
         with pytest.raises(ParseError):
             parse_hamiltonian("py*x2")
+
+
+class TestSizeBounds:
+    """Oversized products and powers are refused before they are built."""
+
+    SUM32 = "(" + " + ".join(
+        [f"x{k}" for k in range(1, 17)] + [f"p{k}" for k in range(1, 17)]) + ")"
+
+    def test_full_quadratic_form_is_admitted(self):
+        expr = parse_hamiltonian(f"1/2*{self.SUM32}*{self.SUM32}")
+        assert len(expr.terms) == MAX_PRODUCT_TERMS == 32 * 32
+
+    def test_product_term_bound(self):
+        with pytest.raises(ParseError, match="4096 terms; the limit is 1024") as err:
+            parse_hamiltonian("*".join(["(x+y+px+py)"] * 10))
+        assert (err.value.line, err.value.col) == (1, 60)   # the sixth '*'
+
+    def test_term_degree_bound(self):
+        parse_hamiltonian(f"x1^{MAX_TERM_DEGREE} + x1*x2*x3*p1*p2*p3")
+        with pytest.raises(ParseError, match="degree 400; the limit is 6") as err:
+            parse_hamiltonian("p1^400*x1^400 - x1^400*p1^400")
+        assert (err.value.line, err.value.col) == (1, 1)
+        with pytest.raises(ParseError, match="degree 7") as err:
+            parse_hamiltonian("x1 + (x1 + p1^2)*x1^3*(p1^2 + 1)")
+        assert (err.value.line, err.value.col) == (1, 23)

@@ -11,6 +11,7 @@ from quadladder.weyl import (
     ComplexRational,
     Monomial,
     WeylPolynomial,
+    _ratio,
     commutator,
     dagger,
     degree_decompose,
@@ -256,6 +257,25 @@ class TestStructure:
         word = list(mono.factors())
         assert len(word) == 6
         assert word == sorted(word)
+
+
+class TestRatio:
+    """_ratio(num, den): the scalar r with num == r*den termwise, or None."""
+
+    def test_contract(self):
+        half, c = ComplexRational(Fraction(1, 2)), ComplexRational(2, -3)
+        den = {"a": ComplexRational(1), "b": half}
+        assert _ratio({}, den) == 0
+        assert _ratio(den, {}) is None
+        assert _ratio({"a": c, "c": c * half}, den) is None     # other keys
+        assert _ratio({"a": c}, den) is None                    # fewer keys
+        assert _ratio({"a": c, "b": c}, den) is None            # not proportional
+        assert _ratio({"a": c, "b": c * half}, den) == c        # complex ratio
+
+    def test_operator_terms(self):
+        c = ComplexRational(2, -3)
+        assert _ratio((c * (x() + p())).terms, (x() + p()).terms) == c
+        assert _ratio((x() + p()).terms, (x() - p()).terms) is None
 
 
 # ---------------------------------------------------------------------------
