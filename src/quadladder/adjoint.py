@@ -38,6 +38,7 @@ from .weyl import (
     commutator,  # not called here; perfbench/trace.py wraps adjoint.commutator
     degree_decompose,
     is_hermitian,
+    word_text,
 )
 
 __all__ = [
@@ -139,7 +140,7 @@ def validate_quadratic(op: WeylPolynomial) -> QuadraticHamiltonian:
     bad = sorted(deg for deg in parts if deg not in (0, 2))
     if bad:
         offending = tuple(
-            mono.symbol_text()
+            word_text(mono, op.num_modes)
             for deg in bad
             for mono, _ in parts[deg].sorted_terms()
         )
@@ -166,13 +167,13 @@ def adjoint_matrix(ham: QuadraticHamiltonian) -> ComplexMatrix:
     dim = 2 * k
     a = [[ZERO] * dim for _ in range(dim)]
     for mono, coeff in ham.op.terms.items():
-        degree = mono.degree
+        degree = sum(mono)
         if degree == 0:
             continue
         if degree != 2:
             validate_quadratic(ham.op)  # raises NotQuadraticError naming the terms
         first, second = (
-            flat for flat, exp in enumerate(mono.exps) for _ in range(exp))
+            flat for flat, exp in enumerate(mono) for _ in range(exp))
         if first == second:
             a[first][first] = 2 * coeff
         else:

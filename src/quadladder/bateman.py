@@ -72,16 +72,13 @@ def build_hd(b) -> QuadraticHamiltonian:
     b = Fraction(b)
     if b < 0:
         raise ValueError(f"b must be nonnegative, got {b}")
-    num_modes = 2
-    x1 = WeylPolynomial.position(1, num_modes)
-    x2 = WeylPolynomial.position(2, num_modes)
-    p1 = WeylPolynomial.momentum(1, num_modes)
-    p2 = WeylPolynomial.momentum(2, num_modes)
     half = Fraction(1, 2)
-    op = (half * (p1 * p1 - p2 * p2)
-          + half * (x1 * x1 - x2 * x2)
-          - (b / 2) * (x1 * p2 + x2 * p1))
-    return validate_quadratic(op)
+    # exponents (x1, x2, p1, p2); every word is already normal ordered
+    return validate_quadratic(WeylPolynomial(2, {
+        (0, 0, 2, 0): half, (0, 0, 0, 2): -half,
+        (2, 0, 0, 0): half, (0, 2, 0, 0): -half,
+        (1, 0, 0, 1): -b / 2, (0, 1, 1, 0): -b / 2,
+    }))
 
 
 def split_h0_h1(b) -> tuple[QuadraticHamiltonian, QuadraticHamiltonian]:

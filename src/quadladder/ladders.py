@@ -22,7 +22,7 @@ from .errors import (
     VerificationError,
 )
 from .spectral import NaturalFrequency, SpectralResult
-from .weyl import I, BasisIndex, ComplexRational, WeylPolynomial, ZERO, _ratio, commutator
+from .weyl import I, ComplexRational, WeylPolynomial, ZERO, _ratio, commutator, symbol
 
 __all__ = [
     "LadderOperator",
@@ -95,14 +95,22 @@ def _worst(residual: list) -> float:
     return max(abs(complex(r)) for r in residual)
 
 
+def _relative_worst(m: ComplexMatrix, lam: complex, coeffs: list[complex]) -> float:
+    """Worst entry of M c - lambda c over max(1, ||M||_inf) * max|c|, a bound
+    that holds however c is scaled (a mode localized away from x1 has huge c)."""
+    scale = max(1.0, m.norm_inf()) * max(abs(c) for c in coeffs)
+    return _worst(eigen_residual(m.entries, lam, coeffs)) / scale
+
+
 def build_ladders(ham: QuadraticHamiltonian,
                   spectrum: SpectralResult) -> list[LadderOperator]:
     """One ladder per eigenvector, ordered by (Re lambda, Im lambda).
 
     Raises DefectiveSpectrumError when the spectrum is defective (a complete
-    ladder set does not exist then).  Exact eigen-data is verified exactly;
-    float eigen-data must satisfy the commutation relation, evaluated in
-    complex floats, with coefficient residual below LADDER_RESIDUAL_TOL.
+    ladder set does not exist then).  Each eigenvector is scaled so that its
+    first nonzero coefficient (float: the first above 1e-10) is 1.  Exact
+    eigen-data is verified exactly; float eigen-data must satisfy M c =
+    lambda c in complex floats to LADDER_RESIDUAL_TOL, relative as above.
     """
     if spectrum.defective:
         raise DefectiveSpectrumError(
@@ -128,7 +136,7 @@ def build_ladders(ham: QuadraticHamiltonian,
                         f"{WeylPolynomial.from_linear(residual, num_modes)}")
             else:
                 floats = _normalize_float(freq.eigenvectors[k])
-                worst = _worst(eigen_residual(m.entries, freq.lam, floats))
+                worst = _relative_worst(m, freq.lam, floats)
                 if worst >= LADDER_RESIDUAL_TOL:
                     raise VerificationError(
                         f"ladder at lambda={freq.lam} fails its commutation "
@@ -147,21 +155,22 @@ def build_ladders(ham: QuadraticHamiltonian,
 def _check_dagger_pairing(ladders: list[LadderOperator], m: ComplexMatrix) -> None:
     """dagger(Z) at lambda, with coefficients conj(c), must be an eigenvector
     of M at -conj(lambda): exactly for exact ladders, else in complex floats
-    to LADDER_RESIDUAL_TOL."""
+    to LADDER_RESIDUAL_TOL relative to max(1, ||M||_inf) * max|c|."""
     for lad in ladders:
         target = -lad.lam.conjugate()
         if not any(abs(o.lam - target) < PAIRING_TOL for o in ladders):
             raise VerificationError(
                 f"no partner frequency found for lambda={lad.lam}")
-        exact = lad.lam_exact is not None
         coeffs = lad.z.linear_coefficients()
-        residual = (
-            eigen_residual(m.exact, -lad.lam_exact.conjugate(),
-                           [c.conjugate() for c in coeffs]) if exact
-            else eigen_residual(m.entries, target,
-                                [complex(c).conjugate() for c in coeffs]))
-        worst = _worst(residual)
-        if any(residual) if exact else worst >= LADDER_RESIDUAL_TOL:
+        if lad.lam_exact is not None:
+            residual = eigen_residual(m.exact, -lad.lam_exact.conjugate(),
+                                      [c.conjugate() for c in coeffs])
+            worst, failed = _worst(residual), any(residual)
+        else:
+            worst = _relative_worst(
+                m, target, [complex(c).conjugate() for c in coeffs])
+            failed = worst >= LADDER_RESIDUAL_TOL
+        if failed:
             raise VerificationError(
                 f"dagger of ladder at lambda={lad.lam} is not in the paired "
                 f"eigenspace (residual {worst:.3e})",
@@ -223,8 +232,7 @@ def _float_ladder_text(coefficients: list[complex], num_modes: int) -> str:
         if c:
             term = (f"{c.real:.10g}" if not c.imag else f"{c.imag:.10g}i" if not c.real
                     else f"({c.real:.10g}{c.imag:+.10g}i)")
-            name = BasisIndex.from_flat(flat, num_modes).symbol(num_modes)
-            parts.append(f"{term}*{name}")
+            parts.append(f"{term}*{symbol(flat, num_modes)}")
     return " + ".join(parts) or "0"
 
 

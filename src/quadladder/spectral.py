@@ -43,7 +43,7 @@ __all__ = [
 RANK_TOL = 1e-10  # float null-space pivot threshold, in units of max(1, max |M_ij|)
 
 ROOT_RESIDUAL_TOL = 1e-9   # relative bound on |p(root)| for accepted roots
-MAX_SWEEPS = 500           # Durand-Kerner iteration cap
+MAX_SWEEPS = 500           # Durand-Kerner sweeps; roots() checks what they reach
 NEWTON_STEPS = 16          # exact refinement cap per root of q
 FLOAT_BITS = 64            # absolute accuracy 2^-64 * max(1, |s|) of refined roots
 # A null vector is normalized at its first entry whose modulus is within this
@@ -213,13 +213,16 @@ def characteristic_polynomial(m: ComplexMatrix) -> Poly:
 def _durand_kerner(coeffs: list[complex]) -> list[complex]:
     """All roots of a monic polynomial with simple roots, simultaneously.
 
-    Deterministic seeds on a circle of radius 1 + max|c_k| (a Cauchy bound),
-    rotated off the axes so symmetric root sets do not stall the sweep.
+    Deterministic seeds on a circle of radius 2 max_k |c_(n-k)|^(1/k) (the
+    Fujiwara bound), rotated off the axes so symmetric root sets do not
+    stall the sweep.  It stops when no root moves by 1e-14 of the root scale
+    or after MAX_SWEEPS sweeps (steps can stall at rounding size above that;
+    roots() checks every residual).  A non-finite iterate raises.
     """
     deg = len(coeffs) - 1
     if deg == 1:
         return [-coeffs[0]]
-    radius = 1.0 + max(abs(c) for c in coeffs[:-1])
+    radius = 2.0 * max(abs(coeffs[deg - k]) ** (1.0 / k) for k in range(1, deg + 1))
     z = [radius * cmath.exp(1j * (2.0 * cmath.pi * j / deg + 0.4))
          for j in range(deg)]
     for _ in range(MAX_SWEEPS):
@@ -235,12 +238,14 @@ def _durand_kerner(coeffs: list[complex]) -> list[complex]:
             step = num / den
             z[j] -= step
             max_step = max(max_step, abs(step))
+        if not all(map(cmath.isfinite, z)):
+            raise NumericFailureError(
+                "root iteration produced a non-finite iterate",
+                tuple(abs(w) for w in z))
         scale = max(1.0, max(abs(w) for w in z))
         if max_step <= 1e-14 * scale:
-            return z
-    raise NumericFailureError(
-        f"root iteration did not converge within {MAX_SWEEPS} sweeps",
-        tuple(abs(_peval_complex(coeffs, w)) for w in z))
+            break
+    return z
 
 
 def _poly_scale_at(p: Poly, z: complex) -> float:
@@ -264,7 +269,8 @@ def roots(p: Poly) -> list[tuple[complex, int]]:
     for factor, mult in squarefree_factors(p):  # monic factors
         found += [(r, mult) for r in _durand_kerner([complex(c) for c in factor])]
     residuals = [abs(_peval_complex(p, r)) / _poly_scale_at(p, r) for r, _ in found]
-    bad = sorted((x for x in residuals if x >= ROOT_RESIDUAL_TOL), reverse=True)
+    # "not <" also refuses a NaN residual
+    bad = sorted((x for x in residuals if not x < ROOT_RESIDUAL_TOL), reverse=True)
     if bad:
         raise NumericFailureError("root residuals exceed tolerance", tuple(bad))
     found.sort(key=lambda rm: (rm[0].real, rm[0].imag))
@@ -351,32 +357,37 @@ def _sqrt_exact(s: ComplexRational) -> ComplexRational | None:
 # null spaces
 # ---------------------------------------------------------------------------
 
-def _nullspace(a: Sequence[Sequence[Scalar]], threshold: float) -> list[list[Scalar]]:
+def _nullspace(a: Sequence[Sequence[Scalar]], threshold: float,
+               alg: int | None = None) -> list[list[Scalar]]:
     """Basis of the null space by Gauss-Jordan elimination.
 
-    Runs in complex floats with partial pivoting, or exactly over the
-    Gaussian rationals with threshold 0 and the first nonzero pivot (the
-    reduced form is unique).  Columns whose best remaining pivot has
-    modulus at most ``threshold`` are treated as free; one basis vector is
-    produced per free column by back substitution.  Each vector is divided
-    by its first entry whose float modulus lies within PEAK_TIE_TOL of the
-    largest.
+    Runs exactly over the Gaussian rationals with threshold 0, taking the
+    first nonzero pivot in column order (the reduced form is unique), or in
+    complex floats with full pivoting.  For a matrix shifted by an eigenvalue
+    of algebraic multiplicity ``alg``, which has between 1 and alg
+    eigenvectors, the pivot count stays within [n - alg, n - 1] (else within
+    [0, n]); inside that window a float pivot of modulus at most
+    ``threshold`` ends the elimination.  Each free column gives one basis
+    vector, divided by its first entry whose float modulus lies within
+    PEAK_TIE_TOL of the largest.
     """
     m = [list(r) for r in a]
     n = len(m)
     scalar = type(m[0][0]) if n else complex
+    least, most = (0, n) if alg is None else (n - alg, n - 1)
     pivot_cols: list[int] = []
-    free_cols: list[int] = []
-    row = 0
-    for col in range(n):
-        if row >= n:
-            free_cols.append(col)
-            continue
-        best = (max(range(row, n), key=lambda r: abs(m[r][col])) if threshold
-                else next((r for r in range(row, n) if m[r][col]), row))
-        if not m[best][col] or (threshold and abs(m[best][col]) <= threshold):
-            free_cols.append(col)
-            continue
+    free_cols = list(range(n))
+    for row in range(most):
+        cells = ((r, c) for c in free_cols for r in range(row, n))
+        if threshold:
+            best, col = max(cells, key=lambda rc: abs(m[rc[0]][rc[1]]))
+            size = abs(m[best][col])
+            if not size or (row >= least and size <= threshold):
+                break
+        else:
+            best, col = next(((r, c) for r, c in cells if m[r][c]), (None, None))
+            if best is None:
+                break
         m[row], m[best] = m[best], m[row]
         pivot = m[row][col]
         m[row] = [z / pivot for z in m[row]]
@@ -385,7 +396,7 @@ def _nullspace(a: Sequence[Sequence[Scalar]], threshold: float) -> list[list[Sca
             if r != row and factor != 0:
                 m[r] = [z - factor * p for z, p in zip(m[r], m[row])]
         pivot_cols.append(col)
-        row += 1
+        free_cols.remove(col)
     basis = []
     for free in free_cols:
         v = [scalar(0)] * n
@@ -458,9 +469,10 @@ def eigen_decompose(m: ComplexMatrix) -> SpectralResult:
     The input must be the adjoint matrix of a Hermitian quadratic operator,
     whose characteristic polynomial is q(lambda^2) with q real; anything else
     raises NumericFailureError.  Frequencies come as +-sqrt(s) for the roots s
-    of q, so -conj(lambda) is one whenever lambda is.  A float eigenvalue
-    without eigenvectors at the relative pivot threshold RANK_TOL, or with
-    more than its multiplicity, also raises NumericFailureError.
+    of q, so -conj(lambda) is one whenever lambda is.  Each eigenvalue gets
+    between one and its algebraic multiplicity of eigenvectors; for a
+    repeated irrational one the relative pivot threshold RANK_TOL decides
+    how many.
     """
     char = characteristic_polynomial(m)
     q = char[::2]
@@ -477,19 +489,12 @@ def eigen_decompose(m: ComplexMatrix) -> SpectralResult:
         rows, shift, threshold = ((m.entries, lam, RANK_TOL * scale)
                                   if lam_exact is None else (m.exact, lam_exact, 0))
         basis = _nullspace([[z - shift if i == j else z for j, z in enumerate(row)]
-                            for i, row in enumerate(rows)], threshold)
-        geo = len(basis)
-        if geo == 0 or geo > alg:
-            raise NumericFailureError(
-                f"null space extraction found {geo} vectors for a root of "
-                f"multiplicity {alg}; rank tolerance {RANK_TOL} is inconsistent",
-                (float(geo), float(alg)),
-            )
+                            for i, row in enumerate(rows)], threshold, alg)
         frequencies.append(NaturalFrequency(
             lam=lam,
             lam_exact=lam_exact,
             algebraic_multiplicity=alg,
-            geometric_multiplicity=geo,
+            geometric_multiplicity=len(basis),
             eigenvectors=tuple(tuple(complex(z) for z in v) for v in basis),
             eigenvectors_exact=tuple(
                 None if lam_exact is None else tuple(v) for v in basis),

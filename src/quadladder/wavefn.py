@@ -51,6 +51,7 @@ from .weyl import (
     ONE,
     WeylPolynomial,
     ZERO,
+    _add_term,
     _common_denominator,
     _ratio,
     _reduced,
@@ -99,14 +100,6 @@ DIVERGENT = _Divergent()
 # commutative polynomial helpers (exponent tuple -> coefficient)
 # ---------------------------------------------------------------------------
 
-def _cp_add_term(acc: CPoly, exps: tuple[int, ...], coeff: ComplexRational) -> None:
-    total = acc.get(exps, ZERO) + coeff
-    if total:
-        acc[exps] = total
-    else:
-        acc.pop(exps, None)
-
-
 def _cp_scale(p: CPoly, s: ComplexRational) -> CPoly:
     if not s:
         return {}
@@ -116,7 +109,7 @@ def _cp_scale(p: CPoly, s: ComplexRational) -> CPoly:
 def _cp_add(a: CPoly, b: CPoly) -> CPoly:
     out = dict(a)
     for e, c in b.items():
-        _cp_add_term(out, e, c)
+        _add_term(out, e, c)
     return out
 
 
@@ -124,7 +117,7 @@ def _cp_mul(a: CPoly, b: CPoly) -> CPoly:
     out: CPoly = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
-            _cp_add_term(out, tuple(x + y for x, y in zip(ea, eb)), ca * cb)
+            _add_term(out, tuple(x + y for x, y in zip(ea, eb)), ca * cb)
     return out
 
 
@@ -173,7 +166,7 @@ class GaussianPolyFunction:
             exps = tuple(int(e) for e in exps)
             if len(exps) != k or any(e < 0 for e in exps):
                 raise ValueError(f"bad exponent tuple {exps}")
-            _cp_add_term(poly, exps, ComplexRational._coerce(coeff))
+            _add_term(poly, exps, ComplexRational._coerce(coeff))
         object.__setattr__(self, "quad", quad)
         object.__setattr__(self, "lin", lin)
         object.__setattr__(self, "poly", poly)
@@ -319,14 +312,14 @@ def _left_d(terms: dict, j: int, quad, lin) -> dict:
     for (gamma, delta), w in terms.items():
         if gamma[j]:
             lowered = gamma[:j] + (gamma[j] - 1,) + gamma[j + 1:]
-            _cp_add_term(out, (lowered, delta), w * gamma[j])
-        _cp_add_term(out, (gamma, delta[:j] + (delta[j] + 1,) + delta[j + 1:]), w)
+            _add_term(out, (lowered, delta), w * gamma[j])
+        _add_term(out, (gamma, delta[:j] + (delta[j] + 1,) + delta[j + 1:]), w)
         for t, s in enumerate(quad[j]):
             if s:
                 raised = gamma[:t] + (gamma[t] + 1,) + gamma[t + 1:]
-                _cp_add_term(out, (raised, delta), w * (2 * s))
+                _add_term(out, (raised, delta), w * (2 * s))
         if lin[j]:
-            _cp_add_term(out, (gamma, delta), w * lin[j])
+            _add_term(out, (gamma, delta), w * lin[j])
     return out
 
 
@@ -346,14 +339,14 @@ def _sector_map(op: WeylPolynomial, f: GaussianPolyFunction):
     zero = (0,) * k
     terms: dict = {}
     for mono, coeff in op.terms.items():
-        alpha, beta = mono.exps[:k], mono.exps[k:]
+        alpha, beta = mono[:k], mono[k:]
         d_beta: dict = {(zero, zero): coeff * _NEG_I ** sum(beta)}
         for j, b in enumerate(beta):
             for _ in range(b):
                 d_beta = _left_d(d_beta, j, f.quad, f.lin)
         for (gamma, delta), w in d_beta.items():
             shift = tuple(a + g - d for a, g, d in zip(alpha, gamma, delta))
-            _cp_add_term(terms, (delta, shift), w)
+            _add_term(terms, (delta, shift), w)
     den, pairs = _common_denominator(terms.values())
     groups: dict = {}
     for ((delta, shift), (a, b)) in zip(terms, pairs):
@@ -617,9 +610,9 @@ def _gaussian_integral(poly: CPoly,
             if coeff:
                 exps = [0] * k
                 exps[j] = 1
-                _cp_add_term(l_poly, tuple(exps), coeff)
+                _add_term(l_poly, tuple(exps), coeff)
         if b_vec[k]:
-            _cp_add_term(l_poly, (0,) * k, b_vec[k])
+            _add_term(l_poly, (0,) * k, b_vec[k])
 
         # integrate x_k: x_k^mm pairs with moments of the shifted Gaussian
         new_g: CPoly = {}
@@ -636,11 +629,11 @@ def _gaussian_integral(poly: CPoly,
                 weight = (comb(mm, j) * _double_factorial_odd(j)) * (
                     sigma2 ** (j // 2 + mm - j))
                 for exps, coeff in l_powers[mm - j].items():
-                    _cp_add_term(shifted_sum, exps, coeff * weight)
+                    _add_term(shifted_sum, exps, coeff * weight)
             for e1, c1 in rest_poly.items():
                 for e2, c2 in shifted_sum.items():
-                    _cp_add_term(new_g, tuple(x + y for x, y in zip(e1, e2)),
-                                 c1 * c2)
+                    _add_term(new_g, tuple(x + y for x, y in zip(e1, e2)),
+                              c1 * c2)
         g = new_g
 
         # push exp(-L^2/(4a)) = exp((sigma2/2) L^2) into the remaining exponent

@@ -24,15 +24,12 @@ makes them safe to share across threads.
 from fractions import Fraction
 from itertools import product as _cartesian
 from math import comb, factorial, gcd, lcm
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Union
 
 from .errors import DimensionMismatchError
 
 __all__ = [
     "ComplexRational",
-    "BasisIndex",
-    "Monomial",
     "WeylPolynomial",
     "ZERO",
     "ONE",
@@ -43,6 +40,8 @@ __all__ = [
     "degree_decompose",
     "multiply",
     "format_coefficient",
+    "symbol",
+    "word_text",
 ]
 
 RationalLike = Union[int, Fraction]
@@ -299,120 +298,30 @@ I = ComplexRational(0, 1)
 _NEG_I_POW = (ONE, ComplexRational(0, -1), ComplexRational(-1), I)
 
 
-@dataclass(frozen=True)
-class BasisIndex:
-    """One canonical generator: kind 'x' or 'p' plus a 1-based mode number.
-
-    The total order (positions first, then momenta, modes ascending) fixes
-    both the normal-ordered form of monomials and the row/column layout of
-    the adjoint matrix.
-    """
-
-    kind: str
-    mode: int
-
-    def __post_init__(self):
-        if self.kind not in ("x", "p"):
-            raise ValueError(f"kind must be 'x' or 'p', got {self.kind!r}")
-        if self.mode < 1:
-            raise ValueError(f"mode must be a positive integer, got {self.mode}")
-
-    @property
-    def sort_key(self) -> tuple[int, int]:
-        return (0 if self.kind == "x" else 1, self.mode)
-
-    def __lt__(self, other: "BasisIndex") -> bool:
-        return self.sort_key < other.sort_key
-
-    def flat(self, num_modes: int) -> int:
-        """Index into the length-2K basis vector (x1..xK, p1..pK)."""
-        if self.mode > num_modes:
-            raise DimensionMismatchError(
-                f"mode {self.mode} out of range for {num_modes} modes")
-        offset = 0 if self.kind == "x" else num_modes
-        return offset + self.mode - 1
-
-    @classmethod
-    def from_flat(cls, index: int, num_modes: int) -> "BasisIndex":
-        if not 0 <= index < 2 * num_modes:
-            raise DimensionMismatchError(
-                f"flat index {index} out of range for {num_modes} modes")
-        if index < num_modes:
-            return cls("x", index + 1)
-        return cls("p", index - num_modes + 1)
-
-    def symbol(self, num_modes: int) -> str:
-        """Display name; two-mode systems use the aliases x, y, px, py."""
-        if num_modes == 2:
-            name = ("x", "y") if self.kind == "x" else ("px", "py")
-            return name[self.mode - 1]
-        return f"{self.kind}{self.mode}"
+def symbol(flat: int, num_modes: int) -> str:
+    """Name of position ``flat`` in the basis (x1..xK, p1..pK), which orders
+    exponent tuples and the adjoint matrix; K = 2 uses x, y, px, py."""
+    if not 0 <= flat < 2 * num_modes:
+        raise DimensionMismatchError(
+            f"flat index {flat} out of range for {num_modes} modes")
+    if num_modes == 2:
+        return ("x", "y", "px", "py")[flat]
+    return f"x{flat + 1}" if flat < num_modes else f"p{flat - num_modes + 1}"
 
 
-class Monomial:
-    """A normal-ordered word x1^a1..xK^aK p1^b1..pK^bK.
+def word_text(exps: tuple[int, ...], num_modes: int) -> str:
+    """Text of one normal-ordered word, such as ``x^2*py``."""
+    return "*".join(symbol(flat, num_modes) + (f"^{exp}" if exp > 1 else "")
+                    for flat, exp in enumerate(exps) if exp)
 
-    Stored as the exponent tuple (a1..aK, b1..bK).  The empty word (all
-    exponents zero) is the multiplicative unit.
-    """
 
-    __slots__ = ("exps",)
-
-    def __init__(self, exps: Iterable[int]):
-        exps = tuple(int(e) for e in exps)
-        if len(exps) % 2 != 0:
-            raise ValueError("exponent tuple must have even length (x parts then p parts)")
-        if any(e < 0 for e in exps):
-            raise ValueError("exponents must be nonnegative")
-        object.__setattr__(self, "exps", exps)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Monomial is immutable")
-
-    @classmethod
-    def unit(cls, num_modes: int) -> "Monomial":
-        return cls((0,) * (2 * num_modes))
-
-    @property
-    def num_modes(self) -> int:
-        return len(self.exps) // 2
-
-    @property
-    def degree(self) -> int:
-        return sum(self.exps)
-
-    def exponent(self, index: BasisIndex) -> int:
-        return self.exps[index.flat(self.num_modes)]
-
-    def factors(self) -> Iterator[BasisIndex]:
-        """Yield the generators of the word with multiplicity, in order."""
-        for flat, exp in enumerate(self.exps):
-            idx = BasisIndex.from_flat(flat, self.num_modes)
-            for _ in range(exp):
-                yield idx
-
-    @property
-    def sort_key(self) -> tuple[int, tuple[int, ...]]:
-        """Graded-lexicographic key; render order is descending on this."""
-        return (self.degree, self.exps)
-
-    def symbol_text(self) -> str:
-        parts = []
-        for flat, exp in enumerate(self.exps):
-            if exp == 0:
-                continue
-            name = BasisIndex.from_flat(flat, self.num_modes).symbol(self.num_modes)
-            parts.append(name if exp == 1 else f"{name}^{exp}")
-        return "*".join(parts)
-
-    def __eq__(self, other):
-        return isinstance(other, Monomial) and self.exps == other.exps
-
-    def __hash__(self):
-        return hash(self.exps)
-
-    def __repr__(self):
-        return f"Monomial({self.exps!r})"
+def _add_term(acc: dict, key, coeff: ComplexRational) -> None:
+    """acc[key] += coeff in a term map, dropping the key when the sum is zero."""
+    total = acc.get(key, ZERO) + coeff
+    if total:
+        acc[key] = total
+    else:
+        acc.pop(key, None)
 
 
 def format_coefficient(coeff: ComplexRational, *, standalone: bool) -> tuple[str, str]:
@@ -473,31 +382,41 @@ def _reorder_coefficients(b: int, c: int) -> list[int]:
     return [factorial(k) * comb(b, k) * comb(c, k) for k in range(min(b, c) + 1)]
 
 
+def _mode_flat(mode: int, num_modes: int) -> int:
+    """Flat index of x<mode>; p<mode> sits num_modes further on."""
+    if not 1 <= mode <= num_modes:
+        raise DimensionMismatchError(
+            f"mode {mode} out of range for {num_modes} modes")
+    return mode - 1
+
+
 class WeylPolynomial:
     """A normal-ordered polynomial with exact complex-rational coefficients.
 
-    The term map never stores zero coefficients, so equality of polynomials
-    is equality of the maps.  ``a * b`` is the (noncommutative) operator
-    product; scalars multiply coefficientwise from either side.
+    ``terms`` maps the exponent tuple (a1..aK, b1..bK) of each word
+    x1^a1..xK^aK p1^b1..pK^bK to its coefficient and never stores a zero
+    coefficient, so equality of polynomials is equality of the maps.
+    ``a * b`` is the (noncommutative) operator product; scalars multiply
+    coefficientwise from either side.
     """
 
     __slots__ = ("num_modes", "terms")
 
     def __init__(self, num_modes: int,
-                 terms: Mapping[Monomial, ComplexRational] | None = None):
+                 terms: Mapping[tuple[int, ...], ScalarLike] | None = None):
         if num_modes < 1:
             raise ValueError(f"num_modes must be >= 1, got {num_modes}")
-        clean: dict[Monomial, ComplexRational] = {}
-        for mono, coeff in (terms or {}).items():
-            if not isinstance(mono, Monomial):
-                mono = Monomial(mono)
-            if mono.num_modes != num_modes:
+        clean: dict[tuple[int, ...], ComplexRational] = {}
+        for exps, coeff in (terms or {}).items():
+            if len(exps) != 2 * num_modes:
                 raise DimensionMismatchError(
-                    f"monomial over {mono.num_modes} modes in a "
+                    f"exponent tuple of length {len(exps)} in a "
                     f"{num_modes}-mode polynomial")
+            if min(exps) < 0:
+                raise ValueError(f"exponents must be nonnegative, got {exps}")
             coeff = ComplexRational._coerce(coeff)
             if coeff:
-                clean[mono] = coeff
+                clean[exps] = coeff
         object.__setattr__(self, "num_modes", num_modes)
         object.__setattr__(self, "terms", clean)
 
@@ -512,21 +431,24 @@ class WeylPolynomial:
 
     @classmethod
     def constant(cls, value: ScalarLike, num_modes: int) -> "WeylPolynomial":
-        return cls(num_modes, {Monomial.unit(num_modes): ComplexRational._coerce(value)})
+        return cls(num_modes, {(0,) * (2 * num_modes): value})
 
     @classmethod
-    def basis_element(cls, index: BasisIndex, num_modes: int) -> "WeylPolynomial":
-        exps = [0] * (2 * num_modes)
-        exps[index.flat(num_modes)] = 1
-        return cls(num_modes, {Monomial(exps): ONE})
+    def basis_element(cls, flat: int, num_modes: int) -> "WeylPolynomial":
+        """The generator at position ``flat`` of the basis x1..xK, p1..pK."""
+        if not 0 <= flat < 2 * num_modes:
+            raise DimensionMismatchError(
+                f"flat index {flat} out of range for {num_modes} modes")
+        return cls.from_linear(
+            [ONE if j == flat else ZERO for j in range(2 * num_modes)], num_modes)
 
     @classmethod
     def position(cls, mode: int, num_modes: int) -> "WeylPolynomial":
-        return cls.basis_element(BasisIndex("x", mode), num_modes)
+        return cls.basis_element(_mode_flat(mode, num_modes), num_modes)
 
     @classmethod
     def momentum(cls, mode: int, num_modes: int) -> "WeylPolynomial":
-        return cls.basis_element(BasisIndex("p", mode), num_modes)
+        return cls.basis_element(num_modes + _mode_flat(mode, num_modes), num_modes)
 
     @classmethod
     def from_linear(cls, coefficients: Iterable[ScalarLike],
@@ -536,12 +458,9 @@ class WeylPolynomial:
         if len(coeffs) != 2 * num_modes:
             raise DimensionMismatchError(
                 f"need {2 * num_modes} coefficients, got {len(coeffs)}")
-        terms = {}
-        for flat, c in enumerate(coeffs):
-            exps = [0] * (2 * num_modes)
-            exps[flat] = 1
-            terms[Monomial(exps)] = ComplexRational._coerce(c)
-        return cls(num_modes, terms)
+        unit = (0,) * (2 * num_modes)
+        return cls(num_modes, {unit[:flat] + (1,) + unit[flat + 1:]: c
+                               for flat, c in enumerate(coeffs)})
 
     # ---- inspection ---------------------------------------------------
 
@@ -552,17 +471,17 @@ class WeylPolynomial:
     @property
     def degree(self) -> int:
         """Maximum total degree of any term; 0 for the zero polynomial."""
-        return max((m.degree for m in self.terms), default=0)
+        return max(map(sum, self.terms), default=0)
 
-    def coefficient(self, mono: Monomial) -> ComplexRational:
+    def coefficient(self, mono: tuple[int, ...]) -> ComplexRational:
         return self.terms.get(mono, ZERO)
 
     def constant_term(self) -> ComplexRational:
-        return self.terms.get(Monomial.unit(self.num_modes), ZERO)
+        return self.terms.get((0,) * (2 * self.num_modes), ZERO)
 
     def as_scalar(self) -> ComplexRational | None:
         """The value of a degree-0 polynomial, or None if any term has degree > 0."""
-        if any(m.degree > 0 for m in self.terms):
+        if any(map(sum, self.terms)):
             return None
         return self.constant_term()
 
@@ -575,10 +494,10 @@ class WeylPolynomial:
         """
         out = [ZERO] * (2 * self.num_modes)
         for mono, coeff in self.terms.items():
-            if mono.degree != 1:
-                raise ValueError(
-                    f"polynomial is not homogeneous of degree 1: term {mono.symbol_text()!r}")
-            flat = mono.exps.index(1)
+            if sum(mono) != 1:
+                raise ValueError("polynomial is not homogeneous of degree 1: "
+                                 f"term {word_text(mono, self.num_modes)!r}")
+            flat = mono.index(1)
             out[flat] = coeff
         return out
 
@@ -597,11 +516,7 @@ class WeylPolynomial:
         self._check_modes(other)
         terms = dict(self.terms)
         for mono, coeff in other.terms.items():
-            total = terms.get(mono, ZERO) + coeff
-            if total:
-                terms[mono] = total
-            else:
-                terms.pop(mono, None)
+            _add_term(terms, mono, coeff)
         return WeylPolynomial(self.num_modes, terms)
 
     __radd__ = __add__
@@ -668,13 +583,15 @@ class WeylPolynomial:
     def is_hermitian(self) -> bool:
         return self == dagger(self)
 
-    def sorted_terms(self) -> list[tuple[Monomial, ComplexRational]]:
+    def sorted_terms(self) -> list[tuple[tuple[int, ...], ComplexRational]]:
         """Terms in canonical render order: degree descending, then lex descending."""
-        return sorted(self.terms.items(), key=lambda kv: kv[0].sort_key, reverse=True)
+        return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]),
+                      reverse=True)
 
     def __str__(self):
         return render_terms(
-            (coeff, mono.symbol_text()) for mono, coeff in self.sorted_terms())
+            (coeff, word_text(mono, self.num_modes))
+            for mono, coeff in self.sorted_terms())
 
     def __repr__(self):
         return f"<WeylPolynomial K={self.num_modes}: {self}>"
@@ -710,13 +627,9 @@ def _multiply(a: WeylPolynomial, b: WeylPolynomial) -> WeylPolynomial:
     for m1, c1 in a.terms.items():
         for m2, c2 in b.terms.items():
             c12 = c1 * c2
-            for exps, w in _mono_product_terms(m1.exps, m2.exps, num_modes):
-                total = acc.get(exps, ZERO) + c12 * w
-                if total:
-                    acc[exps] = total
-                else:
-                    acc.pop(exps, None)
-    return WeylPolynomial(num_modes, {Monomial(e): c for e, c in acc.items()})
+            for exps, w in _mono_product_terms(m1, m2, num_modes):
+                _add_term(acc, exps, c12 * w)
+    return WeylPolynomial(num_modes, acc)
 
 
 def multiply(a: WeylPolynomial, b: WeylPolynomial) -> WeylPolynomial:
@@ -741,16 +654,12 @@ def dagger(a: WeylPolynomial) -> WeylPolynomial:
     zeros = (0,) * num_modes
     for mono, coeff in a.terms.items():
         cc = coeff.conjugate()
-        x_part = mono.exps[:num_modes]
-        p_part = mono.exps[num_modes:]
+        x_part = mono[:num_modes]
+        p_part = mono[num_modes:]
         # p^b x^a written as (unit * p^b) * (x^a * unit) and reordered.
         for exps, w in _mono_product_terms(zeros + p_part, x_part + zeros, num_modes):
-            total = acc.get(exps, ZERO) + cc * w
-            if total:
-                acc[exps] = total
-            else:
-                acc.pop(exps, None)
-    return WeylPolynomial(num_modes, {Monomial(e): c for e, c in acc.items()})
+            _add_term(acc, exps, cc * w)
+    return WeylPolynomial(num_modes, acc)
 
 
 def is_hermitian(a: WeylPolynomial) -> bool:
@@ -764,9 +673,9 @@ def degree_decompose(a: WeylPolynomial) -> dict[int, WeylPolynomial]:
     Only degrees that actually occur appear in the result; the zero
     polynomial decomposes into the empty map.
     """
-    buckets: dict[int, dict[Monomial, ComplexRational]] = {}
+    buckets: dict[int, dict[tuple[int, ...], ComplexRational]] = {}
     for mono, coeff in a.terms.items():
-        buckets.setdefault(mono.degree, {})[mono] = coeff
+        buckets.setdefault(sum(mono), {})[mono] = coeff
     return {
         deg: WeylPolynomial(a.num_modes, terms)
         for deg, terms in sorted(buckets.items())

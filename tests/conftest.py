@@ -7,9 +7,7 @@ from fractions import Fraction
 import pytest
 
 from quadladder.weyl import (
-    BasisIndex,
     ComplexRational,
-    Monomial,
     WeylPolynomial,
     dagger,
 )
@@ -46,7 +44,7 @@ def random_monomial(rng, num_modes, max_degree=3):
     exps = [0] * (2 * num_modes)
     for _ in range(rng.randint(0, max_degree)):
         exps[rng.randrange(2 * num_modes)] += 1
-    return Monomial(exps)
+    return tuple(exps)
 
 
 def random_polynomial(rng, num_modes, max_terms=4, max_degree=3):
@@ -68,33 +66,32 @@ def random_hermitian_quadratic(rng, num_modes):
             exps = [0] * (2 * num_modes)
             for _ in range(2):
                 exps[rng.randrange(2 * num_modes)] += 1
-            terms[Monomial(exps)] = random_crat(rng)
+            terms[tuple(exps)] = random_crat(rng)
         g = WeylPolynomial(num_modes, terms)
         h = g + dagger(g) + WeylPolynomial.constant(random_fraction(rng), num_modes)
         if h.degree == 2:
             return h
 
 
-def _order_word(word, coeff, acc):
-    """Normal order one word by adjacent swaps; p x -> x p - i per mode."""
+def _order_word(word, num_modes, coeff, acc):
+    """Normal order a word of flat indices by adjacent swaps.
+
+    Flat order (x1..xK, then p1..pK) is normal order, and p_m x_m, the pair
+    at flat distance num_modes, swaps to x_m p_m - i.
+    """
     for i in range(len(word) - 1):
         a, b = word[i], word[i + 1]
-        if a.sort_key > b.sort_key:
-            swapped = word[:i] + (b, a) + word[i + 2:]
-            if a.kind == "p" and b.kind == "x" and a.mode == b.mode:
-                _order_word(swapped, coeff, acc)
-                _order_word(word[:i] + word[i + 2:], coeff * MINUS_I, acc)
-            else:
-                _order_word(swapped, coeff, acc)
+        if a > b:
+            _order_word(word[:i] + (b, a) + word[i + 2:], num_modes, coeff, acc)
+            if a - b == num_modes:
+                _order_word(word[:i] + word[i + 2:], num_modes,
+                            coeff * MINUS_I, acc)
             return
     acc[word] = acc.get(word, ComplexRational(0)) + coeff
 
 
-def _word_to_monomial(word, num_modes):
-    exps = [0] * (2 * num_modes)
-    for idx in word:
-        exps[idx.flat(num_modes)] += 1
-    return Monomial(exps)
+def _flat_word(exps):
+    return tuple(flat for flat, exp in enumerate(exps) for _ in range(exp))
 
 
 def naive_multiply(a, b):
@@ -103,10 +100,8 @@ def naive_multiply(a, b):
     acc = {}
     for mono_a, coeff_a in a.terms.items():
         for mono_b, coeff_b in b.terms.items():
-            word = tuple(mono_a.factors()) + tuple(mono_b.factors())
-            _order_word(word, coeff_a * coeff_b, acc)
-    terms = {}
-    for word, coeff in acc.items():
-        mono = _word_to_monomial(word, num_modes)
-        terms[mono] = terms.get(mono, ComplexRational(0)) + coeff
-    return WeylPolynomial(num_modes, terms)
+            _order_word(_flat_word(mono_a) + _flat_word(mono_b), num_modes,
+                        coeff_a * coeff_b, acc)
+    return WeylPolynomial(num_modes, {
+        tuple(word.count(flat) for flat in range(2 * num_modes)): coeff
+        for word, coeff in acc.items()})

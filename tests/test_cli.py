@@ -6,6 +6,7 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from quadladder import cli
@@ -162,6 +163,52 @@ class TestExactFrequencies:
         floats = [lad for lad in ladders if lad["lambda_exact"] is None]
         assert floats
         assert not any("/" in lad["text"] for lad in floats)
+
+
+def chain(num_modes, c):
+    """The K-mode chain sum_i (1/2 p_i^2 + c*i/2 x_i^2) + sum_(i<K) 1/7 x_i x_(i+1)."""
+    terms = [f"1/2*p{i}^2 + {c * i}/2*x{i}^2" for i in range(1, num_modes + 1)]
+    terms += [f"1/7*x{i}*x{i + 1}" for i in range(1, num_modes)]
+    return " + ".join(terms)
+
+
+class TestCoupledChains:
+    """Many-mode models run the float path end to end: the root iteration
+    (seed radius, stalled steps), float eigenvectors of simple roots, and
+    float ladder checks on eigenvectors that are tiny at x1."""
+
+    @pytest.mark.parametrize("c", [1, 10])
+    @pytest.mark.parametrize("num_modes", [6, 8, 12, 16])
+    def test_report(self, num_modes, c):
+        report = run_report(expression=chain(num_modes, c))
+        freqs = report["spectral"]["frequencies"]
+        assert sum(f["algebraic_multiplicity"] for f in freqs) == 2 * num_modes
+        dim = report["adjoint_matrix"]["dim"]
+        m = np.array([complex(*z) for z in report["adjoint_matrix"]["entries"]])
+        want = np.linalg.eigvals(m.reshape(dim, dim))
+        for f in freqs:
+            lam = complex(*f["lambda"])
+            assert min(abs(want - lam)) <= 1e-9 * abs(lam)
+        assert len(report["ladders"]["ladders"]) == 2 * num_modes
+
+    def test_cli_exit_code(self, tmp_path):
+        out = tmp_path / "report.json"
+        assert cli.main(["--expr", chain(14, 10), "--format", "json",
+                         "--out", str(out)]) == 0
+
+    def test_repeated_irrational_pair(self):
+        """lambda = +-sqrt(3), each twice: RANK_TOL decides the rank here."""
+        report = run_report(
+            expression="1/2*p1^2 + 1/2*p2^2 + 3/2*x1^2 + 3/2*x2^2")
+        spectral = report["spectral"]
+        assert not spectral["defective"]
+        root3 = 3 ** 0.5
+        assert [f["lambda"] for f in spectral["frequencies"]] == [
+            pytest.approx([-root3, 0.0]), pytest.approx([root3, 0.0])]
+        assert [(f["lambda_exact"], f["algebraic_multiplicity"],
+                 f["geometric_multiplicity"])
+                for f in spectral["frequencies"]] == [(None, 2, 2)] * 2
+        assert len(report["ladders"]["ladders"]) == 4
 
 
 class TestModelFiles:

@@ -74,7 +74,7 @@ def reference_apply(op, f):
     k = f.num_modes
     acc = {}
     for mono, coeff in op.terms.items():
-        x_part, p_part = mono.exps[:k], mono.exps[k:]
+        x_part, p_part = mono[:k], mono[k:]
         g = dict(f.poly)
         for j in range(k):          # momenta act first: rightmost in normal order
             for _ in range(p_part[j]):

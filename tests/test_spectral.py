@@ -136,6 +136,13 @@ class TestRoots:
         with pytest.raises(ValueError):
             roots([ComplexRational(3)])
 
+    def test_overflowing_iteration_is_a_numeric_failure(self):
+        # z^3 + 10^300 z + 10^300 overflows Horner evaluation near its seed
+        # circle; the NaN iterates must not pass as converged roots
+        big = ComplexRational(10 ** 300)
+        with pytest.raises(NumericFailureError, match="non-finite"):
+            roots([big, big, ComplexRational(0), ComplexRational(1)])
+
     def test_sorted_by_real_then_imag(self, rng):
         for _ in range(10):
             wanted = [
