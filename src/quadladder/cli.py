@@ -3,10 +3,11 @@
 One invocation runs model construction, validation, adjoint matrix,
 characteristic polynomial, natural frequencies, ladder operators, the
 commutator table, and (on request) symbolic ladder-state families, emitting
-a deterministic text or JSON report.  Exit codes: 0 on success, 2 for
-validation errors (bad expressions, non-quadratic or non-Hermitian input,
-bad flags), 3 for numeric failures (non-convergence, residuals out of
-tolerance).
+a deterministic text or JSON report.  The JSON text is byte-identical to
+``json.dumps(report, indent=2)`` plus a newline.  Exit codes: 0 on success,
+2 for validation errors (bad expressions, non-quadratic or non-Hermitian
+input, bad flags), 3 for numeric failures (non-convergence, residuals out of
+tolerance, values beyond the float range).
 
 Model sources (exactly one):
   --bateman b=<rat>  |  --bateman m=<rat>,gamma=<rat>,omega=<rat>[,hbar=<rat>]
@@ -24,6 +25,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .adjoint import QuadraticHamiltonian, adjoint_matrix, matrix_to_json, validate_quadratic
 from .bateman import BatemanParams, build_hd, dimensionless_b, vacuum_functions
@@ -204,6 +206,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--out", metavar="PATH", default=None,
         help="write the report to PATH instead of stdout")
     return parser
+
+
+_PARSER = build_parser()  # parse_args keeps no state between calls
 
 
 # ---------------------------------------------------------------------------
@@ -435,6 +440,56 @@ def render_text(report: dict, color: bool = False) -> str:
 
 
 # ---------------------------------------------------------------------------
+# JSON rendering
+# ---------------------------------------------------------------------------
+
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_text(value: float) -> str:
+    text = float.__repr__(value)
+    return _NON_FINITE.get(text, text)
+
+
+# The text json.dumps writes for each scalar type.
+_SCALAR_TEXT = {
+    int: int.__repr__,
+    float: _float_text,
+    str: encode_basestring_ascii,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _json_text(value, pad: str = "\n") -> str:
+    """``json.dumps(value, indent=2)``, byte for byte, written directly.
+
+    json uses its C encoder only without ``indent``.  Only dict (with str
+    keys), list, str, int, float, bool and None are written; any other type
+    raises TypeError.  A list of one scalar type is written by one join.
+    """
+    kind = type(value)
+    if kind is not dict and kind is not list:
+        write = _SCALAR_TEXT.get(kind)
+        if write is None:
+            raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+        return write(value)
+    if not value:
+        return "{}" if kind is dict else "[]"
+    inner = pad + "  "
+    sep = "," + inner
+    if kind is dict:
+        return "{" + inner + sep.join([
+            encode_basestring_ascii(key) + ": " + _json_text(item, inner)
+            for key, item in value.items()]) + pad + "}"
+    kinds = set(map(type, value))
+    write = _SCALAR_TEXT.get(kinds.pop()) if len(kinds) == 1 else None
+    body = sep.join(map(write, value) if write else
+                    [_json_text(item, inner) for item in value])
+    return "[" + inner + body + pad + "]"
+
+
+# ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
 
@@ -457,8 +512,7 @@ def _provenance(exc: BaseException) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         if args.sweep is not None:
             if args.expr is not None or args.model is not None:
@@ -479,7 +533,7 @@ def main(argv: list[str] | None = None) -> int:
                 b = model.get("b")
                 expression = model.get("expression")
             else:
-                parser.error("one of --bateman, --expr, --model, --sweep is required")
+                _PARSER.error("one of --bateman, --expr, --model, --sweep is required")
             report = run_report(
                 b=b, expression=expression, ladder_states=args.ladder_states)
     except NumericFailureError as exc:
@@ -490,7 +544,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     if args.format == "json":
-        payload = json.dumps(report, indent=2) + "\n"
+        payload = _json_text(report) + "\n"
     else:
         color = (
             args.out is None

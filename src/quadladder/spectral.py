@@ -12,8 +12,14 @@ matrix, Van Loan 1984).  The spectral data follow from q on one exact path:
    per factor.  Newton steps in integer fixed point refine each s until the
    rational root theorem decides whether it lies in Q(i).  The
    frequencies are lambda = +-sqrt(s), exact iff s is a square in Q(i).
-3. An exact lambda gets its eigenvectors by exact elimination on
-   M - lambda*I; only irrational lambda use float elimination.
+3. A simple exact lambda takes its eigenvector from one column of the
+   adjugate: with chi(t) = det(tI - M) = sum a_k t^k, the column
+   adj(tI - M) e_0 = sum t^k b_k follows from b_(n-1) = e_0 and
+   b_(k-1) = M b_k + a_k e_0, once per matrix.  Since
+   (lambda I - M) adj(lambda I - M) = chi(lambda) I = 0, its value at lambda
+   is an eigenvector whenever it is nonzero.  Repeated roots, a column that
+   vanishes at lambda, and irrational lambda take Gauss-Jordan elimination
+   on M - lambda*I, exact over Q(i) or, for irrational lambda, in floats.
 
 Everything is deterministic: fixed seed circle for the iteration, fixed
 pivoting and normalization rules, fixed ordering of results by (Re, Im).
@@ -368,8 +374,7 @@ def _nullspace(a: Sequence[Sequence[Scalar]], threshold: float,
     eigenvectors, the pivot count stays within [n - alg, n - 1] (else within
     [0, n]); inside that window a float pivot of modulus at most
     ``threshold`` ends the elimination.  Each free column gives one basis
-    vector, divided by its first entry whose float modulus lies within
-    PEAK_TIE_TOL of the largest.
+    vector, normalized by _normalized.
     """
     m = [list(r) for r in a]
     n = len(m)
@@ -403,11 +408,43 @@ def _nullspace(a: Sequence[Sequence[Scalar]], threshold: float,
         v[free] = scalar(1)
         for r, col in enumerate(pivot_cols):
             v[col] = -m[r][free]
-        floor = (1 - PEAK_TIE_TOL) * max(abs(z) for z in v)
-        big = next(i for i, z in enumerate(v) if abs(z) >= floor)
-        lead = v[big]
-        basis.append([z / lead for z in v])
+        basis.append(_normalized(v))
     return basis
+
+
+def _normalized(v: list[Scalar]) -> list[Scalar]:
+    """v divided by its first entry whose float modulus lies within
+    PEAK_TIE_TOL of the largest, so that entry becomes 1."""
+    floor = (1 - PEAK_TIE_TOL) * max(abs(z) for z in v)
+    lead = next(z for z in v if abs(z) >= floor)
+    return [z / lead for z in v]
+
+
+def _adjugate_column(m: ComplexMatrix, chi: Poly) -> list[list[ComplexRational]]:
+    """Coefficients b_0..b_(n-1) of adj(tI - M) e_0 = sum t^k b_k.
+
+    chi = det(tI - M) = sum a_k t^k is monic; b_(n-1) = e_0 and
+    b_(k-1) = M b_k + a_k e_0, one exact matrix-vector product per step
+    over the nonzero entries of M.
+    """
+    n = m.dim
+    rows = [[(j, z) for j, z in enumerate(row) if z] for row in m.exact]
+    b = [ONE] + [ZERO] * (n - 1)
+    column = [b]
+    for k in range(n - 1, 0, -1):
+        b = [sum((z * b[j] for j, z in row), ZERO) for row in rows]
+        b[0] = b[0] + chi[k]
+        column.append(b)
+    return column[::-1]
+
+
+def _column_at(column: list[list[ComplexRational]],
+               lam: ComplexRational) -> list[ComplexRational]:
+    """sum lam^k b_k by Horner: adj(lam I - M) e_0."""
+    acc = column[-1]
+    for b in reversed(column[:-1]):
+        acc = [lam * x + y for x, y in zip(acc, b)]
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -469,10 +506,12 @@ def eigen_decompose(m: ComplexMatrix) -> SpectralResult:
     The input must be the adjoint matrix of a Hermitian quadratic operator,
     whose characteristic polynomial is q(lambda^2) with q real; anything else
     raises NumericFailureError.  Frequencies come as +-sqrt(s) for the roots s
-    of q, so -conj(lambda) is one whenever lambda is.  Each eigenvalue gets
-    between one and its algebraic multiplicity of eigenvectors; for a
-    repeated irrational one the relative pivot threshold RANK_TOL decides
-    how many.
+    of q, so -conj(lambda) is one whenever lambda is.  A simple exact lambda
+    takes its eigenvector from the adjugate column adj(lambda I - M) e_0, the
+    same normalized vector that exact elimination finds, and falls back to
+    elimination where that column vanishes.  Each eigenvalue gets between
+    one and its algebraic multiplicity of eigenvectors; for a repeated
+    irrational one the relative pivot threshold RANK_TOL decides how many.
     """
     char = characteristic_polynomial(m)
     q = char[::2]
@@ -483,13 +522,23 @@ def eigen_decompose(m: ComplexMatrix) -> SpectralResult:
             "input does not look like the adjoint matrix of a Hermitian operator",
             (max(odd),),
         )
+    chi = char if m.dim % 2 == 0 else [-c for c in char]  # det(tI - M)
+    column = None  # adj(tI - M) e_0, built at the first simple exact lambda
     scale = max(1.0, max((abs(z) for row in m.entries for z in row), default=0.0))
     frequencies: list[NaturalFrequency] = []
     for lam, lam_exact, alg in _eigenvalues(q):
-        rows, shift, threshold = ((m.entries, lam, RANK_TOL * scale)
-                                  if lam_exact is None else (m.exact, lam_exact, 0))
-        basis = _nullspace([[z - shift if i == j else z for j, z in enumerate(row)]
-                            for i, row in enumerate(rows)], threshold, alg)
+        basis = None
+        if lam_exact is not None and alg == 1:
+            if column is None:
+                column = _adjugate_column(m, chi)
+            v = _column_at(column, lam_exact)
+            if any(v):
+                basis = [_normalized(v)]
+        if basis is None:
+            rows, shift, threshold = ((m.entries, lam, RANK_TOL * scale)
+                                      if lam_exact is None else (m.exact, lam_exact, 0))
+            basis = _nullspace([[z - shift if i == j else z for j, z in enumerate(row)]
+                                for i, row in enumerate(rows)], threshold, alg)
         frequencies.append(NaturalFrequency(
             lam=lam,
             lam_exact=lam_exact,

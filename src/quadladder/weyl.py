@@ -26,7 +26,7 @@ from itertools import product as _cartesian
 from math import comb, factorial, gcd, lcm
 from typing import Iterable, Iterator, Mapping, Union
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, NumericFailureError
 
 __all__ = [
     "ComplexRational",
@@ -59,7 +59,8 @@ class ComplexRational:
     Closed under +, -, *, and / (nonzero divisor).  Instances are immutable
     (the triple is private, as in ``fractions.Fraction``) and hashable, and a
     real value hashes like the ``Fraction`` it equals.  ``re`` and ``im`` are
-    read-only ``Fraction`` views; ``complex(z)`` gives the float approximation.
+    read-only ``Fraction`` views; ``complex(z)`` gives the float approximation
+    and raises NumericFailureError when a part lies beyond the float range.
     """
 
     __slots__ = ("_a", "_b", "_d")
@@ -221,7 +222,12 @@ class ComplexRational:
 
     def __complex__(self) -> complex:
         # int / int is correctly rounded, as Fraction.__float__ is.
-        return complex(self._a / self._d, self._b / self._d)
+        try:
+            return complex(self._a / self._d, self._b / self._d)
+        except OverflowError:
+            raise NumericFailureError(
+                "an exact value exceeds the float range and has no float mirror"
+            ) from None
 
     def __abs__(self) -> float:
         return abs(complex(self))
@@ -415,6 +421,9 @@ class WeylPolynomial:
             if min(exps) < 0:
                 raise ValueError(f"exponents must be nonnegative, got {exps}")
             coeff = ComplexRational._coerce(coeff)
+            if coeff is NotImplemented:
+                raise TypeError(
+                    "coefficients must be ComplexRational, int or Fraction")
             if coeff:
                 clean[exps] = coeff
         object.__setattr__(self, "num_modes", num_modes)

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from quadladder.cli import render_text, run_report
 from quadladder.errors import NotQuadraticError, ValidationError
 
 CMD = [sys.executable, "-m", "quadladder.cli"]
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run_cli(*args, env_extra=None):
@@ -211,6 +213,65 @@ class TestCoupledChains:
         assert len(report["ladders"]["ladders"]) == 4
 
 
+class TestJsonWriter:
+    """cli._json_text writes what json.dumps(doc, indent=2) writes."""
+
+    @pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.json")),
+                             ids=lambda path: path.name)
+    def test_golden_documents(self, path):
+        text = path.read_text(encoding="utf-8")
+        doc = json.loads(text)
+        assert cli._json_text(doc) == json.dumps(doc, indent=2)
+        assert cli._json_text(doc) + "\n" == text
+
+    def test_sweep_report(self):
+        report = cli.run_sweep([Fraction(0), Fraction(1, 2)], ladder_states=1)
+        assert cli._json_text(report) == json.dumps(report, indent=2)
+
+    @pytest.mark.parametrize("doc", [
+        float("nan"), float("inf"), -0.0, 10 ** 400 + 7, "x", None, True, 0,
+        [float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 1e-320, 2.5e300],
+        [1.5, float("nan")],
+        [-(10 ** 400) - 3, 10 ** 400],
+        [True, False, 1, 0], [True, True], [0, 1], {"t": True, "one": 1, "f": False},
+        [None, None], [None, 1, "a"], {"n": None},
+        [], {}, [[]], [{}], {"a": {}}, [{}, []], {"a": [[], {}], "b": {"c": []}},
+        ['say "hi"\n\u00e9 \u2603 \\ / \t\x00', {"k\u00e9y \"q\"": "v\n"}],
+        {"deep": [[[1, [2.0, {"x": [None]}]]]]},
+    ])
+    def test_edge_documents(self, doc):
+        assert cli._json_text(doc) == json.dumps(doc, indent=2)
+
+    # json.dumps would write a tuple as a list and an int key as a string;
+    # the writer refuses both, like any value outside the report's types.
+    @pytest.mark.parametrize("doc", [
+        object(), {"a": 1 + 2j}, [1, Fraction(1, 2)], [Fraction(1, 2)],
+        (1, 2), {1: "int key"}, [{1, 2}],
+    ])
+    def test_non_json_values_raise(self, doc):
+        with pytest.raises(TypeError):
+            cli._json_text(doc)
+
+
+class TestParserReuse:
+    def test_two_calls_in_one_process_match_fresh_runs(self, tmp_path, capsys):
+        first = ("--bateman", "b=1/2", "--ladder-states", "1", "--format", "json")
+        second = ("--expr", "1/2*p1^2 + x1^2")
+        out = tmp_path / "first.json"
+        assert cli.main([*first, "--out", str(out)]) == 0
+        assert cli.main(list(second)) == 0
+        assert out.read_text(encoding="utf-8") == run_cli(*first).stdout
+        assert capsys.readouterr().out == run_cli(*second).stdout
+
+    def test_main_builds_no_parser(self, monkeypatch, capsys):
+        def refuse():
+            raise AssertionError("main built a parser")
+
+        monkeypatch.setattr(cli, "build_parser", refuse)
+        assert cli.main(["--bateman", "b=1", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["model"]["b"] == [1, 1]
+
+
 class TestModelFiles:
     def test_bateman_file_forms(self, tmp_path):
         for payload in (
@@ -373,6 +434,14 @@ class TestFailures:
         assert result.stderr.startswith("error [quadladder.dsl]:")
         result = run_cli("--expr", "x1^3")
         assert result.stderr.startswith("error [quadladder.adjoint]:")
+
+    @pytest.mark.parametrize("zeros", [310, 400])
+    def test_value_beyond_the_float_range_exits_3(self, zeros, tmp_path, capsys):
+        expr = f"1/2*p1^2 + 1{'0' * zeros}*x1^2 + 1/2*p2^2 + x2^2 + x1*x2"
+        assert cli.main(["--expr", expr, "--out", str(tmp_path / "report")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error [quadladder.")
+        assert "float range" in err
 
     def test_missing_model_source(self):
         assert run_cli().returncode == 2

@@ -10,12 +10,18 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_hermitian_quadratic
+from test_acceptance import B_VALUES
 from quadladder.adjoint import ComplexMatrix, adjoint_matrix, validate_quadratic
 from quadladder.bateman import build_hd
 from quadladder.errors import NumericFailureError
+from quadladder import spectral
+from quadladder.dsl import parse_to_polynomial
 from quadladder.spectral import (
     PEAK_TIE_TOL,
     RANK_TOL,
+    _adjugate_column,
+    _column_at,
+    _normalized,
     _nullspace,
     characteristic_polynomial,
     eigen_decompose,
@@ -363,6 +369,148 @@ def test_exact_frequencies_are_roots_and_match_numpy(seed, k):
         assert max(abs(z - f.lam) for z in near) < 1e-2 * scale
     assert not eig
     assert len({f.lam for f in spectrum.frequencies}) == len(spectrum.frequencies)
+
+
+def _inverse(a):
+    """Inverse of an invertible Fraction matrix by Gauss-Jordan elimination."""
+    n = len(a)
+    m = [list(row) + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(a)]
+    for c in range(n):
+        p = next(r for r in range(c, n) if m[r][c])
+        m[c], m[p] = m[p], m[c]
+        m[c] = [z / m[c][c] for z in m[c]]
+        for r in range(n):
+            if r != c and m[r][c]:
+                m[r] = [z - m[r][c] * w for z, w in zip(m[r], m[c])]
+    return [row[n:] for row in m]
+
+
+def rotated_oscillators(omegas, skew):
+    """1/2 sum p_i^2 + 1/2 x^T Q D Q^T x with D = diag(omega^2) and the
+    Cayley rotation Q = (I - S)(I + S)^-1 of the skew matrix S."""
+    k = len(omegas)
+    eye = [[Fraction(int(i == j)) for j in range(k)] for i in range(k)]
+    s = [[Fraction(skew.get((i, j), 0) - skew.get((j, i), 0)) for j in range(k)]
+         for i in range(k)]
+    minus = [[e - z for e, z in zip(er, sr)] for er, sr in zip(eye, s)]
+    plus = [[e + z for e, z in zip(er, sr)] for er, sr in zip(eye, s)]
+    inv = _inverse(plus)
+    q = [[sum(minus[i][t] * inv[t][j] for t in range(k)) for j in range(k)]
+         for i in range(k)]
+    v = [[sum(q[i][t] * omegas[t] ** 2 * q[j][t] for t in range(k))
+          for j in range(k)] for i in range(k)]
+    unit = (0,) * (2 * k)
+
+    def word(*flats):
+        exps = list(unit)
+        for flat in flats:
+            exps[flat] += 1
+        return tuple(exps)
+
+    terms = {word(k + i, k + i): Fraction(1, 2) for i in range(k)}
+    for i in range(k):
+        terms[word(i, i)] = v[i][i] / 2
+        for j in range(i + 1, k):
+            terms[word(i, j)] = v[i][j]
+    return validate_quadratic(WeylPolynomial(k, terms))
+
+
+ADJUGATE_MODELS = {
+    **{f"bateman-{b}": build_hd(b) for b in B_VALUES},
+    "coupled_k2_exact": validate_quadratic(parse_to_polynomial(
+        "1/2*p1^2 + 1/2*p2^2 + 5/4*x1^2 + 3/2*x1*x2 + 5/4*x2^2")),
+    "measured_frequency_exact": validate_quadratic(parse_to_polynomial(
+        "1/2*p1^2 + 325247554613641/200000000000000*x1^2")),
+    "cayley-k3": rotated_oscillators(
+        [Fraction(1), Fraction(3, 2), Fraction(2, 3)], {(0, 1): Fraction(1, 2),
+                                                       (1, 2): Fraction(1, 3),
+                                                       (0, 2): 2}),
+    "cayley-k4": rotated_oscillators(
+        [Fraction(1), Fraction(1, 2), Fraction(5, 4), Fraction(7, 3)],
+        {(0, 1): 1, (0, 3): Fraction(2, 5), (1, 2): Fraction(-1, 3),
+         (2, 3): Fraction(3, 4), (1, 3): 2}),
+}
+
+
+def _shifted(m, lam):
+    return [[z - lam if i == j else z for j, z in enumerate(row)]
+            for i, row in enumerate(m.exact)]
+
+
+@pytest.fixture
+def nullspace_calls(monkeypatch):
+    """The shifts at which eigen_decompose falls back to _nullspace."""
+    calls = []
+
+    def counted(a, threshold, alg=None):
+        calls.append(alg)
+        return _nullspace(a, threshold, alg)
+
+    monkeypatch.setattr(spectral, "_nullspace", counted)
+    return calls
+
+
+class TestAdjugateColumn:
+    """A simple exact lambda takes adj(lambda I - M) e_0 as its eigenvector."""
+
+    @pytest.mark.parametrize("name", ADJUGATE_MODELS)
+    def test_matches_the_elimination_basis(self, name, nullspace_calls):
+        matrix = adjoint_matrix(ADJUGATE_MODELS[name])
+        spectrum = eigen_decompose(matrix)
+        chi = characteristic_polynomial(matrix)  # det(M - tI) = det(tI - M), n even
+        column = _adjugate_column(matrix, chi)
+        for f in spectrum.frequencies:
+            assert f.lam_exact is not None and f.algebraic_multiplicity == 1
+            v = _column_at(column, f.lam_exact)
+            assert exact_matvec(matrix.exact, v) == [f.lam_exact * z for z in v]
+            want = _nullspace(_shifted(matrix, f.lam_exact), 0, 1)
+            assert [_normalized(v)] == want
+            assert f.eigenvectors_exact == (tuple(want[0]),)
+        assert nullspace_calls == []
+
+    def test_column_has_the_adjugate_identity(self):
+        # (tI - M) sum t^k b_k = chi(t) e_0, coefficient by coefficient
+        matrix = adjoint_matrix(ADJUGATE_MODELS["cayley-k3"])
+        chi = characteristic_polynomial(matrix)
+        column = _adjugate_column(matrix, chi)
+        n = matrix.dim
+        zero = ComplexRational(0)
+        for k in range(n + 1):
+            lower = column[k - 1] if k else [zero] * n
+            here = exact_matvec(matrix.exact, column[k]) if k < n else [zero] * n
+            assert [a - b for a, b in zip(lower, here)] \
+                == [chi[k] if i == 0 else zero for i in range(n)]
+
+    def test_vanishing_column_falls_back_to_elimination(self, nullspace_calls):
+        # x1 is decoupled from mode 2, so adj(lambda I - M) e_0 vanishes at
+        # the two frequencies of mode 2
+        matrix = adjoint_matrix(validate_quadratic(parse_to_polynomial(
+            "1/2*p1^2 + 1/2*x1^2 + 1/2*p2^2 + 2*x2^2")))
+        spectrum = eigen_decompose(matrix)
+        column = _adjugate_column(matrix, characteristic_polynomial(matrix))
+        vanishing = [f.lam_exact for f in spectrum.frequencies
+                     if not any(_column_at(column, f.lam_exact))]
+        assert set(vanishing) == {ComplexRational(-2), ComplexRational(2)}
+        assert nullspace_calls == [1, 1]
+        assert len(spectrum.frequencies) == 4 and not spectrum.defective
+        for f in spectrum.frequencies:
+            want = _nullspace(_shifted(matrix, f.lam_exact), 0, 1)
+            assert f.eigenvectors_exact == tuple(tuple(v) for v in want)
+            assert f.eigenvectors == tuple(tuple(complex(z) for z in v) for v in want)
+            assert f.geometric_multiplicity == 1
+
+    @pytest.mark.parametrize("ham, mults, defective", [
+        (validate_quadratic(parse_to_polynomial("1/2*p1^2")), [(2, 1)], True),
+        (build_hd(Fraction(0)), [(2, 2), (2, 2)], False),
+    ], ids=["free_particle_defective", "bateman-0"])
+    def test_repeated_roots_take_elimination(self, ham, mults, defective,
+                                             nullspace_calls):
+        spectrum = eigen_decompose(adjoint_matrix(ham))
+        assert [(f.algebraic_multiplicity, f.geometric_multiplicity)
+                for f in spectrum.frequencies] == mults
+        assert spectrum.defective is defective
+        assert nullspace_calls == [alg for alg, _ in mults]
 
 
 class TestSerialization:

@@ -265,6 +265,13 @@ class TestStructure:
         with pytest.raises(ValueError):
             WeylPolynomial(1, {(2, -1): 1})
 
+    @pytest.mark.parametrize("coeff", [0.5, 1j, "1/2", None])
+    def test_constructor_rejects_inexact_coefficients(self, coeff):
+        with pytest.raises(TypeError, match="ComplexRational, int or Fraction"):
+            WeylPolynomial.constant(coeff, 1)
+        with pytest.raises(TypeError):
+            WeylPolynomial(1, {(1, 0): coeff})
+
 
 class TestRatio:
     """_ratio(num, den): the scalar r with num == r*den termwise, or None."""
