@@ -43,7 +43,7 @@ for lad in build_ladders(ham, spectrum):
     if lad.lam_exact is not None:
         text = str(lad.z)
     else:
-        coeffs = [complex(c) for c in lad.z.linear_coefficients()]
+        coeffs = [complex(c) for c in lad.coefficients]
         names = ("x1", "x2", "p1", "p2")
         text = " + ".join(
             f"({c.real:.6g}{c.imag:+.6g}i)*{n}"

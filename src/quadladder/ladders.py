@@ -2,10 +2,13 @@
 
 A coefficient vector c with M c = lambda c turns into the degree-1 operator
 Z = sum_j c_j O_j satisfying [H, Z] = lambda Z, so Z ladders eigenfunctions
-of H by lambda.  Construction normalizes each Z so its first nonzero
-coefficient (in the x1..xK, p1..pK basis order) equals exactly 1, verifies
-M c = lambda c, and checks that dagger(Z), whose coefficients are conj(c),
-is an eigenvector of M at the paired frequency -conj(lambda).
+of H by lambda.  A ladder is stored as its coefficient vector c over the
+x1..xK, p1..pK basis, scaled so its first nonzero entry equals exactly 1,
+and M c = lambda c is verified once per ladder.  Dagger pairing needs no
+second check: for Hermitian H, M = i A Omega with A real, so conj(M) = -M
+(checked exactly once per matrix) and M conj(c) + conj(lambda) conj(c) =
+-conj(M c - lambda c).  dagger(Z), with coefficients conj(c), is therefore
+a ladder at -conj(lambda) whenever Z is one at lambda.
 
 Degree-1 operators need no operator products: [H, Z] has coefficients M c,
 and [Z_a, Z_b] is the scalar i sum_m (a_xm b_pm - a_pm b_xm) given by the
@@ -40,16 +43,22 @@ PAIRING_TOL = 1e-8
 
 @dataclass(frozen=True)
 class LadderOperator:
-    """A degree-1 operator with [H, Z] = lambda Z.
+    """A degree-1 operator Z = sum_j c_j O_j with [H, Z] = lambda Z.
 
-    ``lam_exact`` is set when the whole construction stayed exact, in which
-    case the commutation relation was verified with zero residual.
+    ``coefficients`` is c over the flat basis x1..xK, p1..pK.  ``lam_exact``
+    is set when the whole construction stayed exact, in which case the
+    commutation relation was verified with zero residual.
     """
 
-    z: WeylPolynomial
+    coefficients: tuple[ComplexRational, ...]
     lam: complex
     lam_exact: ComplexRational | None
     frequency: NaturalFrequency
+
+    @property
+    def z(self) -> WeylPolynomial:
+        """Z as a Weyl polynomial, for operator products."""
+        return WeylPolynomial.from_linear(self.coefficients, len(self.coefficients) // 2)
 
     def __str__(self):
         return str(self.z)
@@ -91,15 +100,11 @@ def _normalize_float(vec: tuple[complex, ...]) -> list[complex]:
     return out
 
 
-def _worst(residual: list) -> float:
-    return max(abs(complex(r)) for r in residual)
-
-
 def _relative_worst(m: ComplexMatrix, lam: complex, coeffs: list[complex]) -> float:
     """Worst entry of M c - lambda c over max(1, ||M||_inf) * max|c|, a bound
     that holds however c is scaled (a mode localized away from x1 has huge c)."""
     scale = max(1.0, m.norm_inf()) * max(abs(c) for c in coeffs)
-    return _worst(eigen_residual(m.entries, lam, coeffs)) / scale
+    return max(map(abs, eigen_residual(m.entries, lam, coeffs))) / scale
 
 
 def build_ladders(ham: QuadraticHamiltonian,
@@ -111,6 +116,9 @@ def build_ladders(ham: QuadraticHamiltonian,
     first nonzero coefficient (float: the first above 1e-10) is 1.  Exact
     eigen-data is verified exactly; float eigen-data must satisfy M c =
     lambda c in complex floats to LADDER_RESIDUAL_TOL, relative as above.
+    Raises VerificationError when M is not purely imaginary (H is not
+    Hermitian, so dagger(Z) need not be a ladder) or when some lambda has no
+    partner frequency -conj(lambda) within PAIRING_TOL.
     """
     if spectrum.defective:
         raise DefectiveSpectrumError(
@@ -121,6 +129,10 @@ def build_ladders(ham: QuadraticHamiltonian,
         raise DimensionMismatchError(
             "spectral result dimension does not match the Hamiltonian")
     m = adjoint_matrix(ham)  # closed form: cheap enough to rebuild
+    if not all(v.is_imaginary for row in m.exact for v in row):
+        raise VerificationError(
+            "adjoint matrix is not purely imaginary: the Hamiltonian is not "
+            "Hermitian, so the dagger of a ladder need not be a ladder")
     ladders: list[LadderOperator] = []
     for freq in spectrum.frequencies:
         for k in range(freq.geometric_multiplicity):
@@ -145,37 +157,15 @@ def build_ladders(ham: QuadraticHamiltonian,
                     )
                 coeffs = [ComplexRational.from_complex(c) for c in floats]
             ladders.append(LadderOperator(
-                z=WeylPolynomial.from_linear(coeffs, num_modes), lam=freq.lam,
+                coefficients=tuple(coeffs), lam=freq.lam,
                 lam_exact=lam_exact, frequency=freq))
 
-    _check_dagger_pairing(ladders, m)
-    return ladders
-
-
-def _check_dagger_pairing(ladders: list[LadderOperator], m: ComplexMatrix) -> None:
-    """dagger(Z) at lambda, with coefficients conj(c), must be an eigenvector
-    of M at -conj(lambda): exactly for exact ladders, else in complex floats
-    to LADDER_RESIDUAL_TOL relative to max(1, ||M||_inf) * max|c|."""
     for lad in ladders:
         target = -lad.lam.conjugate()
         if not any(abs(o.lam - target) < PAIRING_TOL for o in ladders):
             raise VerificationError(
                 f"no partner frequency found for lambda={lad.lam}")
-        coeffs = lad.z.linear_coefficients()
-        if lad.lam_exact is not None:
-            residual = eigen_residual(m.exact, -lad.lam_exact.conjugate(),
-                                      [c.conjugate() for c in coeffs])
-            worst, failed = _worst(residual), any(residual)
-        else:
-            worst = _relative_worst(
-                m, target, [complex(c).conjugate() for c in coeffs])
-            failed = worst >= LADDER_RESIDUAL_TOL
-        if failed:
-            raise VerificationError(
-                f"dagger of ladder at lambda={lad.lam} is not in the paired "
-                f"eigenspace (residual {worst:.3e})",
-                (worst,),
-            )
+    return ladders
 
 
 def commutator_table(ladders: list[LadderOperator]) -> CommutatorTable:
@@ -184,7 +174,7 @@ def commutator_table(ladders: list[LadderOperator]) -> CommutatorTable:
     Degree-1 operators always commute to scalars, given by the canonical
     symplectic form on their coefficient vectors.
     """
-    vecs = [lad.z.linear_coefficients() for lad in ladders]
+    vecs = [lad.coefficients for lad in ladders]
     k = len(vecs[0]) // 2 if vecs else 0
     return CommutatorTable(entries=tuple(
         tuple(I * sum((a[m] * b[k + m] - a[k + m] * b[m] for m in range(k)), ZERO)
@@ -251,17 +241,16 @@ def ladders_to_json(ladders: list[LadderOperator],
                     list(lad.lam_exact.as_quad())
                     if lad.lam_exact is not None else None),
                 "coefficients": [
-                    [complex(c).real, complex(c).imag]
-                    for c in lad.z.linear_coefficients()
+                    [complex(c).real, complex(c).imag] for c in lad.coefficients
                 ],
                 "coefficients_exact": (
-                    [list(c.as_quad()) for c in lad.z.linear_coefficients()]
+                    [list(c.as_quad()) for c in lad.coefficients]
                     if lad.lam_exact is not None else None),
                 "text": (
                     str(lad.z) if lad.lam_exact is not None
                     else _float_ladder_text(
-                        [complex(c) for c in lad.z.linear_coefficients()],
-                        lad.z.num_modes)),
+                        [complex(c) for c in lad.coefficients],
+                        len(lad.coefficients) // 2)),
             }
             for lad in ladders
         ],

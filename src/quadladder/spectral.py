@@ -221,9 +221,10 @@ def _durand_kerner(coeffs: list[complex]) -> list[complex]:
 
     Deterministic seeds on a circle of radius 2 max_k |c_(n-k)|^(1/k) (the
     Fujiwara bound), rotated off the axes so symmetric root sets do not
-    stall the sweep.  It stops when no root moves by 1e-14 of the root scale
-    or after MAX_SWEEPS sweeps (steps can stall at rounding size above that;
-    roots() checks every residual).  A non-finite iterate raises.
+    stall the sweep.  It stops when every root's own last step is at most
+    1e-14 max(1, |z_j|), so small roots converge beside huge ones, or after
+    MAX_SWEEPS sweeps (steps can stall at rounding size above that; roots()
+    checks every residual).  A non-finite iterate raises.
     """
     deg = len(coeffs) - 1
     if deg == 1:
@@ -232,7 +233,7 @@ def _durand_kerner(coeffs: list[complex]) -> list[complex]:
     z = [radius * cmath.exp(1j * (2.0 * cmath.pi * j / deg + 0.4))
          for j in range(deg)]
     for _ in range(MAX_SWEEPS):
-        max_step = 0.0
+        converged = True
         for j in range(deg):
             num = _peval_complex(coeffs, z[j])
             den = 1.0 + 0j
@@ -243,13 +244,12 @@ def _durand_kerner(coeffs: list[complex]) -> list[complex]:
                 den = 1e-300
             step = num / den
             z[j] -= step
-            max_step = max(max_step, abs(step))
+            converged = converged and abs(step) <= 1e-14 * max(1.0, abs(z[j]))
         if not all(map(cmath.isfinite, z)):
             raise NumericFailureError(
                 "root iteration produced a non-finite iterate",
                 tuple(abs(w) for w in z))
-        scale = max(1.0, max(abs(w) for w in z))
-        if max_step <= 1e-14 * scale:
+        if converged:
             break
     return z
 

@@ -112,6 +112,10 @@ class ComplexRational:
     def is_real(self) -> bool:
         return self._b == 0
 
+    @property
+    def is_imaginary(self) -> bool:
+        return self._a == 0
+
     def __bool__(self) -> bool:
         return self._a != 0 or self._b != 0
 

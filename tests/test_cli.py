@@ -167,6 +167,28 @@ class TestExactFrequencies:
         assert not any("/" in lad["text"] for lad in floats)
 
 
+class TestWideCoefficientRange:
+    """Small frequencies beside huge ones converge on their own scale."""
+
+    @pytest.mark.parametrize("expr", [
+        "1/2*p1^2 + 1/2*x1^2 + 1/2*p2^2 + 1" + "0" * 15 + "*x2^2 + 1/2*p3^2"
+        " + 2*x3^2 + x1*x3",
+        "1/2*p1^2 + 1" + "0" * 100 + "*x1^2 + 1/2*p2^2 + x2^2 + x1*x2",
+    ], ids=["15-zeros", "100-zeros"])
+    def test_frequencies_match_numpy(self, expr, tmp_path):
+        out = tmp_path / "report.json"
+        assert cli.main(["--expr", expr, "--format", "json", "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        dim = doc["adjoint_matrix"]["dim"]
+        matrix = np.array([complex(*e) for e in doc["adjoint_matrix"]["entries"]])
+        want = sorted(np.linalg.eigvals(matrix.reshape(dim, dim)),
+                      key=lambda z: (z.real, z.imag))
+        freqs = doc["spectral"]["frequencies"]
+        assert [f["algebraic_multiplicity"] for f in freqs] == [1] * dim
+        for f, w in zip(freqs, want):
+            assert abs(complex(*f["lambda"]) - w) <= 1e-9 * abs(w)
+
+
 def chain(num_modes, c):
     """The K-mode chain sum_i (1/2 p_i^2 + c*i/2 x_i^2) + sum_(i<K) 1/7 x_i x_(i+1)."""
     terms = [f"1/2*p{i}^2 + {c * i}/2*x{i}^2" for i in range(1, num_modes + 1)]

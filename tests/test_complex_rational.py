@@ -47,6 +47,10 @@ class FractionPair:
     def is_real(self):
         return self.im == 0
 
+    @property
+    def is_imaginary(self):
+        return self.re == 0
+
     def __bool__(self):
         return self.re != 0 or self.im != 0
 
@@ -245,6 +249,7 @@ def test_unary_operations_match_reference(x, n):
     assert_same_outcome(outcome(pow, z, n), outcome(pow, zr, n))
     assert bool(z) is bool(zr)
     assert z.is_real is zr.is_real
+    assert z.is_imaginary is zr.is_imaginary
     assert z.as_quad() == zr.as_quad()
     assert complex(z) == complex(zr)
     assert abs(z) == abs(zr)

@@ -9,11 +9,13 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_hermitian_quadratic
-from quadladder.adjoint import adjoint_matrix, validate_quadratic
+from test_golden import MODELS
+from quadladder.adjoint import QuadraticHamiltonian, adjoint_matrix, validate_quadratic
 from quadladder.bateman import build_hd
 from quadladder.dsl import parse_to_polynomial
 from quadladder.errors import DefectiveSpectrumError, VerificationError
 from quadladder.ladders import (
+    LADDER_RESIDUAL_TOL,
     build_ladders,
     commutator_table,
     ladder_shift_check,
@@ -151,12 +153,29 @@ class TestRandomHamiltonians:
                     assert max(abs(complex(c)) for c in coeffs) < 1e-8
 
 
+def assert_dagger_is_partner_ladder(ham, lad):
+    """[H, dagger(Z)] = -conj(lambda) dagger(Z) by the Weyl product: exactly
+    for an exact ladder, else to LADDER_RESIDUAL_TOL relative to
+    max(1, ||M||_inf) * max|c|, the bound of the ladder's own check."""
+    zd = dagger(lad.z)
+    if lad.lam_exact is not None:
+        assert commutator(ham.op, zd) == -lad.lam_exact.conjugate() * zd
+        return
+    residual = (commutator(ham.op, zd)
+                - ComplexRational.from_complex(-lad.lam.conjugate()) * zd)
+    worst = max((abs(complex(c)) for c in residual.terms.values()), default=0.0)
+    scale = (max(1.0, adjoint_matrix(ham).norm_inf())
+             * max(abs(complex(c)) for c in lad.coefficients))
+    assert worst < LADDER_RESIDUAL_TOL * scale
+
+
 @settings(max_examples=40, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(seed=st.integers(0, 2**32 - 1), num_modes=st.integers(1, 3))
 def test_closed_forms_match_weyl_products(seed, num_modes):
-    """The symplectic-form table, M = -conj(M) and [H, Z] = lambda Z agree
-    with the general Weyl product on random Hermitian quadratics."""
+    """The symplectic-form table, M = -conj(M), [H, Z] = lambda Z and the
+    dagger pairing agree with the general Weyl product on random Hermitian
+    quadratics."""
     ham = validate_quadratic(
         random_hermitian_quadratic(random.Random(seed), num_modes))
     matrix = adjoint_matrix(ham)
@@ -170,6 +189,36 @@ def test_closed_forms_match_weyl_products(seed, num_modes):
             assert table[i, j] == commutator(a.z, b.z).as_scalar()
         if a.lam_exact is not None:
             assert commutator(ham.op, a.z) == a.lam_exact * a.z
+        assert_dagger_is_partner_ladder(ham, a)
+
+
+def golden_hamiltonian(argv):
+    if argv[0] == "--bateman":
+        return build_hd(Fraction(argv[1].removeprefix("b=")))
+    return validate_quadratic(parse_to_polynomial(argv[1]))
+
+
+class TestDaggerPairing:
+    """dagger(Z) is a ladder at -conj(lambda) because conj(M) = -M; no
+    runtime pass checks it, so these tests (and
+    test_closed_forms_match_weyl_products) pin the identity."""
+
+    @pytest.mark.parametrize("name", [n for n in MODELS if "defective" not in n])
+    def test_golden_ladders(self, name):
+        ham = golden_hamiltonian(MODELS[name])
+        ladders = build_ladders(ham, eigen_decompose(adjoint_matrix(ham)))
+        for lad in ladders:
+            assert_dagger_is_partner_ladder(ham, lad)
+
+    def test_anti_hermitian_operator_is_refused(self):
+        # M is real here, so conj(M) = M: lambda = +-1 have partners, but
+        # dagger(Z) is no ladder.
+        op = parse_to_polynomial("1/2*i*x1^2 - 1/2*i*p1^2")
+        ham = QuadraticHamiltonian(op=op, num_modes=1, energy_offset=op.constant_term())
+        spectrum = eigen_decompose(adjoint_matrix(ham))
+        assert [f.lam for f in spectrum.frequencies] == [-1, 1]
+        with pytest.raises(VerificationError, match="dagger"):
+            build_ladders(ham, spectrum)
 
 
 class TestVerificationFailures:

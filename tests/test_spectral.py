@@ -149,6 +149,17 @@ class TestRoots:
         with pytest.raises(NumericFailureError, match="non-finite"):
             roots([big, big, ComplexRational(0), ComplexRational(1)])
 
+    def test_roots_spanning_a_hundred_orders_of_magnitude(self):
+        # Each root must converge on its own scale: a stopping rule relative
+        # to the largest root leaves the small ones about one unit off.
+        wanted = [ComplexRational(0, 10 ** 100), ComplexRational(Fraction(1, 2), 1),
+                  ComplexRational(-2, 3)]
+        got = roots(poly_from_roots(wanted))
+        assert [m for _, m in got] == [1, 1, 1]
+        for (r, _), w in zip(got, sorted((complex(w) for w in wanted),
+                                         key=lambda z: (z.real, z.imag))):
+            assert abs(r - w) < 1e-12 * abs(w)
+
     def test_sorted_by_real_then_imag(self, rng):
         for _ in range(10):
             wanted = [
