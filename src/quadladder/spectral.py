@@ -19,7 +19,9 @@ matrix, Van Loan 1984).  The spectral data follow from q on one exact path:
    (lambda I - M) adj(lambda I - M) = chi(lambda) I = 0, its value at lambda
    is an eigenvector whenever it is nonzero.  Repeated roots, a column that
    vanishes at lambda, and irrational lambda take Gauss-Jordan elimination
-   on M - lambda*I, exact over Q(i) or, for irrational lambda, in floats.
+   on M - lambda*I, exact over Q(i), or in floats with n - geo pivots, where
+   the geometric multiplicity geo is exact: 1 for a simple root, else read
+   off M on the kernel of f(M^2), f the square-free factor of q with f(lambda^2) = 0.
 
 Everything is deterministic: fixed seed circle for the iteration, fixed
 pivoting and normalization rules, fixed ordering of results by (Re, Im).
@@ -29,7 +31,7 @@ import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
-from math import gcd, isqrt, lcm
+from math import frexp, gcd, isqrt, lcm, ldexp
 from typing import Sequence
 
 from .adjoint import ComplexMatrix, Scalar
@@ -43,10 +45,7 @@ __all__ = [
     "roots",
     "eigen_decompose",
     "spectral_to_json",
-    "RANK_TOL",
 ]
-
-RANK_TOL = 1e-10  # float null-space pivot threshold, in units of max(1, max |M_ij|)
 
 ROOT_RESIDUAL_TOL = 1e-9   # relative bound on |p(root)| for accepted roots
 MAX_SWEEPS = 500           # Durand-Kerner sweeps; roots() checks what they reach
@@ -117,8 +116,8 @@ def _pderiv(p: Poly) -> Poly:
 
 def poly_eval(p: Poly, z: ComplexRational) -> ComplexRational:
     """Exact Horner evaluation."""
-    acc = ZERO
-    for c in reversed(p):
+    acc = p[-1] if p else ZERO
+    for c in p[-2::-1]:
         acc = acc * z + c
     return acc
 
@@ -216,20 +215,34 @@ def characteristic_polynomial(m: ComplexMatrix) -> Poly:
 # root finding
 # ---------------------------------------------------------------------------
 
-def _durand_kerner(coeffs: list[complex]) -> list[complex]:
+def _scaled(p: Poly, e: int) -> Poly | list[complex]:
+    """2^(-e deg) p(2^e w): the coefficients c_k 2^(e (k - deg)), each rounded
+    once from its exact value; p itself when e = 0."""
+    deg = len(p) - 1
+    return [complex(c * Fraction(2) ** (e * (k - deg))) for k, c in enumerate(p)] if e else p
+
+
+def _durand_kerner(factor: Poly) -> tuple[list[complex], int]:
     """All roots of a monic polynomial with simple roots, simultaneously.
 
     Deterministic seeds on a circle of radius 2 max_k |c_(n-k)|^(1/k) (the
     Fujiwara bound), rotated off the axes so symmetric root sets do not
-    stall the sweep.  It stops when every root's own last step is at most
-    1e-14 max(1, |z_j|), so small roots converge beside huge ones, or after
-    MAX_SWEEPS sweeps (steps can stall at rounding size above that; roots()
-    checks every residual).  A non-finite iterate raises.
+    stall the sweep.  Where radius^deg reaches 2^1000, near the float range,
+    it iterates on the roots w = z/2^e of _scaled(factor, e), with 2^e near
+    the radius, and returns them with e (else e = 0).  It stops when every root's own last
+    step is at most 1e-14 max(2^-e, |w_j|), so small roots converge beside
+    huge ones, or after MAX_SWEEPS sweeps (steps can stall at rounding size
+    above that; roots() checks every residual).  A non-finite iterate raises.
     """
+    coeffs = [complex(c) for c in factor]
     deg = len(coeffs) - 1
     if deg == 1:
-        return [-coeffs[0]]
+        return [-coeffs[0]], 0
     radius = 2.0 * max(abs(coeffs[deg - k]) ** (1.0 / k) for k in range(1, deg + 1))
+    e = 0 if radius < 2.0 ** (1000 / deg) else max(0, frexp(radius)[1] - 1)  # inf: 0
+    if e:
+        coeffs, radius = _scaled(factor, e), ldexp(radius, -e)
+    floor = 2.0 ** -e
     z = [radius * cmath.exp(1j * (2.0 * cmath.pi * j / deg + 0.4))
          for j in range(deg)]
     for _ in range(MAX_SWEEPS):
@@ -244,20 +257,22 @@ def _durand_kerner(coeffs: list[complex]) -> list[complex]:
                 den = 1e-300
             step = num / den
             z[j] -= step
-            converged = converged and abs(step) <= 1e-14 * max(1.0, abs(z[j]))
+            converged = converged and abs(step) <= 1e-14 * max(floor, abs(z[j]))
         if not all(map(cmath.isfinite, z)):
             raise NumericFailureError(
                 "root iteration produced a non-finite iterate",
                 tuple(abs(w) for w in z))
         if converged:
             break
-    return z
+    return z, e
 
 
-def _poly_scale_at(p: Poly, z: complex) -> float:
-    """Sum_k |c_k| max(1,|z|)^k; natural scale for residual bounds at z."""
-    zm = max(1.0, abs(z))
-    return max(1.0, sum(abs(complex(c)) * zm ** k for k, c in enumerate(p)))
+def _relative_residual(p, z: complex, floor: float = 1.0) -> float:
+    """|p(z)| over sum_k |c_k| max(floor,|z|)^k, the natural scale at z; inf
+    where that scale is not a normal float (its terms underflow)."""
+    zm = max(floor, abs(z))
+    scale = max(floor ** (len(p) - 1), sum(abs(complex(c)) * zm ** k for k, c in enumerate(p)))
+    return abs(_peval_complex(p, z)) / scale if scale >= 2.0 ** -1022 else float("inf")
 
 
 def roots(p: Poly) -> list[tuple[complex, int]]:
@@ -266,19 +281,22 @@ def roots(p: Poly) -> list[tuple[complex, int]]:
     Multiplicities come from the exact square-free decomposition, whose
     factors are coprime with simple roots, so no two returned roots stand for
     the same exact root.  Every returned root r satisfies |p(r)| < 1e-9
-    relative to the coefficient scale at r.
+    relative to the coefficient scale at r, evaluated on p scaled as the
+    iteration on r's factor was.
     """
     p = _ptrim(list(p))
     if _pdeg(p) < 1:
         raise ValueError("polynomial must have degree >= 1")
-    found: list[tuple[complex, int]] = []
+    found = []  # (w, e, multiplicity, residual) for the root w 2^e
     for factor, mult in squarefree_factors(p):  # monic factors
-        found += [(r, mult) for r in _durand_kerner([complex(c) for c in factor])]
-    residuals = [abs(_peval_complex(p, r)) / _poly_scale_at(p, r) for r, _ in found]
+        ws, e = _durand_kerner(factor)
+        scaled = _scaled(p, e)
+        found += [(w, e, mult, _relative_residual(scaled, w, 2.0 ** -e)) for w in ws]
     # "not <" also refuses a NaN residual
-    bad = sorted((x for x in residuals if not x < ROOT_RESIDUAL_TOL), reverse=True)
+    bad = sorted((x for *_, x in found if not x < ROOT_RESIDUAL_TOL), reverse=True)
     if bad:
         raise NumericFailureError("root residuals exceed tolerance", tuple(bad))
+    found = [(complex(ldexp(w.real, e), ldexp(w.imag, e)), mult) for w, e, mult, _ in found]
     found.sort(key=lambda rm: (rm[0].real, rm[0].imag))
     return found
 
@@ -363,36 +381,26 @@ def _sqrt_exact(s: ComplexRational) -> ComplexRational | None:
 # null spaces
 # ---------------------------------------------------------------------------
 
-def _nullspace(a: Sequence[Sequence[Scalar]], threshold: float,
-               alg: int | None = None) -> list[list[Scalar]]:
+def _nullspace(a: Sequence[Sequence[Scalar]],
+               rank: int | None = None) -> list[list[Scalar]]:
     """Basis of the null space by Gauss-Jordan elimination.
 
-    Runs exactly over the Gaussian rationals with threshold 0, taking the
-    first nonzero pivot in column order (the reduced form is unique), or in
-    complex floats with full pivoting.  For a matrix shifted by an eigenvalue
-    of algebraic multiplicity ``alg``, which has between 1 and alg
-    eigenvectors, the pivot count stays within [n - alg, n - 1] (else within
-    [0, n]); inside that window a float pivot of modulus at most
-    ``threshold`` ends the elimination.  Each free column gives one basis
-    vector, normalized by _normalized.
+    Without ``rank`` it runs exactly over the Gaussian rationals, taking the
+    first nonzero pivot in column order until none is left (the reduced form
+    is unique); in complex floats it takes ``rank`` pivots of largest modulus.
+    Each free column gives one basis vector, normalized by _normalized.
     """
     m = [list(r) for r in a]
     n = len(m)
     scalar = type(m[0][0]) if n else complex
-    least, most = (0, n) if alg is None else (n - alg, n - 1)
     pivot_cols: list[int] = []
     free_cols = list(range(n))
-    for row in range(most):
+    for row in range(n if rank is None else rank):
         cells = ((r, c) for c in free_cols for r in range(row, n))
-        if threshold:
-            best, col = max(cells, key=lambda rc: abs(m[rc[0]][rc[1]]))
-            size = abs(m[best][col])
-            if not size or (row >= least and size <= threshold):
-                break
-        else:
-            best, col = next(((r, c) for r, c in cells if m[r][c]), (None, None))
-            if best is None:
-                break
+        best, col = (next(((r, c) for r, c in cells if m[r][c]), (row, free_cols[0]))
+                     if rank is None else max(cells, key=lambda rc: abs(m[rc[0]][rc[1]])))
+        if not m[best][col]:
+            break
         m[row], m[best] = m[best], m[row]
         pivot = m[row][col]
         m[row] = [z / pivot for z in m[row]]
@@ -420,8 +428,27 @@ def _normalized(v: list[Scalar]) -> list[Scalar]:
     return [z / lead for z in v]
 
 
-def _adjugate_column(m: ComplexMatrix, chi: Poly) -> list[list[ComplexRational]]:
-    """Coefficients b_0..b_(n-1) of adj(tI - M) e_0 = sum t^k b_k.
+def _eigenspace_factors(m: ComplexMatrix, f: Poly) -> list[tuple[Poly, int]]:
+    """Yun factors of the characteristic polynomial of M on the kernel of f(M^2),
+    which is prod (t - mu)^geo(mu) over the distinct roots mu of f(t^2), since
+    f(M^2) = prod (M - mu I) (times M^2, a nilpotent block at 0, if f(0) = 0)."""
+    rows = [[(k, z) for k, z in enumerate(row) if z] for row in m.exact]
+    acc = [[ZERO] * m.dim for _ in rows]  # f(M^2) by Horner
+    for c in reversed(f):
+        for _ in range(2):  # M times acc, over the nonzero entries of M
+            acc = [[sum((z * acc[k][j] for k, z in row), ZERO) for j in range(m.dim)]
+                   for row in rows]
+        acc = [[z + c if i == j else z for j, z in enumerate(r)] for i, r in enumerate(acc)]
+    basis = _nullspace(acc)
+    own = [next(i for i, z in enumerate(v) if z and all(w is v or not w[i] for w in basis))
+           for v in basis]  # M b_k = sum_j r_jk b_j: read r_jk where b_j alone is nonzero
+    images = [[sum((z * v[k] for k, z in row), ZERO) for row in rows] for v in basis]
+    return squarefree_factors(characteristic_polynomial(ComplexMatrix(
+        [[w[i] / v[i] for w in images] for v, i in zip(basis, own)])))
+
+
+def _adjugate_column(m: ComplexMatrix, chi: Poly) -> list[Poly]:
+    """adj(tI - M) e_0 = sum t^k b_k, entry by entry as polynomials in t.
 
     chi = det(tI - M) = sum a_k t^k is monic; b_(n-1) = e_0 and
     b_(k-1) = M b_k + a_k e_0, one exact matrix-vector product per step
@@ -435,16 +462,7 @@ def _adjugate_column(m: ComplexMatrix, chi: Poly) -> list[list[ComplexRational]]
         b = [sum((z * b[j] for j, z in row), ZERO) for row in rows]
         b[0] = b[0] + chi[k]
         column.append(b)
-    return column[::-1]
-
-
-def _column_at(column: list[list[ComplexRational]],
-               lam: ComplexRational) -> list[ComplexRational]:
-    """sum lam^k b_k by Horner: adj(lam I - M) e_0."""
-    acc = column[-1]
-    for b in reversed(column[:-1]):
-        acc = [lam * x + y for x, y in zip(acc, b)]
-    return acc
+    return [list(entry) for entry in zip(*reversed(column))]
 
 
 # ---------------------------------------------------------------------------
@@ -509,9 +527,9 @@ def eigen_decompose(m: ComplexMatrix) -> SpectralResult:
     of q, so -conj(lambda) is one whenever lambda is.  A simple exact lambda
     takes its eigenvector from the adjugate column adj(lambda I - M) e_0, the
     same normalized vector that exact elimination finds, and falls back to
-    elimination where that column vanishes.  Each eigenvalue gets between
-    one and its algebraic multiplicity of eigenvectors; for a repeated
-    irrational one the relative pivot threshold RANK_TOL decides how many.
+    elimination where that column vanishes.  Every rank is exact: a
+    repeated irrational lambda takes its geometric multiplicity from M on the
+    kernel of f(M^2), f the square-free factor of q that holds lambda^2.
     """
     char = characteristic_polynomial(m)
     q = char[::2]
@@ -524,21 +542,27 @@ def eigen_decompose(m: ComplexMatrix) -> SpectralResult:
         )
     chi = char if m.dim % 2 == 0 else [-c for c in char]  # det(tI - M)
     column = None  # adj(tI - M) e_0, built at the first simple exact lambda
-    scale = max(1.0, max((abs(z) for row in m.entries for z in row), default=0.0))
+    factors = {}  # multiplicity k of a Yun factor of q -> its _eigenspace_factors
     frequencies: list[NaturalFrequency] = []
     for lam, lam_exact, alg in _eigenvalues(q):
         basis = None
         if lam_exact is not None and alg == 1:
             if column is None:
                 column = _adjugate_column(m, chi)
-            v = _column_at(column, lam_exact)
+            v = [poly_eval(p, lam_exact) for p in column]
             if any(v):
                 basis = [_normalized(v)]
         if basis is None:
-            rows, shift, threshold = ((m.entries, lam, RANK_TOL * scale)
-                                      if lam_exact is None else (m.exact, lam_exact, 0))
+            rows, shift, rank = m.exact, lam_exact, None
+            if lam_exact is None:
+                if alg > 1 and alg not in factors:  # Yun multiplicities are distinct
+                    factors[alg] = _eigenspace_factors(
+                        m, next(f for f, k in squarefree_factors(q) if k == alg))
+                geo = 1 if alg == 1 else min(  # lambda is a root of one coprime factor
+                    factors[alg], key=lambda fk: _relative_residual(fk[0], lam))[1]
+                rows, shift, rank = m.entries, lam, m.dim - geo
             basis = _nullspace([[z - shift if i == j else z for j, z in enumerate(row)]
-                                for i, row in enumerate(rows)], threshold, alg)
+                                for i, row in enumerate(rows)], rank)
         frequencies.append(NaturalFrequency(
             lam=lam,
             lam_exact=lam_exact,

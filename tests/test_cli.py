@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -174,7 +175,12 @@ class TestWideCoefficientRange:
         "1/2*p1^2 + 1/2*x1^2 + 1/2*p2^2 + 1" + "0" * 15 + "*x2^2 + 1/2*p3^2"
         " + 2*x3^2 + x1*x3",
         "1/2*p1^2 + 1" + "0" * 100 + "*x1^2 + 1/2*p2^2 + x2^2 + x1*x2",
-    ], ids=["15-zeros", "100-zeros"])
+        # r^deg of the largest root r of q passes the float range: the root
+        # iteration runs on the factor scaled by 2^e near r
+        "1/2*p1^2 + 1/2*x1^2 + 1/2*p2^2 + 1" + "0" * 105 + "*x2^2 + 1/2*p3^2"
+        " + 2*x3^2 + x1*x3",
+        "1/2*p1^2 + 1" + "0" * 156 + "*x1^2 + 1/2*p2^2 + x2^2 + x1*x2",
+    ], ids=["15-zeros", "100-zeros", "105-zeros", "156-zeros"])
     def test_frequencies_match_numpy(self, expr, tmp_path):
         out = tmp_path / "report.json"
         assert cli.main(["--expr", expr, "--format", "json", "--out", str(out)]) == 0
@@ -221,7 +227,8 @@ class TestCoupledChains:
                          "--out", str(out)]) == 0
 
     def test_repeated_irrational_pair(self):
-        """lambda = +-sqrt(3), each twice: RANK_TOL decides the rank here."""
+        """lambda = +-sqrt(3), each twice: the exact kernel of M^2 - 3 decides
+        the rank here."""
         report = run_report(
             expression="1/2*p1^2 + 1/2*p2^2 + 3/2*x1^2 + 3/2*x2^2")
         spectral = report["spectral"]
@@ -233,6 +240,82 @@ class TestCoupledChains:
                  f["geometric_multiplicity"])
                 for f in spectral["frequencies"]] == [(None, 2, 2)] * 2
         assert len(report["ladders"]["ladders"]) == 4
+
+
+def shifted(expr, offset):
+    """expr with every mode index raised by offset."""
+    return re.sub(r"([xp])(\d+)", lambda m: f"{m[1]}{int(m[2]) + offset}", expr)
+
+
+class TestExactRanks:
+    """A repeated irrational frequency takes its geometric multiplicity from
+    the exact kernel of f(M^2), f the square-free factor of q holding lambda^2."""
+
+    NEAR_DOUBLE = ("1/2*p1^2 + 1/2*p2^2 - 499999999999/1000000000000*x1^2"
+                   " - 500000000001/1000000000000*x2^2 + 1/1000000000000*x1*p2"
+                   " - 1/1000000000000*x2*p1")
+
+    @staticmethod
+    def ranks(spectral):
+        return [(f["lambda_exact"] is None, f["algebraic_multiplicity"],
+                 f["geometric_multiplicity"]) for f in spectral["frequencies"]]
+
+    def test_coupling_far_below_float_rounding_is_defective(self, tmp_path):
+        # chi = (t^2 + 1 - 10^-24)^2, one eigenvector per root
+        out = tmp_path / "report.json"
+        assert cli.main(["--expr", self.NEAR_DOUBLE, "--format", "json",
+                         "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["spectral"]["defective"] is True
+        assert self.ranks(doc["spectral"]) == [(True, 2, 1)] * 2
+        assert doc["ladders"] is None
+
+    @pytest.mark.parametrize("expr, lam", [
+        ("1/2*p1^2 + 1/2*p2^2 - 3/4*x1^2 + 1/2*x2^2 + 5/4*x1*p2 - 5/4*x2*p1",
+         21 ** 0.5 / 4),
+        ("1/2*p1^2 + 1/2*p2^2 - 9/2*x1^2 + 1/2*x2^2 + 5/4*x1*p2 - 5/4*x2*p1",
+         39 ** 0.5 / 4 * 1j),
+    ], ids=["real", "imaginary"])
+    def test_coupling_five_quarters_is_defective(self, expr, lam):
+        spectral = run_report(expression=expr)["spectral"]
+        assert spectral["defective"] is True
+        assert self.ranks(spectral) == [(True, 2, 1)] * 2
+        assert [complex(*f["lambda"]) for f in spectral["frequencies"]] \
+            == [pytest.approx(-lam), pytest.approx(lam)]
+
+    def test_sixteen_identical_oscillators(self):
+        report = run_report(expression=" + ".join(
+            f"1/2*p{i}^2 + x{i}^2" for i in range(1, 17)))
+        spectral = report["spectral"]
+        assert not spectral["defective"]
+        assert self.ranks(spectral) == [(True, 16, 16)] * 2
+        assert [complex(*f["lambda"]) for f in spectral["frequencies"]] \
+            == [pytest.approx(-2 ** 0.5), pytest.approx(2 ** 0.5)]
+        assert len(report["ladders"]["ladders"]) == 32
+
+    def test_one_factor_holds_exact_and_irrational_roots(self):
+        # q = (s - 1)^2 (s - 2)^2: lambda = +-1 exact, +-sqrt(2) irrational
+        spectral = run_report(expression=(
+            "1/2*p1^2 + 1/2*x1^2 + 1/2*p2^2 + 1/2*x2^2"
+            " + 1/2*p3^2 + x3^2 + 1/2*p4^2 + x4^2"))["spectral"]
+        assert not spectral["defective"]
+        assert self.ranks(spectral) == [(True, 2, 2), (False, 2, 2),
+                                        (False, 2, 2), (True, 2, 2)]
+
+    def test_factor_with_a_zero_root(self):
+        # q = s^2 (s - 3)^2: f(M^2) = M^2 (M^2 - 3), whose kernel adds the
+        # nilpotent block of the two free particles at 0
+        spectral = run_report(expression=(
+            "1/2*p1^2 + 1/2*p2^2 + 3/2*x2^2 + 1/2*p3^2 + 1/2*p4^2 + 3/2*x4^2"))["spectral"]
+        assert spectral["defective"] is True
+        assert self.ranks(spectral) == [(True, 2, 2), (False, 4, 2), (True, 2, 2)]
+
+    def test_twin_chains(self):
+        report = run_report(expression=chain(8, 1) + " + " + shifted(chain(8, 1), 8))
+        spectral = report["spectral"]
+        assert not spectral["defective"]
+        assert self.ranks(spectral) == [(True, 2, 2)] * 16
+        assert len(report["ladders"]["ladders"]) == 32
 
 
 class TestJsonWriter:
@@ -476,7 +559,7 @@ class TestFailures:
             run_report(b=Fraction(1), expression="x1^2")
 
     def test_tolerance_flag_is_gone(self):
-        """The rank tolerance is the constant spectral.RANK_TOL."""
+        """No rank tolerance is left: ranks are decided exactly."""
         result = run_cli("--bateman", "b=1", "--tol-rank", "1e-9",
                          "--format", "json")
         assert result.returncode == 2

@@ -18,9 +18,7 @@ from quadladder import spectral
 from quadladder.dsl import parse_to_polynomial
 from quadladder.spectral import (
     PEAK_TIE_TOL,
-    RANK_TOL,
     _adjugate_column,
-    _column_at,
     _normalized,
     _nullspace,
     characteristic_polynomial,
@@ -143,11 +141,22 @@ class TestRoots:
             roots([ComplexRational(3)])
 
     def test_overflowing_iteration_is_a_numeric_failure(self):
-        # z^3 + 10^300 z + 10^300 overflows Horner evaluation near its seed
-        # circle; the NaN iterates must not pass as converged roots
-        big = ComplexRational(10 ** 300)
+        # z^2 + 10^308 z + 1 has the Fujiwara radius 2*10^308, past the float
+        # range, so its seeds are infinite; the NaN iterates must not pass as
+        # converged roots
+        big = ComplexRational(10 ** 308)
         with pytest.raises(NumericFailureError, match="non-finite"):
-            roots([big, big, ComplexRational(0), ComplexRational(1)])
+            roots([ComplexRational(1), big, ComplexRational(1)])
+
+    def test_iteration_is_scaled_where_horner_would_overflow(self):
+        # z^3 + 10^300 z + 10^300: z^3 overflows near the seed circle of
+        # radius 2*10^150, so the iteration runs on z/2^e with 2^e near it
+        big = ComplexRational(10 ** 300)
+        # roots -1 - 10^-300 + O(10^-600) and 1/2 +- i sqrt(10^300 - 3/4)
+        got = roots([big, big, ComplexRational(0), ComplexRational(1)])
+        assert [m for _, m in got] == [1, 1, 1]
+        for (r, _), w in zip(got, [-1, 0.5 - 1e150j, 0.5 + 1e150j]):
+            assert abs(r - w) <= 1e-12 * abs(w)
 
     def test_roots_spanning_a_hundred_orders_of_magnitude(self):
         # Each root must converge on its own scale: a stopping rule relative
@@ -269,10 +278,15 @@ class TestNullspace:
     def test_equal_moduli_normalize_at_the_first(self, two):
         # null vector (i, 1): both entries have modulus 1, and a 1-ulp
         # change to the pivot row must not move the normalization to the second
-        basis = _nullspace([[1, -1j], [2, -two * 1j]], RANK_TOL)
+        basis = _nullspace([[1, -1j], [2, -two * 1j]], 1)
         assert len(basis) == 1
         assert basis[0][0] == 1
         assert abs(abs(basis[0][1]) - 1) < 1e-15
+
+    @pytest.mark.parametrize("rank, want", [(2, []), (1, [[0, 1]])])
+    def test_float_elimination_takes_the_given_rank(self, rank, want):
+        # no pivot size ends it: 1e-14 is a pivot when the rank says so
+        assert _nullspace([[1.0, 0j], [0j, 1e-14]], rank) == want
 
 
 def _gaussian(parts):
@@ -310,7 +324,7 @@ def test_nullspace_against_numpy(case):
     a = [[complex(v) for v in row] for row in exact]
     n = len(a)
     scale = max(1.0, max(abs(z) for row in a for z in row))
-    basis = _nullspace(a, RANK_TOL * scale)
+    basis = _nullspace(a, rank)
     assert np.linalg.matrix_rank(np.array(a)) == rank
     assert len(basis) == n - rank
     if basis:
@@ -327,7 +341,7 @@ def test_nullspace_against_numpy(case):
 @given(case=known_rank_matrices())
 def test_exact_nullspace_has_exact_rank(case):
     a, rank = case
-    basis = _nullspace(a, 0)
+    basis = _nullspace(a)
     assert len(basis) == len(a) - rank
     for v in basis:
         assert not any(exact_matvec(a, v))
@@ -451,12 +465,12 @@ def _shifted(m, lam):
 
 @pytest.fixture
 def nullspace_calls(monkeypatch):
-    """The shifts at which eigen_decompose falls back to _nullspace."""
+    """The rank of each eigen_decompose fall-back to _nullspace (None: exact)."""
     calls = []
 
-    def counted(a, threshold, alg=None):
-        calls.append(alg)
-        return _nullspace(a, threshold, alg)
+    def counted(a, rank=None):
+        calls.append(rank)
+        return _nullspace(a, rank)
 
     monkeypatch.setattr(spectral, "_nullspace", counted)
     return calls
@@ -473,9 +487,9 @@ class TestAdjugateColumn:
         column = _adjugate_column(matrix, chi)
         for f in spectrum.frequencies:
             assert f.lam_exact is not None and f.algebraic_multiplicity == 1
-            v = _column_at(column, f.lam_exact)
+            v = [poly_eval(p, f.lam_exact) for p in column]
             assert exact_matvec(matrix.exact, v) == [f.lam_exact * z for z in v]
-            want = _nullspace(_shifted(matrix, f.lam_exact), 0, 1)
+            want = _nullspace(_shifted(matrix, f.lam_exact))
             assert [_normalized(v)] == want
             assert f.eigenvectors_exact == (tuple(want[0]),)
         assert nullspace_calls == []
@@ -484,7 +498,7 @@ class TestAdjugateColumn:
         # (tI - M) sum t^k b_k = chi(t) e_0, coefficient by coefficient
         matrix = adjoint_matrix(ADJUGATE_MODELS["cayley-k3"])
         chi = characteristic_polynomial(matrix)
-        column = _adjugate_column(matrix, chi)
+        column = list(zip(*_adjugate_column(matrix, chi)))  # b_0 .. b_(n-1)
         n = matrix.dim
         zero = ComplexRational(0)
         for k in range(n + 1):
@@ -501,12 +515,12 @@ class TestAdjugateColumn:
         spectrum = eigen_decompose(matrix)
         column = _adjugate_column(matrix, characteristic_polynomial(matrix))
         vanishing = [f.lam_exact for f in spectrum.frequencies
-                     if not any(_column_at(column, f.lam_exact))]
+                     if not any(poly_eval(p, f.lam_exact) for p in column)]
         assert set(vanishing) == {ComplexRational(-2), ComplexRational(2)}
-        assert nullspace_calls == [1, 1]
+        assert nullspace_calls == [None, None]  # exact elimination
         assert len(spectrum.frequencies) == 4 and not spectrum.defective
         for f in spectrum.frequencies:
-            want = _nullspace(_shifted(matrix, f.lam_exact), 0, 1)
+            want = _nullspace(_shifted(matrix, f.lam_exact))
             assert f.eigenvectors_exact == tuple(tuple(v) for v in want)
             assert f.eigenvectors == tuple(tuple(complex(z) for z in v) for v in want)
             assert f.geometric_multiplicity == 1
@@ -521,7 +535,7 @@ class TestAdjugateColumn:
         assert [(f.algebraic_multiplicity, f.geometric_multiplicity)
                 for f in spectrum.frequencies] == mults
         assert spectrum.defective is defective
-        assert nullspace_calls == [alg for alg, _ in mults]
+        assert nullspace_calls == [None for _ in mults]  # exact elimination
 
 
 class TestSerialization:
