@@ -23,6 +23,7 @@ Set QUADLADDER_NO_COLOR=1 (or pipe the output) to disable ANSI styling.
 import argparse
 import json
 import os
+import stat
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -53,8 +54,8 @@ REPORT_SCHEMA = "quadladder.report/1"
 SWEEP_SCHEMA = "quadladder.sweep/1"
 
 # Input bounds, each refused with a ValidationError (exit 2) before the work
-# it bounds starts.  Family cost grows about 2-2.5x per +2 in N (b = 1/2:
-# about 0.07 s at N = 8 and 0.7 s at N = 16 on a 2-core x86-64 VM).
+# it bounds starts.  Family cost grows about 2x per +2 in N (b = 1/2:
+# about 0.04 s at N = 8 and 0.5 s at N = 16 on a 2-core x86-64 VM).
 MAX_LADDER_STATES = 16
 MAX_SWEEP_VALUES = 1000
 
@@ -227,13 +228,6 @@ def run_report(*, b: Fraction | None = None, expression: str | None = None,
         raise ValidationError("exactly one model source is required")
     if b is not None:
         ham = build_hd(b)
-        model_doc = {
-            "kind": "bateman",
-            "b": [b.numerator, b.denominator],
-            "num_modes": ham.num_modes,
-            "hamiltonian": str(ham.op),
-            "energy_offset": list(ham.energy_offset.as_quad()),
-        }
     else:
         ham = validate_quadratic(parse_to_polynomial(expression))
         if ham.op.degree != 2:
@@ -242,13 +236,13 @@ def run_report(*, b: Fraction | None = None, expression: str | None = None,
             raise NotQuadraticError(
                 "operator has no degree-2 part; a Hamiltonian must have "
                 "total degree exactly 2")
-        model_doc = {
-            "kind": "expression",
-            "b": None,
-            "num_modes": ham.num_modes,
-            "hamiltonian": str(ham.op),
-            "energy_offset": list(ham.energy_offset.as_quad()),
-        }
+    model_doc = {
+        "kind": "expression" if b is None else "bateman",
+        "b": None if b is None else [b.numerator, b.denominator],
+        "num_modes": ham.num_modes,
+        "hamiltonian": str(ham.op),
+        "energy_offset": list(ham.energy_offset.as_quad()),
+    }
     matrix = adjoint_matrix(ham)
     spectrum = eigen_decompose(matrix)
     report: dict = {
@@ -279,12 +273,16 @@ def run_report(*, b: Fraction | None = None, expression: str | None = None,
             raise ValidationError(
                 f"--ladder-states must be between 0 and {MAX_LADDER_STATES}, "
                 f"got {ladder_states}")
-        report["families"] = _families_doc(ham, ladders, ladder_states)
+        report["families"] = _families_doc(
+            ham, ladders, report["ladders"]["ladders"], ladder_states)
     return report
 
 
-def _families_doc(ham: QuadraticHamiltonian, ladders, n_max: int) -> list[dict]:
+def _families_doc(ham: QuadraticHamiltonian, ladders, ladder_docs,
+                  n_max: int) -> list[dict]:
+    """Both families; a Bateman ladder is exact, so its doc's text is str(z)."""
     psi0, psi1 = vacuum_functions()
+    text = {id(lad): doc["text"] for lad, doc in zip(ladders, ladder_docs)}
     lowering = [lad for lad in ladders if lad.lam.real < 0]
     raising = [lad for lad in ladders if lad.lam.real >= 0]
     docs = []
@@ -298,9 +296,9 @@ def _families_doc(ham: QuadraticHamiltonian, ladders, n_max: int) -> list[dict]:
         doc["vacuum"] = function_to_json(vacuum)
         # ladder_spectrum found the vacuum energy as the (0, 0) entry's.
         doc["vacuum_energy_exact"] = list(entries[0].energy.as_quad())
-        doc["raising"] = [str(raise_a.z), str(raise_b.z)]
+        doc["raising"] = [text[id(raise_a)], text[id(raise_b)]]
         doc["annihilated_by"] = [
-            str(lad.z) for lad in killers if annihilation_check(lad, vacuum)]
+            text[id(lad)] for lad in killers if annihilation_check(lad, vacuum)]
         docs.append(doc)
     return docs
 
@@ -553,8 +551,13 @@ def main(argv: list[str] | None = None) -> int:
         payload = render_text(report, color=color)
     if args.out is not None:
         try:
-            with open(args.out, "w", encoding="utf-8") as fh:
+            # Rewritten in place: truncating a file that holds data to zero
+            # makes ext4 and XFS start writeback on close.
+            fd = os.open(args.out, os.O_WRONLY | os.O_CREAT, 0o666)
+            with open(fd, "w", encoding="utf-8") as fh:
                 fh.write(payload)
+                if stat.S_ISREG(os.fstat(fd).st_mode):
+                    fh.truncate()
         except OSError as exc:
             print(f"error [quadladder.cli]: cannot write report to {args.out}: {exc}",
                   file=sys.stderr)

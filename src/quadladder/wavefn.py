@@ -14,13 +14,15 @@ exp(-Q) p_j exp(Q) = -i D_j with D_j = d/dx_j + 2(Sx)_j + l_j.  The D_j
 commute because S is symmetric, so a normal-ordered term c x^a p^b becomes
 c (-i)^|b| x^a D^b, which is expanded once into terms w x^g d^h.  Applying
 such a term to x^e needs only a falling factorial, d^h x^e =
-prod_j e_j (e_j - 1) ... (e_j - h_j + 1) x^(e - h).  The map keeps its
-weights as Gaussian-integer numerators over one shared denominator, the
-kernel puts the input polynomial over one denominator the same way,
-accumulates plain int pairs, and normalises each output coefficient once.
+prod_j e_j (e_j - 1) ... (e_j - h_j + 1) x^(e - h).  One kernel applies
+every map.  It packs each monomial x^e into one int, sum of e_j << (j*w),
+with w taken from a degree bound so that every digit fits, and keeps weights
+and coefficients as Gaussian-integer numerators over one denominator per
+polynomial, so a shift is one int addition and a product two int pairs.
 All states of a ladder family share the vacuum's sector, so ladder_spectrum
-builds one map each for H and the two raising ladders and reuses them for
-the whole grid.
+builds one map each for H and the two raising ladders, keeps the whole grid
+packed with one content gcd per state, checks H f = E f on every state by
+cross-multiplied integers, and converts each state to exact values once.
 
 Sums of such functions over distinct exponents (needed to witness that a
 mixture of eigenfunctions is not an eigenfunction) are represented by
@@ -37,8 +39,7 @@ has positive real part under it, so the principal branch is always correct.
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, perm
-from operator import add
+from math import comb, gcd, perm
 
 from .adjoint import ComplexMatrix, QuadraticHamiltonian
 from .errors import DivergentInputError, NumericFailureError, VerificationError
@@ -51,6 +52,7 @@ from .weyl import (
     ONE,
     WeylPolynomial,
     ZERO,
+    _NEG_I_POW,
     _add_term,
     _common_denominator,
     _ratio,
@@ -76,8 +78,6 @@ __all__ = [
 
 CPoly = dict[tuple[int, ...], ComplexRational]
 
-_NEG_I = ComplexRational(0, -1)
-
 
 class _Divergent:
     """Sentinel returned by inner_product when the integral diverges."""
@@ -100,12 +100,6 @@ DIVERGENT = _Divergent()
 # commutative polynomial helpers (exponent tuple -> coefficient)
 # ---------------------------------------------------------------------------
 
-def _cp_scale(p: CPoly, s: ComplexRational) -> CPoly:
-    if not s:
-        return {}
-    return {e: c * s for e, c in p.items()}
-
-
 def _cp_add(a: CPoly, b: CPoly) -> CPoly:
     out = dict(a)
     for e, c in b.items():
@@ -119,10 +113,6 @@ def _cp_mul(a: CPoly, b: CPoly) -> CPoly:
         for eb, cb in b.items():
             _add_term(out, tuple(x + y for x, y in zip(ea, eb)), ca * cb)
     return out
-
-
-def _cp_conj(p: CPoly) -> CPoly:
-    return {e: c.conjugate() for e, c in p.items()}
 
 
 def _cp_text(p: CPoly, num_modes: int) -> str:
@@ -193,15 +183,16 @@ class GaussianPolyFunction:
     def conjugate(self) -> "GaussianPolyFunction":
         return GaussianPolyFunction(
             num_modes=self.num_modes,
-            poly=_cp_conj(self.poly),
+            poly={e: c.conjugate() for e, c in self.poly.items()},
             quad=tuple(tuple(v.conjugate() for v in row) for row in self.quad),
             lin=tuple(v.conjugate() for v in self.lin),
         )
 
     def scaled(self, s) -> "GaussianPolyFunction":
-        s = ComplexRational._coerce(s)
+        s = ComplexRational._coerce(s)      # zero products drop on validation
         return GaussianPolyFunction(
-            self.num_modes, _cp_scale(self.poly, s), self.quad, self.lin)
+            self.num_modes, {e: c * s for e, c in self.poly.items()},
+            self.quad, self.lin)
 
     def __add__(self, other):
         if isinstance(other, GaussianPolySum):
@@ -323,15 +314,22 @@ def _left_d(terms: dict, j: int, quad, lin) -> dict:
     return out
 
 
-def _sector_map(op: WeylPolynomial, f: GaussianPolyFunction):
-    """op conjugated by exp(Q) for f's exponent Q, as integer terms.
+def _pack(e: tuple[int, ...], bits: int) -> int:
+    """x^e as the int sum of e_j << (j*bits); linear, so a shift with negative
+    digits packs too while every sum's digits stay in [0, 2^bits)."""
+    return sum(d << (j * bits) for j, d in enumerate(e))
+
+
+def _sector_map(op: WeylPolynomial, f: GaussianPolyFunction, bits: int):
+    """op conjugated by exp(Q) for f's exponent Q, as packed integer terms.
 
     exp(-Q) p_j exp(Q) = -i D_j, so the term c x^alpha p^beta acts on the
     polynomial part as c (-i)^|beta| x^alpha D^beta.  Expanded, that is a
-    sum of w x^gamma d^delta, and d^delta x^e is a falling factorial times
-    x^(e - delta).  The map is ``(den, groups)``: each group holds the
-    nonzero orders ``(j, delta_j)`` of one delta and its terms
-    ``(gamma - delta, a, b)`` with w = (a + b*i)/den.
+    sum of w x^gamma d^delta with |gamma| <= |beta| (no term raises the total
+    degree by more than op.degree), and d^delta x^e is a falling factorial
+    times x^(e - delta).  The map is ``(den, bits, groups)``: each group
+    holds ``(j*bits, delta_j)`` for the nonzero orders of one delta and its
+    terms ``(packed gamma - delta + alpha, a, b)`` with w = (a + b*i)/den.
     """
     k = f.num_modes
     if op.num_modes != k:
@@ -340,7 +338,7 @@ def _sector_map(op: WeylPolynomial, f: GaussianPolyFunction):
     terms: dict = {}
     for mono, coeff in op.terms.items():
         alpha, beta = mono[:k], mono[k:]
-        d_beta: dict = {(zero, zero): coeff * _NEG_I ** sum(beta)}
+        d_beta: dict = {(zero, zero): coeff * _NEG_I_POW[sum(beta) % 4]}
         for j, b in enumerate(beta):
             for _ in range(b):
                 d_beta = _left_d(d_beta, j, f.quad, f.lin)
@@ -350,32 +348,29 @@ def _sector_map(op: WeylPolynomial, f: GaussianPolyFunction):
     den, pairs = _common_denominator(terms.values())
     groups: dict = {}
     for ((delta, shift), (a, b)) in zip(terms, pairs):
-        groups.setdefault(delta, []).append((shift, a, b))
-    return den, tuple(
-        (tuple((j, d) for j, d in enumerate(delta) if d), group)
+        groups.setdefault(delta, []).append((_pack(shift, bits), a, b))
+    return den, bits, tuple(
+        (tuple((j * bits, d) for j, d in enumerate(delta) if d), group)
         for delta, group in groups.items())
 
 
-def _apply_map(smap, f: GaussianPolyFunction) -> GaussianPolyFunction:
-    """smap's operator applied to f, which must lie in smap's sector.
-
-    Integer kernel: f's coefficients go over one shared denominator, every
-    product accumulates as a pair of ints, and each output coefficient is
-    normalised once at the end.
-    """
-    den, groups = smap
-    f_den, f_pairs = _common_denominator(f.poly.values())
+def _kernel(smap, poly: dict) -> dict:
+    """The one application kernel: smap applied to poly, which maps packed
+    exponents to Gaussian-integer numerators ``(a, b)`` over a denominator
+    the caller keeps.  The image's nonzero numerators come back, over that
+    denominator times smap's."""
+    mask = (1 << smap[1]) - 1
     acc: dict = {}
-    for e, (fa, fb) in zip(f.poly, f_pairs):
-        for derivs, group in groups:
+    for e, (fa, fb) in poly.items():
+        for derivs, group in smap[2]:
             ff = 1
-            for j, d in derivs:
-                ff *= perm(e[j], d)
+            for s, d in derivs:
+                ff *= perm((e >> s) & mask, d)
             if not ff:
                 continue
             qa, qb = ff * fa, ff * fb
             for shift, wa, wb in group:
-                out = tuple(map(add, e, shift))
+                out = e + shift
                 re = wa * qa - wb * qb
                 im = wa * qb + wb * qa
                 slot = acc.get(out)
@@ -384,29 +379,42 @@ def _apply_map(smap, f: GaussianPolyFunction) -> GaussianPolyFunction:
                 else:
                     slot[0] += re
                     slot[1] += im
-    d = den * f_den
-    return _in_sector(f, {
-        e: _reduced(a, b, d) for e, (a, b) in acc.items() if a or b})
+    return {e: v for e, v in acc.items() if v[0] or v[1]}
 
 
-def _in_sector(f: GaussianPolyFunction, poly: CPoly) -> GaussianPolyFunction:
-    """poly times f's Gaussian, skipping re-validation.
+def _packed(f: GaussianPolyFunction, bits: int) -> tuple[int, dict]:
+    """f's polynomial as ``(den, {packed exponent: (a, b)})``."""
+    den, pairs = _common_denominator(f.poly.values())
+    return den, dict(zip((_pack(e, bits) for e in f.poly), pairs))
 
-    f's quad and lin were validated when f was built, and poly must map
-    exponent tuples of length K to canonical nonzero coefficients.
-    """
+
+def _unpacked(f: GaussianPolyFunction, bits: int, den: int,
+              poly: dict) -> GaussianPolyFunction:
+    """poly/den times f's Gaussian, each coefficient normalised once; f's
+    quad and lin were validated when f was built, so this skips that."""
+    mask = (1 << bits) - 1
     g = object.__new__(GaussianPolyFunction)
     object.__setattr__(g, "num_modes", f.num_modes)
-    object.__setattr__(g, "poly", poly)
+    object.__setattr__(g, "poly", {
+        tuple((e >> (j * bits)) & mask for j in range(f.num_modes)):
+            _reduced(a, b, den) for e, (a, b) in poly.items()})
     object.__setattr__(g, "quad", f.quad)
     object.__setattr__(g, "lin", f.lin)
     return g
 
 
+def _apply_map(smap, f: GaussianPolyFunction) -> GaussianPolyFunction:
+    """smap's operator applied to f, which must lie in smap's sector and
+    keep its digits within smap's width: pack, kernel, unpack."""
+    den, poly = _packed(f, smap[1])
+    return _unpacked(f, smap[1], den * smap[0], _kernel(smap, poly))
+
+
 def _apply_to_function(op: WeylPolynomial,
                        f: GaussianPolyFunction) -> GaussianPolyFunction:
     """op applied to f through one sector map built for f's sector."""
-    return _apply_map(_sector_map(op, f), f)
+    bits = (max(map(sum, f.poly), default=0) + op.degree).bit_length()
+    return _apply_map(_sector_map(op, f, bits), f)
 
 
 def apply_operator(op, f):
@@ -444,19 +452,13 @@ def eigencheck(ham: QuadraticHamiltonian, f) -> ComplexRational | None:
     must be an eigenfunction with one common eigenvalue (sectors are linearly
     independent, so this is the only way the sum can be one).
     """
-    if isinstance(f, GaussianPolySum):
-        if f.is_zero:
-            raise ValueError("eigencheck requires a nonzero function")
-        values = [_ratio(_apply_to_function(ham.op, comp).poly, comp.poly)
-                  for comp in f.components]
-        if any(v is None for v in values):
-            return None
-        if all(v == values[0] for v in values):
-            return values[0]
-        return None
     if f.is_zero:
         raise ValueError("eigencheck requires a nonzero function")
-    return _ratio(_apply_to_function(ham.op, f).poly, f.poly)
+    comps = f.components if isinstance(f, GaussianPolySum) else (f,)
+    values = [_ratio(_apply_to_function(ham.op, comp).poly, comp.poly)
+              for comp in comps]
+    # None equals no ComplexRational, so one None makes the result None
+    return values[0] if all(v == values[0] for v in values) else None
 
 
 @dataclass(frozen=True)
@@ -475,6 +477,29 @@ class SpectrumEntry:
     annihilated: bool = False
 
 
+def _raised(smap, state: tuple[int, dict]) -> tuple[int, dict]:
+    """smap applied to a packed state ``(den, poly)``, divided by its content."""
+    den, poly = state
+    poly = _kernel(smap, poly)
+    content = den = den * smap[0]
+    for a, b in poly.values():
+        content = gcd(content, a, b)
+        if content == 1:
+            return den, poly
+    return den // content, {
+        e: (a // content, b // content) for e, (a, b) in poly.items()}
+
+
+def _eigen_holds(h_poly: dict, h_den: int, poly: dict, energy) -> bool:
+    """Whether h_poly/h_den == energy*poly, both numerators over one den:
+    h_poly[e]*d == (a + b*i)*poly[e]*h_den for energy = (a + b*i)/d, so a
+    zero energy needs an empty h_poly."""
+    d, ((a, b),) = _common_denominator((energy,))
+    return len(h_poly) == (len(poly) if energy else 0) and all(
+        ha * d == (a * fa - b * fb) * h_den and hb * d == (a * fb + b * fa) * h_den
+        for e, (fa, fb) in poly.items() for ha, hb in (h_poly.get(e, (0, 0)),))
+
+
 def ladder_spectrum(ham: QuadraticHamiltonian,
                     vacuum: GaussianPolyFunction,
                     raise_a: LadderOperator,
@@ -490,11 +515,16 @@ def ladder_spectrum(ham: QuadraticHamiltonian,
     E(vacuum) + n*lambda_a + m*lambda_b; any mismatch raises
     VerificationError.  Vanishing states are reported as annihilated entries
     rather than errors.  Every state lies in the vacuum's Gaussian sector, so
-    H and both ladders are each turned into one sector map for the grid.
+    H and both ladders are each turned into one sector map for the grid, and
+    the grid stays packed at one digit width until each state is reported.
     """
     if vacuum.is_zero:
         raise ValueError("ladder_spectrum requires a nonzero vacuum")
-    h_map = _sector_map(ham.op, vacuum)
+    # a ladder is linear, so every digit of every state, and of H applied
+    # to it, fits in bits
+    bits = (max(map(sum, vacuum.poly)) + n_max + m_max
+            + ham.op.degree).bit_length()
+    h_map = _sector_map(ham.op, vacuum, bits)
     e_vac = _ratio(_apply_map(h_map, vacuum).poly, vacuum.poly)
     if e_vac is None:
         raise ValueError("vacuum is not an eigenfunction of the Hamiltonian")
@@ -502,26 +532,28 @@ def ladder_spectrum(ham: QuadraticHamiltonian,
         raise ValueError("ladder_spectrum needs ladders with exact frequencies")
     lam_a = raise_a.lam_exact
     lam_b = raise_b.lam_exact
-    a_map = _sector_map(raise_a.z, vacuum)
-    b_map = _sector_map(raise_b.z, vacuum)
-    base_row = [vacuum]
+    # a ladder's map is built only when its direction has rows to raise
+    a_map = _sector_map(raise_a.z, vacuum, bits) if n_max else None
+    b_map = _sector_map(raise_b.z, vacuum, bits) if m_max else None
+    base_row = [_packed(vacuum, bits)]
     for _ in range(m_max):
-        base_row.append(_apply_map(b_map, base_row[-1]))
+        base_row.append(_raised(b_map, base_row[-1]))
     grid = [base_row]
     for _ in range(n_max):
-        grid.append([_apply_map(a_map, fn) for fn in grid[-1]])
+        grid.append([_raised(a_map, state) for state in grid[-1]])
     entries: list[SpectrumEntry] = []
     for n in range(n_max + 1):
         for m in range(m_max + 1):
-            current = grid[n][m]
+            den, poly = grid[n][m]
             energy = e_vac + n * lam_a + m * lam_b
-            if current.is_zero:
+            if not poly:
                 entries.append(SpectrumEntry(
                     n=n, m=m, energy=energy, family=family,
                     function=None, annihilated=True))
                 continue
-            found = _ratio(_apply_map(h_map, current).poly, current.poly)
-            if found != energy:
+            current = _unpacked(vacuum, bits, den, poly)
+            if not _eigen_holds(_kernel(h_map, poly), h_map[0], poly, energy):
+                found = _ratio(_apply_map(h_map, current).poly, current.poly)
                 raise VerificationError(
                     f"state (n={n}, m={m}) has eigenvalue {found}, "
                     f"expected {energy}")
@@ -737,26 +769,28 @@ def _integrable_flags(entries: list[SpectrumEntry]) -> list[bool | None]:
     """is_square_integrable of each entry's function (None without one).
 
     The verdict depends only on the Gaussian exponent, and a family's states
-    share their vacuum's, so it is decided once per distinct ``quad``.
+    share their vacuum's ``quad`` object, so it is decided once per object,
+    keyed by identity (hashing ``quad`` would hash each entry as a Fraction).
     """
     by_quad: dict = {}
     flags: list[bool | None] = []
     for entry in entries:
         f = entry.function
         if isinstance(f, GaussianPolyFunction) and not f.is_zero:
-            if f.quad not in by_quad:
-                by_quad[f.quad] = is_square_integrable(f)
-            flags.append(by_quad[f.quad])
+            if id(f.quad) not in by_quad:
+                by_quad[id(f.quad)] = is_square_integrable(f)
+            flags.append(by_quad[id(f.quad)])
         else:
             flags.append(None if f is None else is_square_integrable(f))
     return flags
 
 
 def _entry_row(entry: SpectrumEntry, integrable: bool | None) -> dict:
+    energy = complex(entry.energy)
     return {
         "n": entry.n,
         "m": entry.m,
-        "energy": [complex(entry.energy).real, complex(entry.energy).imag],
+        "energy": [energy.real, energy.imag],
         "energy_exact": list(entry.energy.as_quad()),
         "annihilated": entry.annihilated,
         "square_integrable": integrable,

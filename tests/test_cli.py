@@ -565,6 +565,23 @@ class TestFailures:
         assert result.returncode == 2
         assert "unrecognized arguments: --tol-rank" in result.stderr
 
+    def test_out_file_is_rewritten_in_place(self, tmp_path):
+        # a long report, then a short one, to one path: no tail survives
+        out = tmp_path / "report.json"
+        long_args = ("--bateman", "b=1/2", "--ladder-states", "4", "--format", "json")
+        short_args = ("--bateman", "b=1/2", "--ladder-states", "0", "--format", "json")
+        assert run_cli(*long_args, "--out", str(out)).returncode == 0
+        long_size = out.stat().st_size
+        assert run_cli(*short_args, "--out", str(out)).returncode == 0
+        assert out.read_bytes() == run_cli(*short_args).stdout.encode("utf-8")
+        assert out.stat().st_size < long_size
+
+    def test_out_to_a_device_is_not_truncated(self):
+        # ftruncate fails on a character device, so only regular files are cut
+        result = run_cli("--bateman", "b=1/2", "--out", os.devnull)
+        assert result.returncode == 0
+        assert result.stderr == ""
+
     def test_unwritable_out_path(self, tmp_path):
         target = tmp_path / "missing" / "r.txt"
         result = run_cli("--bateman", "b=1/2", "--out", str(target))

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import random_fraction, random_polynomial
+from test_acceptance import B_VALUES
 from quadladder import wavefn
 from quadladder.adjoint import adjoint_matrix, validate_quadratic
 from quadladder.bateman import build_hd, vacuum_functions
@@ -31,7 +32,14 @@ from quadladder.wavefn import (
     spectrum_to_csv,
     spectrum_to_json,
 )
-from quadladder.weyl import ComplexRational, WeylPolynomial
+from quadladder.weyl import (
+    ComplexRational,
+    WeylPolynomial,
+    _add_term,
+    _common_denominator,
+    _ratio,
+    _reduced,
+)
 
 HALF = Fraction(1, 2)
 ONE = ComplexRational(1)
@@ -234,6 +242,151 @@ class TestLadderSpectrum:
             raise_b = dataclasses.replace(raise_b, lam_exact=raise_b.lam_exact + 1)
         with pytest.raises(VerificationError, match="has eigenvalue"):
             ladder_spectrum(ham, psi0, raise_a, raise_b, 1, 1)
+
+
+# ---------------------------------------------------------------------------
+# oracle: the ladder spectrum on exponent tuples, one canonical coefficient
+# per term between applications (the representation before packed exponents)
+# ---------------------------------------------------------------------------
+
+def _tuple_map(op, f):
+    """op in f's sector as ``(den, [(orders, [(shift tuple, a, b)])])``."""
+    k = f.num_modes
+    zero = (0,) * k
+    terms = {}
+    for mono, coeff in op.terms.items():
+        alpha, beta = mono[:k], mono[k:]
+        d_beta = {(zero, zero): coeff * ComplexRational(0, -1) ** sum(beta)}
+        for j, b in enumerate(beta):
+            for _ in range(b):
+                d_beta = wavefn._left_d(d_beta, j, f.quad, f.lin)
+        for (gamma, delta), w in d_beta.items():
+            shift = tuple(a + g - d for a, g, d in zip(alpha, gamma, delta))
+            _add_term(terms, (delta, shift), w)
+    den, pairs = _common_denominator(terms.values())
+    groups = {}
+    for (delta, shift), (a, b) in zip(terms, pairs):
+        groups.setdefault(delta, []).append((shift, a, b))
+    return den, [([(j, d) for j, d in enumerate(delta) if d], group)
+                 for delta, group in groups.items()]
+
+
+def _tuple_apply(smap, f):
+    den, groups = smap
+    f_den, f_pairs = _common_denominator(f.poly.values())
+    acc = {}
+    for e, (fa, fb) in zip(f.poly, f_pairs):
+        for derivs, group in groups:
+            ff = 1
+            for j, d in derivs:
+                ff *= math.perm(e[j], d)
+            for shift, wa, wb in group:
+                out = tuple(x + y for x, y in zip(e, shift))
+                re, im = acc.get(out, (0, 0))
+                acc[out] = (re + ff * (wa * fa - wb * fb),
+                            im + ff * (wa * fb + wb * fa))
+    return GaussianPolyFunction(f.num_modes, {
+        e: _reduced(a, b, den * f_den) for e, (a, b) in acc.items() if a or b},
+        f.quad, f.lin)
+
+
+def oracle_spectrum(ham, vacuum, raise_a, raise_b, n_max, m_max):
+    """[(n, m, energy, annihilated, function)] with H checked on every state."""
+    h_map = _tuple_map(ham.op, vacuum)
+    a_map = _tuple_map(raise_a.z, vacuum)
+    b_map = _tuple_map(raise_b.z, vacuum)
+    e_vac = _ratio(_tuple_apply(h_map, vacuum).poly, vacuum.poly)
+    row = [vacuum]
+    for _ in range(m_max):
+        row.append(_tuple_apply(b_map, row[-1]))
+    grid = [row]
+    for _ in range(n_max):
+        grid.append([_tuple_apply(a_map, f) for f in grid[-1]])
+    out = []
+    for n in range(n_max + 1):
+        for m in range(m_max + 1):
+            f = grid[n][m]
+            energy = e_vac + n * raise_a.lam_exact + m * raise_b.lam_exact
+            if not f.is_zero:
+                assert _ratio(_tuple_apply(h_map, f).poly, f.poly) == energy
+            out.append((n, m, energy, f.is_zero, None if f.is_zero else f))
+    return out
+
+
+def spectrum_rows(entries):
+    return [(e.n, e.m, e.energy, e.annihilated, e.function) for e in entries]
+
+
+class TestPackedSpectrum:
+    """ladder_spectrum on packed exponents against the tuple-keyed oracle."""
+
+    @pytest.mark.parametrize("b", B_VALUES)
+    @pytest.mark.parametrize("n_max", range(7))
+    def test_both_families_match_the_oracle(self, b, n_max):
+        ham, ladders, psi0, psi1 = bateman_setup(b)
+        for vacuum, raise_a, raise_b in ((psi0, ladders[2], ladders[3]),
+                                         (psi1, ladders[0], ladders[1]),
+                                         (psi0, ladders[0], ladders[3])):
+            args = (ham, vacuum, raise_a, raise_b, n_max, n_max)
+            assert spectrum_rows(ladder_spectrum(*args)) == oracle_spectrum(*args)
+
+    @pytest.mark.parametrize("offset", [1, 3])
+    def test_states_of_energy_zero_pass_the_check(self, offset):
+        # H - offset keeps the ladders and moves the vacuum energy 1 to
+        # 1 - offset, so state (k, k) with 2k + 1 = offset has energy 0 and
+        # H annihilates it: its check must accept an empty H f
+        ham, ladders, psi0, _ = bateman_setup(Fraction(1, 2))
+        shifted = validate_quadratic(ham.op - offset)
+        args = (shifted, psi0, ladders[2], ladders[3], 3, 3)
+        entries = ladder_spectrum(*args)
+        assert spectrum_rows(entries) == oracle_spectrum(*args)
+        k = (offset - 1) // 2
+        zero_state = next(e for e in entries if (e.n, e.m) == (k, k))
+        assert zero_state.energy == 0 and not zero_state.annihilated
+        assert apply_operator(shifted, zero_state.function).is_zero
+
+    @pytest.mark.parametrize("scale_a, scale_b, scale_vacuum", [
+        (ComplexRational(1, 1) / 2, Fraction(1, 3), 1),
+        (Fraction(1, 6), Fraction(1, 6), 1),
+        (Fraction(2, 3), Fraction(3, 2), Fraction(1, 4)),
+    ])
+    def test_content_is_divided_out_exactly(self, scale_a, scale_b, scale_vacuum):
+        # Bateman ladders have Gaussian-integer coefficients, so their states
+        # never share a factor with the denominator; scaled ladders (still
+        # ladders, with the same frequencies) make states that do
+        ham, ladders, psi0, _ = bateman_setup(Fraction(1, 2))
+        raise_a, raise_b = (
+            dataclasses.replace(lad, coefficients=tuple(c * s for c in lad.coefficients))
+            for lad, s in ((ladders[2], scale_a), (ladders[3], scale_b)))
+        args = (ham, psi0.scaled(scale_vacuum), raise_a, raise_b, 3, 3)
+        assert spectrum_rows(ladder_spectrum(*args)) == oracle_spectrum(*args)
+
+    @pytest.mark.parametrize("state, expected", [
+        ((4, {0: (2, 6), 1: (4, 10)}), (2, {0: (1, 3), 1: (2, 5)})),
+        ((2, {0: (1, 0), 1: (2, 2)}), None),     # the first real part blocks 2
+        ((2, {0: (2, 2), 1: (2, 1)}), None),     # the last imaginary part does
+        ((2, {0: (2, 2), 1: (1, 2)}), None),     # the last real part does
+    ])
+    def test_content_takes_every_numerator(self, state, expected):
+        # the identity map leaves the numerators alone, so what comes back
+        # is the state divided by the gcd of its denominator and numerators
+        identity = wavefn._sector_map(
+            WeylPolynomial.constant(1, 2), vacuum_functions()[0], 1)
+        den, poly = wavefn._raised(identity, state)
+        assert (den, {e: tuple(v) for e, v in poly.items()}) == (expected or state)
+
+    @pytest.mark.parametrize("n_max", [2, 3, 6])
+    def test_raised_vacuum_needs_wide_digits(self, n_max):
+        # a raised state as the vacuum: exponents beyond 2^3 from the start
+        ham, ladders, psi0, _ = bateman_setup(Fraction(1, 2))
+        vacuum = psi0
+        for _ in range(5):
+            vacuum = apply_operator(ladders[2], apply_operator(ladders[3], vacuum))
+        assert max(max(e) for e in vacuum.poly) == 10
+        args = (ham, vacuum, ladders[2], ladders[3], n_max, n_max)
+        entries = ladder_spectrum(*args)
+        assert spectrum_rows(entries) == oracle_spectrum(*args)
+        assert max(max(e) for e in entries[-1].function.poly) == 10 + 2 * n_max
 
 
 class TestSquareIntegrability:
