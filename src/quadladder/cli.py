@@ -226,6 +226,17 @@ def run_report(*, b: Fraction | None = None, expression: str | None = None,
     """
     if (b is None) == (expression is None):
         raise ValidationError("exactly one model source is required")
+    if ladder_states is not None:
+        # Usage errors go before any model work; only the defective-spectrum
+        # refusal below waits, because it needs the spectrum.
+        if b is None:
+            raise ValidationError(
+                "--ladder-states requires a --bateman model (its vacuum "
+                "wavefunctions seed the families)")
+        if not 0 <= ladder_states <= MAX_LADDER_STATES:
+            raise ValidationError(
+                f"--ladder-states must be between 0 and {MAX_LADDER_STATES}, "
+                f"got {ladder_states}")
     if b is not None:
         ham = build_hd(b)
     else:
@@ -265,14 +276,6 @@ def run_report(*, b: Fraction | None = None, expression: str | None = None,
         # The exact table is null once a ladder is inexact; skip building it.
         report["ladders"] = {**ladders_to_json(ladders), "commutator_table": None}
     if ladder_states is not None:
-        if b is None:
-            raise ValidationError(
-                "--ladder-states requires a --bateman model (its vacuum "
-                "wavefunctions seed the families)")
-        if not 0 <= ladder_states <= MAX_LADDER_STATES:
-            raise ValidationError(
-                f"--ladder-states must be between 0 and {MAX_LADDER_STATES}, "
-                f"got {ladder_states}")
         report["families"] = _families_doc(
             ham, ladders, report["ladders"]["ladders"], ladder_states)
     return report

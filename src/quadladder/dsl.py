@@ -11,6 +11,12 @@ Symbols are either the two-mode aliases x, y, px, py or the numbered forms
 x<N>, p<N> with 1 <= N <= MAX_MODES; mixing the two styles in one expression
 is an error that names the clashing symbols.  Powers attach to symbols only.
 
+One regular expression splits the text into tokens: runs of decimal digits
+(str.isdecimal, so a superscript or circled digit is an unexpected
+character), letter-led runs of letters and digits, and single operators.  A
+token keeps only its offset; an error's 1-based line:column is worked out
+from that offset, and only a newline starts a line.
+
 Parsing produces a flat sum-of-products AST: products are flattened left to
 right, parenthesized sums are distributed, and like terms are never merged,
 so the AST is a faithful record of the expression's term structure.  Every
@@ -55,63 +61,37 @@ MAX_PRODUCT_TERMS = 1024
 _ALIASES = {"x": ("x", 1), "y": ("x", 2), "px": ("p", 1), "py": ("p", 2)}
 _NUMBERED = re.compile(r"^([xp])([1-9][0-9]*)$")
 
-_TOKEN_NAMES = {
-    "+": "'+'", "-": "'-'", "*": "'*'", "/": "'/'",
-    "^": "'^'", "(": "'('", ")": "')'",
-}
+# One token per match: a run of decimal digits, a run of letters and digits,
+# or any other non-blank character.  \d is str.isdecimal, \w is str.isalnum
+# plus "_" and \s is str.isspace, so superscripts never start a number.
+_TOKEN = re.compile(r"\d+|[^\W_]+|\S")
+_OPERATORS = frozenset("+-*/^()")
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str          # "number", "ident", one of +-*/^() or "end"
-    text: str
-    line: int
-    col: int
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        ch = text[pos]
-        if ch == "\n":
-            line += 1
-            col = 1
-            pos += 1
-            continue
-        if ch.isspace():
-            col += 1
-            pos += 1
-            continue
-        if ch.isdigit():
-            start = pos
-            while pos < len(text) and text[pos].isdigit():
-                pos += 1
-            tokens.append(_Token("number", text[start:pos], line, col))
-            col += pos - start
-            continue
-        if ch.isalpha():
-            start = pos
-            while pos < len(text) and text[pos].isalnum():
-                pos += 1
-            tokens.append(_Token("ident", text[start:pos], line, col))
-            col += pos - start
-            continue
-        if ch in "+-*/^()":
-            tokens.append(_Token(ch, ch, line, col))
-            col += 1
-            pos += 1
-            continue
-        raise ParseError(
-            f"{line}:{col}: unexpected character {ch!r}", line, col, ())
-    tokens.append(_Token("end", "", line, col))
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, offset) tokens, closed by ("end", "", len(text))."""
+    tokens = []
+    for match in _TOKEN.finditer(text):
+        word = match[0]
+        if word.isdecimal():
+            kind = "number"
+        elif word[0].isalpha():
+            kind = "ident"
+        elif word in _OPERATORS:
+            kind = word
+        else:
+            raise _error_at(text, match.start(), f"unexpected character {word[0]!r}")
+        tokens.append((kind, word, match.start()))
+    tokens.append(("end", "", len(text)))
     return tokens
 
 
-def _error_at(tok: _Token, message: str, expected: tuple[str, ...] = ()) -> ParseError:
-    """A ParseError whose message starts with tok's line:column."""
-    return ParseError(f"{tok.line}:{tok.col}: {message}", tok.line, tok.col, expected)
+def _error_at(text: str, offset: int, message: str,
+              expected: tuple[str, ...] = ()) -> ParseError:
+    """A ParseError whose message starts with the line:column of text[offset]."""
+    line = text.count("\n", 0, offset) + 1
+    col = offset - text.rfind("\n", 0, offset)
+    return ParseError(f"{line}:{col}: {message}", line, col, expected)
 
 
 @dataclass(frozen=True)
@@ -132,59 +112,58 @@ class HamiltonianExpr:
         return {name for term in self.terms for name, _ in term.factors}
 
 
-def _int(token: _Token) -> int:
-    try:
-        return int(token.text)
-    except ValueError:   # more digits than the interpreter converts
-        raise _error_at(
-            token, f"number has too many digits ({len(token.text)})") from None
-
-
-def _validate_symbol(name: str, token: _Token) -> None:
-    if name in _ALIASES or _NUMBERED.match(name):
-        return
-    raise _error_at(token, f"unknown symbol {name!r}; expected one of x, y, px, "
-                    "py or numbered x<N>, p<N> with N >= 1", ("symbol",))
-
-
-def _check_no_mixing(symbols: set[str], line: int = 1, col: int = 1) -> None:
+def _check_no_mixing(symbols: set[str]) -> None:
     aliases = sorted(s for s in symbols if s in _ALIASES)
     numbered = sorted(s for s in symbols if _NUMBERED.match(s))
     if aliases and numbered:
         raise AliasConflictError(
             f"alias symbols {{{', '.join(aliases)}}} cannot be mixed with "
-            f"numbered symbols {{{', '.join(numbered)}}} in one expression",
-            line, col, ())
+            f"numbered symbols {{{', '.join(numbered)}}} in one expression")
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = _tokenize(text)
         self.pos = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def peek(self) -> str:
+        """Kind of the next token."""
+        return self.tokens[self.pos][0]
 
-    def advance(self) -> _Token:
+    def advance(self) -> tuple[str, str, int]:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
+    def error(self, tok, message: str, expected: tuple[str, ...] = ()) -> ParseError:
+        return _error_at(self.text, tok[2], message, expected)
+
     def fail(self, expected: tuple[str, ...]) -> ParseError:
-        tok = self.peek()
-        got = "end of input" if tok.kind == "end" else repr(tok.text)
-        names = ", ".join(expected)
-        return _error_at(tok, f"expected {names}; got {got}", expected)
+        kind, word, _ = tok = self.tokens[self.pos]
+        got = "end of input" if kind == "end" else repr(word)
+        return self.error(tok, f"expected {', '.join(expected)}; got {got}", expected)
+
+    def number(self) -> int:
+        """The next token, which must be a number, as an int."""
+        if self.peek() != "number":
+            raise self.fail(("number",))
+        tok = self.advance()
+        try:
+            return int(tok[1])
+        except ValueError:   # more digits than the interpreter converts
+            raise self.error(
+                tok, f"number has too many digits ({len(tok[1])})") from None
 
     def parse_expr(self) -> list[ExprTerm]:
         terms: list[ExprTerm] = []
         sign = ONE
-        if self.peek().kind in ("+", "-"):
-            if self.advance().kind == "-":
+        if self.peek() in ("+", "-"):
+            if self.advance()[0] == "-":
                 sign = -ONE
         terms.extend(self._signed_term(sign))
-        while self.peek().kind in ("+", "-"):
-            sign = ONE if self.advance().kind == "+" else -ONE
+        while self.peek() in ("+", "-"):
+            sign = ONE if self.advance()[0] == "+" else -ONE
             terms.extend(self._signed_term(sign))
         return terms
 
@@ -196,13 +175,13 @@ class _Parser:
 
     def parse_term(self) -> list[ExprTerm]:
         product, degree = self._bounded_factor(0)
-        while self.peek().kind == "*":
+        while self.peek() == "*":
             star = self.advance()
             rhs, degree = self._bounded_factor(degree)
             size = len(product) * len(rhs)
             if size > MAX_PRODUCT_TERMS:
-                raise _error_at(star, f"product flattens to {size} terms; the "
-                                      f"limit is {MAX_PRODUCT_TERMS}")
+                raise self.error(star, f"product flattens to {size} terms; the "
+                                       f"limit is {MAX_PRODUCT_TERMS}")
             product = [
                 ExprTerm(coeff=a.coeff * b.coeff, factors=a.factors + b.factors)
                 for a in product
@@ -212,50 +191,43 @@ class _Parser:
 
     def _bounded_factor(self, degree: int) -> tuple[list[ExprTerm], int]:
         """The next factor and the term degree, refused above MAX_TERM_DEGREE."""
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         factor = self.parse_factor()
         degree += max(sum(power for _, power in t.factors) for t in factor)
         if degree > MAX_TERM_DEGREE:
-            raise _error_at(
+            raise self.error(
                 tok, f"term has degree {degree}; the limit is {MAX_TERM_DEGREE}")
         return factor, degree
 
     def parse_factor(self) -> list[ExprTerm]:
-        tok = self.peek()
-        if tok.kind == "number":
-            self.advance()
-            numerator = _int(tok)
-            if self.peek().kind == "/":
+        kind, word, _ = tok = self.tokens[self.pos]
+        if kind == "number":
+            value = Fraction(self.number())
+            if self.peek() == "/":
                 self.advance()
-                den_tok = self.peek()
-                if den_tok.kind != "number":
-                    raise self.fail(("number",))
-                self.advance()
-                denominator = _int(den_tok)
+                den_tok = self.tokens[self.pos]
+                denominator = self.number()
                 if denominator == 0:
-                    raise _error_at(den_tok, "zero denominator")
-                value = Fraction(numerator, denominator)
-            else:
-                value = Fraction(numerator)
+                    raise self.error(den_tok, "zero denominator")
+                value /= denominator
             return [ExprTerm(coeff=ComplexRational(value), factors=())]
-        if tok.kind == "ident":
+        if kind == "ident":
             self.advance()
-            if tok.text == "i":
+            if word == "i":
                 return [ExprTerm(coeff=I, factors=())]
-            _validate_symbol(tok.text, tok)
+            if word not in _ALIASES and not _NUMBERED.match(word):
+                raise self.error(tok, f"unknown symbol {word!r}; expected one of "
+                                 "x, y, px, py or numbered x<N>, p<N> with N >= 1",
+                                 ("symbol",))
             power = 1
-            if self.peek().kind == "^":
+            if self.peek() == "^":
                 self.advance()
-                ptok = self.peek()
-                if ptok.kind != "number":
-                    raise self.fail(("number",))
-                self.advance()
-                power = _int(ptok)
-            return [ExprTerm(coeff=ONE, factors=((tok.text, power),))]
-        if tok.kind == "(":
+                power = self.number()
+            return [ExprTerm(coeff=ONE, factors=((word, power),))]
+        if kind == "(":
             self.advance()
             inner = self.parse_expr()
-            if self.peek().kind != ")":
+            if self.peek() != ")":
                 raise self.fail(("')'", "'+'", "'-'", "'*'"))
             self.advance()
             return inner
@@ -269,10 +241,9 @@ def parse_hamiltonian(text: str) -> HamiltonianExpr:
     on malformed input, and AliasConflictError when alias and numbered
     symbol styles are mixed.
     """
-    parser = _Parser(_tokenize(text))
+    parser = _Parser(text)
     terms = parser.parse_expr()
-    tok = parser.peek()
-    if tok.kind != "end":
+    if parser.peek() != "end":
         raise parser.fail(("'+'", "'-'", "'*'", "end of input"))
     expr = HamiltonianExpr(terms=tuple(terms))
     _check_no_mixing(expr.symbols())

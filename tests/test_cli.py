@@ -446,6 +446,22 @@ class TestInputBounds:
         assert cli.main(["--bateman", "b=1", "--ladder-states", "-1"]) == 2
         assert "--ladder-states must be between 0 and 16" in capsys.readouterr().err
 
+    def test_ladder_states_misuse_is_refused_before_model_work(self, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("model work ran before a usage error")
+        for name in ("parse_to_polynomial", "build_hd", "eigen_decompose"):
+            monkeypatch.setattr(cli, name, unreachable)
+        kind = (r"^--ladder-states requires a --bateman model \(its vacuum "
+                r"wavefunctions seed the families\)$")
+        # The free particle's spectrum is defective; the model kind is refused first.
+        for text in ("x1^2 + p1^2", "1/2*p1^2", "x1^"):
+            with pytest.raises(ValidationError, match=kind):
+                run_report(expression=text, ladder_states=1)
+        for n in (-1, cli.MAX_LADDER_STATES + 1):
+            with pytest.raises(ValidationError,
+                               match=f"^--ladder-states must be between 0 and 16, got {n}$"):
+                run_report(b=Fraction(1), ladder_states=n)
+
     def test_expression_size_caps(self, capsys):
         assert cli.main(["--expr", "*".join(["(x+y+px+py)"] * 10)]) == 2
         assert cli.main(["--expr", "p1^400*x1^400 - x1^400*p1^400"]) == 2

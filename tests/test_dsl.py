@@ -1,14 +1,22 @@
 """Expression language: parsing, lowering, rendering, error reporting."""
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from quadladder import cli
 from quadladder.bateman import build_hd
 from quadladder.dsl import (
+    _ALIASES,
+    _NUMBERED,
     MAX_MODES,
     MAX_PRODUCT_TERMS,
     MAX_TERM_DEGREE,
+    ExprTerm,
+    HamiltonianExpr,
     infer_num_modes,
     lower,
     parse_hamiltonian,
@@ -16,7 +24,7 @@ from quadladder.dsl import (
     render,
 )
 from quadladder.errors import AliasConflictError, ParseError
-from quadladder.weyl import ComplexRational, WeylPolynomial
+from quadladder.weyl import I, ONE, ComplexRational, WeylPolynomial
 
 
 def roundtrip(text):
@@ -175,3 +183,311 @@ class TestSizeBounds:
         with pytest.raises(ParseError, match="degree 7") as err:
             parse_hamiltonian("x1 + (x1 + p1^2)*x1^3*(p1^2 + 1)")
         assert (err.value.line, err.value.col) == (1, 23)
+
+
+class TestTokenPositions:
+    """Offsets become line:column only on error; only "\\n" starts a line."""
+
+    @pytest.mark.parametrize("text,line,col", [
+        ("x^\u00b2", 1, 3),
+        ("x1^2 + p1^\u00b2", 1, 11),
+        ("\u2460", 1, 1),
+        ("2\u00b2", 1, 2),
+        ("x1 + \u00bd", 1, 6),
+    ])
+    def test_non_decimal_digits_are_unexpected(self, text, line, col):
+        with pytest.raises(ParseError) as err:
+            parse_hamiltonian(text)
+        assert (err.value.line, err.value.col) == (line, col)
+        assert str(err.value) == f"{line}:{col}: unexpected character {text[col - 1]!r}"
+
+    def test_decimal_digits_of_any_script_are_numbers(self):
+        assert parse_hamiltonian("\u0663*x1") == parse_hamiltonian("3*x1")
+
+    @pytest.mark.parametrize("text,line,col", [
+        ("x1 +\r\n  @", 2, 3),
+        ("x1\r\n+\r\n@", 3, 1),
+        ("x1 +\t\t@", 1, 7),
+        ("x1 +\u2028@", 1, 6),
+        ("x1\x0b+\r@", 1, 6),
+        ("\n\n x1 + p1 @", 3, 10),
+    ])
+    def test_positions_across_blanks(self, text, line, col):
+        with pytest.raises(ParseError, match="unexpected character '@'") as err:
+            parse_hamiltonian(text)
+        assert (err.value.line, err.value.col) == (line, col)
+
+    @pytest.mark.parametrize("text,line,col", [
+        ("x1 +", 1, 5),
+        ("x1 +   ", 1, 8),
+        ("x1 +\n", 2, 1),
+        ("x1 +\r\n\t", 2, 2),
+        ("(x1", 1, 4),
+        ("", 1, 1),
+    ])
+    def test_end_of_input_positions(self, text, line, col):
+        with pytest.raises(ParseError, match="got end of input") as err:
+            parse_hamiltonian(text)
+        assert (err.value.line, err.value.col) == (line, col)
+
+    def test_numeral_too_long_for_int(self):
+        with pytest.raises(ParseError) as err:
+            parse_hamiltonian("x1 + 1/" + "7" * 5000)
+        assert str(err.value) == "1:8: number has too many digits (5000)"
+
+    def test_cli_refuses_a_superscript(self, capsys):
+        assert cli.main(["--expr", "x1^2 + p1^\u00b2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error [quadladder.dsl]: 1:11: unexpected character")
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the character-by-character tokenizer and its parser, as they were
+# before tokenizing became one regular expression.  Both must agree on every
+# text without a character that is str.isdigit but not str.isdecimal.
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _OldToken:
+    kind: str
+    text: str
+    line: int
+    col: int
+
+
+def _old_tokenize(text):
+    tokens = []
+    line, col = 1, 1
+    pos = 0
+    while pos < len(text):
+        ch = text[pos]
+        if ch == "\n":
+            line += 1
+            col = 1
+            pos += 1
+            continue
+        if ch.isspace():
+            col += 1
+            pos += 1
+            continue
+        if ch.isdigit():
+            start = pos
+            while pos < len(text) and text[pos].isdigit():
+                pos += 1
+            tokens.append(_OldToken("number", text[start:pos], line, col))
+            col += pos - start
+            continue
+        if ch.isalpha():
+            start = pos
+            while pos < len(text) and text[pos].isalnum():
+                pos += 1
+            tokens.append(_OldToken("ident", text[start:pos], line, col))
+            col += pos - start
+            continue
+        if ch in "+-*/^()":
+            tokens.append(_OldToken(ch, ch, line, col))
+            col += 1
+            pos += 1
+            continue
+        raise ParseError(
+            f"{line}:{col}: unexpected character {ch!r}", line, col, ())
+    tokens.append(_OldToken("end", "", line, col))
+    return tokens
+
+
+def _old_error_at(tok, message, expected=()):
+    return ParseError(f"{tok.line}:{tok.col}: {message}", tok.line, tok.col, expected)
+
+
+def _old_int(token):
+    try:
+        return int(token.text)
+    except ValueError:
+        raise _old_error_at(
+            token, f"number has too many digits ({len(token.text)})") from None
+
+
+def _old_check_no_mixing(symbols):
+    aliases = sorted(s for s in symbols if s in _ALIASES)
+    numbered = sorted(s for s in symbols if _NUMBERED.match(s))
+    if aliases and numbered:
+        raise AliasConflictError(
+            f"alias symbols {{{', '.join(aliases)}}} cannot be mixed with "
+            f"numbered symbols {{{', '.join(numbered)}}} in one expression",
+            1, 1, ())
+
+
+class _OldParser:
+    def __init__(self, tokens):
+        self.tokens = tokens
+        self.pos = 0
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def advance(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def fail(self, expected):
+        tok = self.peek()
+        got = "end of input" if tok.kind == "end" else repr(tok.text)
+        return _old_error_at(tok, f"expected {', '.join(expected)}; got {got}", expected)
+
+    def parse_expr(self):
+        terms = []
+        sign = ONE
+        if self.peek().kind in ("+", "-"):
+            if self.advance().kind == "-":
+                sign = -ONE
+        terms.extend(self._signed_term(sign))
+        while self.peek().kind in ("+", "-"):
+            sign = ONE if self.advance().kind == "+" else -ONE
+            terms.extend(self._signed_term(sign))
+        return terms
+
+    def _signed_term(self, sign):
+        return [ExprTerm(coeff=sign * t.coeff, factors=t.factors)
+                for t in self.parse_term()]
+
+    def parse_term(self):
+        product, degree = self._bounded_factor(0)
+        while self.peek().kind == "*":
+            star = self.advance()
+            rhs, degree = self._bounded_factor(degree)
+            size = len(product) * len(rhs)
+            if size > MAX_PRODUCT_TERMS:
+                raise _old_error_at(star, f"product flattens to {size} terms; the "
+                                          f"limit is {MAX_PRODUCT_TERMS}")
+            product = [
+                ExprTerm(coeff=a.coeff * b.coeff, factors=a.factors + b.factors)
+                for a in product for b in rhs]
+        return product
+
+    def _bounded_factor(self, degree):
+        tok = self.peek()
+        factor = self.parse_factor()
+        degree += max(sum(power for _, power in t.factors) for t in factor)
+        if degree > MAX_TERM_DEGREE:
+            raise _old_error_at(
+                tok, f"term has degree {degree}; the limit is {MAX_TERM_DEGREE}")
+        return factor, degree
+
+    def parse_factor(self):
+        tok = self.peek()
+        if tok.kind == "number":
+            self.advance()
+            numerator = _old_int(tok)
+            if self.peek().kind == "/":
+                self.advance()
+                den_tok = self.peek()
+                if den_tok.kind != "number":
+                    raise self.fail(("number",))
+                self.advance()
+                denominator = _old_int(den_tok)
+                if denominator == 0:
+                    raise _old_error_at(den_tok, "zero denominator")
+                value = Fraction(numerator, denominator)
+            else:
+                value = Fraction(numerator)
+            return [ExprTerm(coeff=ComplexRational(value), factors=())]
+        if tok.kind == "ident":
+            self.advance()
+            if tok.text == "i":
+                return [ExprTerm(coeff=I, factors=())]
+            if not (tok.text in _ALIASES or _NUMBERED.match(tok.text)):
+                raise _old_error_at(
+                    tok, f"unknown symbol {tok.text!r}; expected one of x, y, px, "
+                    "py or numbered x<N>, p<N> with N >= 1", ("symbol",))
+            power = 1
+            if self.peek().kind == "^":
+                self.advance()
+                ptok = self.peek()
+                if ptok.kind != "number":
+                    raise self.fail(("number",))
+                self.advance()
+                power = _old_int(ptok)
+            return [ExprTerm(coeff=ONE, factors=((tok.text, power),))]
+        if tok.kind == "(":
+            self.advance()
+            inner = self.parse_expr()
+            if self.peek().kind != ")":
+                raise self.fail(("')'", "'+'", "'-'", "'*'"))
+            self.advance()
+            return inner
+        raise self.fail(("number", "'i'", "symbol", "'('"))
+
+
+def _old_parse_hamiltonian(text):
+    parser = _OldParser(_old_tokenize(text))
+    terms = parser.parse_expr()
+    if parser.peek().kind != "end":
+        raise parser.fail(("'+'", "'-'", "'*'", "end of input"))
+    expr = HamiltonianExpr(terms=tuple(terms))
+    _old_check_no_mixing(expr.symbols())
+    return expr
+
+
+def _outcome(parse, text):
+    """The AST, or everything a caller can read off the error."""
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return type(exc), str(exc), exc.line, exc.col, exc.expected
+
+
+def _non_decimal_digit(text):
+    return any(c.isdigit() and not c.isdecimal() for c in text)
+
+
+# Grammar pieces and blanks of every kind, with stray characters and digits
+# of other scripts a few times rarer; most texts are near-misses of input.
+_GRAMMAR_PIECES = [
+    "x", "y", "px", "py", "x1", "p1", "x2", "p2", "x17", "q1", "i",
+    "0", "1", "2", "12", "007", "+", "-", "*", "/", "^", "(", ")",
+    " ", "  ", "\t", "\n", "\r\n", "\r", "\x0b", "\u2028",
+]
+_STRAY = ["\u0663", "\u00a0", "@", "_", "\u00bd", "\u00e9"]
+_GRAMMAR_TEXT = st.lists(
+    st.sampled_from(_GRAMMAR_PIECES * 4 + _STRAY), max_size=24).map("".join)
+# Well-formed sums and products with blanks between the tokens: they keep the
+# two parsers' ASTs, not only their errors, under comparison.
+_BLANK = st.sampled_from(["", "", "", " ", "\t", "\n", "\r\n", "\u2028"])
+_FACTOR = st.sampled_from([
+    "1", "2", "3/4", "1/0", "i", "x1", "p1", "x2^2", "p2^0", "x3^7", "x", "px^2",
+    "py", "x0", "\u0663"])
+_EXPRESSIONS = st.recursive(_FACTOR, lambda inner: st.one_of(
+    st.tuples(inner, _BLANK, st.sampled_from("+-*"), _BLANK, inner),
+    st.tuples(st.just("("), _BLANK, inner, _BLANK, st.just(")")),
+    st.tuples(st.sampled_from("+-"), inner)).map("".join), max_leaves=12)
+
+
+class TestOracle:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(text=st.text())
+    def test_any_unicode_text(self, text):
+        assume(not _non_decimal_digit(text))
+        assert _outcome(parse_hamiltonian, text) == \
+            _outcome(_old_parse_hamiltonian, text)
+
+    @settings(max_examples=1500, deadline=None, derandomize=True)
+    @given(text=st.one_of(_GRAMMAR_TEXT, _EXPRESSIONS))
+    def test_grammar_weighted_text(self, text):
+        assert _outcome(parse_hamiltonian, text) == \
+            _outcome(_old_parse_hamiltonian, text)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(head=_GRAMMAR_TEXT, digit=st.sampled_from("\u00b2\u00b9\u2460\u2075"),
+           tail=_GRAMMAR_TEXT)
+    def test_non_decimal_digits_never_parse(self, head, digit, tail):
+        with pytest.raises(ParseError):
+            parse_hamiltonian(head + digit + tail)
+
+    def test_large_corpus(self):
+        for text in (TestRendering.CORPUS + [
+                f"1/2*{TestSizeBounds.SUM32}*{TestSizeBounds.SUM32}",
+                "*".join(["(x+y+px+py)"] * 10), "x^2 + p1^2",
+                "x1 + 1/" + "7" * 5000]):
+            assert _outcome(parse_hamiltonian, text) == \
+                _outcome(_old_parse_hamiltonian, text)
