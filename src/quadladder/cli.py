@@ -6,8 +6,8 @@ commutator table, and (on request) symbolic ladder-state families, emitting
 a deterministic text or JSON report.  The JSON text is byte-identical to
 ``json.dumps(report, indent=2)`` plus a newline.  Exit codes: 0 on success,
 2 for validation errors (bad expressions, non-quadratic or non-Hermitian
-input, bad flags), 3 for numeric failures (non-convergence, residuals out of
-tolerance, values beyond the float range).
+input, bad flags, a report that cannot be written), 3 for numeric failures
+(non-convergence, residuals out of tolerance, values beyond the float range).
 
 Model sources (exactly one):
   --bateman b=<rat>  |  --bateman m=<rat>,gamma=<rat>,omega=<rat>[,hbar=<rat>]
@@ -71,11 +71,22 @@ def _parse_rational(text: str) -> Fraction:
         raise ValidationError(f"not a rational number: {text!r}") from exc
 
 
-def _bateman_params(**fields: Fraction) -> BatemanParams:
-    try:
-        return BatemanParams(**fields)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+def _bateman_b(fields: dict[str, Fraction]) -> Fraction:
+    """b from exactly {b}, or {m, gamma, omega} plus an optional hbar."""
+    keys = set(fields)
+    if keys == {"b"}:
+        b = fields["b"]
+    elif {"m", "gamma", "omega"} <= keys <= {"m", "gamma", "omega", "hbar"}:
+        try:
+            b = dimensionless_b(BatemanParams(**fields))
+        except ValueError as exc:
+            raise ValidationError(str(exc)) from exc
+    else:
+        raise ValidationError("a Bateman model takes b, or m, gamma, omega and "
+                              f"an optional hbar; got {sorted(keys)}")
+    if b < 0:
+        raise ValidationError(f"b must be nonnegative, got {b}")
+    return b
 
 
 def _parse_bateman_spec(spec: str) -> Fraction:
@@ -86,19 +97,11 @@ def _parse_bateman_spec(spec: str) -> Fraction:
             raise ValidationError(
                 f"bad --bateman field {part!r}; expected key=value")
         key, _, value = part.partition("=")
-        fields[key.strip()] = _parse_rational(value)
-    if set(fields) == {"b"}:
-        b = fields["b"]
-        if b < 0:
-            raise ValidationError(f"b must be nonnegative, got {b}")
-        return b
-    required = {"m", "gamma", "omega"}
-    if required <= set(fields) and set(fields) <= required | {"hbar"}:
-        return dimensionless_b(_bateman_params(
-            m=fields["m"], gamma=fields["gamma"], omega=fields["omega"],
-            hbar=fields.get("hbar", Fraction(1))))
-    raise ValidationError(
-        "--bateman expects either b=<rat> or m=<rat>,gamma=<rat>,omega=<rat>")
+        key = key.strip()
+        if key in fields:
+            raise ValidationError(f"repeated --bateman field {key!r}")
+        fields[key] = _parse_rational(value)
+    return _bateman_b(fields)
 
 
 def _parse_sweep_spec(spec: str) -> list[Fraction]:
@@ -157,25 +160,18 @@ def _load_model_file(path: str) -> dict:
         raise ValidationError(f"model file {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValidationError("model file must hold a JSON object")
+    if ("bateman" in doc) == ("expression" in doc):
+        raise ValidationError(
+            "model file needs exactly one of a 'bateman' and an 'expression' entry")
     if "bateman" in doc:
         fields = doc["bateman"]
         if not isinstance(fields, dict):
             raise ValidationError("'bateman' must be an object")
-        if "b" in fields:
-            b = _rational_from_json(fields["b"])
-            if b < 0:
-                raise ValidationError(f"b must be nonnegative, got {b}")
-            return {"b": b}
-        return {"b": dimensionless_b(_bateman_params(
-            m=_rational_from_json(fields.get("m", 1)),
-            gamma=_rational_from_json(fields.get("gamma", 0)),
-            omega=_rational_from_json(fields.get("omega", 1)),
-            hbar=_rational_from_json(fields.get("hbar", 1))))}
-    if "expression" in doc:
-        if not isinstance(doc["expression"], str):
-            raise ValidationError("'expression' must be a string")
-        return {"expression": doc["expression"]}
-    raise ValidationError("model file needs a 'bateman' or 'expression' entry")
+        return {"b": _bateman_b(
+            {key: _rational_from_json(value) for key, value in fields.items()})}
+    if not isinstance(doc["expression"], str):
+        raise ValidationError("'expression' must be a string")
+    return {"expression": doc["expression"]}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -552,8 +548,12 @@ def main(argv: list[str] | None = None) -> int:
             and sys.stdout.isatty()
             and not os.environ.get("QUADLADDER_NO_COLOR"))
         payload = render_text(report, color=color)
-    if args.out is not None:
-        try:
+    target = "stdout" if args.out is None else args.out
+    try:
+        if args.out is None:
+            sys.stdout.write(payload)
+            sys.stdout.flush()
+        else:
             # Rewritten in place: truncating a file that holds data to zero
             # makes ext4 and XFS start writeback on close.
             fd = os.open(args.out, os.O_WRONLY | os.O_CREAT, 0o666)
@@ -561,12 +561,15 @@ def main(argv: list[str] | None = None) -> int:
                 fh.write(payload)
                 if stat.S_ISREG(os.fstat(fd).st_mode):
                     fh.truncate()
-        except OSError as exc:
-            print(f"error [quadladder.cli]: cannot write report to {args.out}: {exc}",
-                  file=sys.stderr)
-            return 2
-    else:
-        sys.stdout.write(payload)
+    except OSError as exc:
+        print(f"error [quadladder.cli]: cannot write report to {target}: {exc}",
+              file=sys.stderr)
+        if args.out is None:
+            # The interpreter flushes stdout again at exit; let that succeed.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, 1)
+            os.close(devnull)
+        return 2
     return 0
 
 

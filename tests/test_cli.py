@@ -406,6 +406,76 @@ class TestModelFiles:
         assert run_cli("--model", str(tmp_path / "missing.json")).returncode == 2
 
 
+def assert_one_error_line(result, label="quadladder.cli"):
+    assert result.returncode == 2
+    assert result.stderr.startswith(f"error [{label}]:")
+    assert result.stderr.count("\n") == 1
+    assert "Traceback" not in result.stderr
+    assert "Exception ignored" not in result.stderr
+
+
+class TestStrictBatemanFields:
+    @pytest.mark.parametrize("doc", [
+        {"bateman": {"gama": 1}},
+        {"bateman": {"b": 1, "m": 3}},
+        {"bateman": {"gamma": -1}},
+        {"bateman": {"b": 1}, "expression": "x1^2 + p1^2"},
+    ])
+    def test_misread_model_files_exit_2(self, doc, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        assert_one_error_line(run_cli("--model", str(path)))
+
+    @pytest.mark.parametrize("spec", ["b=1,b=2", "gama=1",
+                                      "m=1,gamma=1,omega=1,omega=2"])
+    def test_misread_specs_exit_2(self, spec):
+        assert_one_error_line(run_cli("--bateman", spec))
+
+    def test_physical_fields_are_checked_by_the_model(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"bateman": {"m": 1, "gamma": -1, "omega": 1}}))
+        result = run_cli("--model", str(path))
+        assert_one_error_line(result, "quadladder.bateman")
+        assert "gamma must be nonnegative" in result.stderr
+
+    def test_both_sources_read_the_same_fields(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(
+            {"bateman": {"m": 3, "gamma": "3/2", "omega": 1, "hbar": 2}}))
+        from_file = run_cli("--model", str(path), "--format", "json")
+        from_spec = run_cli("--bateman", "m=3,gamma=3/2,omega=1,hbar=2",
+                            "--format", "json")
+        assert from_file.returncode == from_spec.returncode == 0
+        assert from_file.stdout == from_spec.stdout
+        assert json.loads(from_file.stdout)["model"]["b"] == [1, 2]
+
+
+class TestStdoutFailures:
+    ARGS = ("--bateman", "b=1/2", "--ladder-states", "16", "--format", "json")
+
+    def run_to(self, stdout):
+        env = dict(os.environ, QUADLADDER_NO_COLOR="1")
+        return subprocess.run(CMD + list(self.ARGS), stdout=stdout,
+                              stderr=subprocess.PIPE, text=True, env=env)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_device_exits_2(self):
+        with open("/dev/full", "w") as full:
+            result = self.run_to(full)
+        assert_one_error_line(result)
+        assert "cannot write report to stdout" in result.stderr
+
+    def test_closed_pipe_exits_2(self):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = self.run_to(write_end)
+        finally:
+            os.close(write_end)
+        assert_one_error_line(result)
+        assert "cannot write report to stdout" in result.stderr
+
+
 class TestSweep:
     def test_json_sweep(self):
         result = run_cli("--sweep", "b=0..2:1/2", "--format", "json")

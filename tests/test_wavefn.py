@@ -7,13 +7,20 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_fraction, random_polynomial
 from test_acceptance import B_VALUES
 from quadladder import wavefn
 from quadladder.adjoint import adjoint_matrix, validate_quadratic
 from quadladder.bateman import build_hd, vacuum_functions
-from quadladder.errors import DivergentInputError, VerificationError
+from quadladder.dsl import parse_to_polynomial
+from quadladder.errors import (
+    DivergentInputError,
+    NumericFailureError,
+    VerificationError,
+)
 from quadladder.ladders import build_ladders
 from quadladder.spectral import eigen_decompose
 from quadladder.wavefn import (
@@ -21,6 +28,8 @@ from quadladder.wavefn import (
     GaussianPolyFunction,
     GaussianPolySum,
     annihilation_check,
+    _cp_mul,
+    _gaussian_integral,
     _negative_definite,
     apply_operator,
     eigencheck,
@@ -33,6 +42,7 @@ from quadladder.wavefn import (
     spectrum_to_json,
 )
 from quadladder.weyl import (
+    ZERO,
     ComplexRational,
     WeylPolynomial,
     _add_term,
@@ -595,3 +605,162 @@ class TestSerialization:
             "0,0,1.0,0.0,false,false\n"
             "1,0,0.0,-0.5,true,\n"
         )
+
+
+# ---------------------------------------------------------------------------
+# oracle: the Gaussian integral by eliminating one variable at a time, as
+# wavefn computed it before the moment recurrence (kept verbatim)
+# ---------------------------------------------------------------------------
+
+def _old_double_factorial_odd(j: int) -> int:
+    """(j-1)!! for even j >= 0."""
+    out = 1
+    for t in range(j - 1, 0, -2):
+        out *= t
+    return out
+
+
+def _old_gaussian_integral(poly, quad, lin):
+    """Exact-symbolic integral of poly * exp(x^T quad x + lin^T x) over R^K.
+
+    Requires Re(quad) negative definite (callers check).  Variables are
+    eliminated last to first; all polynomial and exponent bookkeeping stays
+    rational, and each elimination contributes sqrt(pi / -a) with Re(a) < 0,
+    so every square root takes the principal branch on the right half plane.
+    """
+    n = len(lin)
+    a_mat = [list(row) for row in quad]
+    b_vec = list(lin)
+    g = dict(poly)
+    const_exp = ZERO
+    factor = 1.0 + 0j
+    for n_vars in range(n, 0, -1):
+        if not g:
+            return 0j
+        k = n_vars - 1
+        a = a_mat[k][k]
+        if not (a.re < 0):
+            raise NumericFailureError(
+                "elimination pivot has nonnegative real part; "
+                "exponent is not negative definite")
+        sigma2 = ComplexRational(-1) / (2 * a)     # variance of the 1-d factor
+        l_poly = {}                                 # L with x_k coefficient split off
+        for j in range(k):
+            coeff = 2 * a_mat[j][k]
+            if coeff:
+                exps = [0] * k
+                exps[j] = 1
+                _add_term(l_poly, tuple(exps), coeff)
+        if b_vec[k]:
+            _add_term(l_poly, (0,) * k, b_vec[k])
+
+        # integrate x_k: x_k^mm pairs with moments of the shifted Gaussian
+        new_g = {}
+        groups = {}
+        for exps, coeff in g.items():
+            groups.setdefault(exps[-1], {})[exps[:-1]] = coeff
+        l_powers = {0: {(0,) * k: ONE}}
+        max_m = max(groups)
+        for t in range(1, max_m + 1):
+            l_powers[t] = _cp_mul(l_powers[t - 1], l_poly)
+        for mm, rest_poly in groups.items():
+            shifted_sum = {}
+            for j in range(0, mm + 1, 2):
+                weight = (math.comb(mm, j) * _old_double_factorial_odd(j)) * (
+                    sigma2 ** (j // 2 + mm - j))
+                for exps, coeff in l_powers[mm - j].items():
+                    _add_term(shifted_sum, exps, coeff * weight)
+            for e1, c1 in rest_poly.items():
+                for e2, c2 in shifted_sum.items():
+                    _add_term(new_g, tuple(x + y for x, y in zip(e1, e2)),
+                              c1 * c2)
+        g = new_g
+
+        # push exp(-L^2/(4a)) = exp((sigma2/2) L^2) into the remaining exponent
+        half_sigma2 = sigma2 / 2
+        l_sq = _cp_mul(l_poly, l_poly)
+        for exps, coeff in l_sq.items():
+            deg = sum(exps)
+            contrib = coeff * half_sigma2
+            if deg == 0:
+                const_exp = const_exp + contrib
+            elif deg == 1:
+                b_vec[exps.index(1)] = b_vec[exps.index(1)] + contrib
+            else:
+                i1 = next(t for t, e in enumerate(exps) if e)
+                if exps[i1] == 2:
+                    a_mat[i1][i1] = a_mat[i1][i1] + contrib
+                else:
+                    i2 = next(t for t in range(i1 + 1, k) if exps[t])
+                    half = contrib / 2
+                    a_mat[i1][i2] = a_mat[i1][i2] + half
+                    a_mat[i2][i1] = a_mat[i2][i1] + half
+        a_mat = [row[:k] for row in a_mat[:k]]
+        b_vec = b_vec[:k]
+        factor *= cmath.sqrt(cmath.pi / complex(-a))
+    constant = g.get((), ZERO)
+    return complex(constant) * cmath.exp(complex(const_exp)) * factor
+
+
+_RAT = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def integrands(draw):
+    """poly, quad, lin with K <= 4, Re(quad) = -(B B^T + eps I) < 0."""
+    k = draw(st.integers(1, 4))
+    b = [[draw(_RAT) for _ in range(k)] for _ in range(k)]
+    eps = draw(st.sampled_from([Fraction(1), HALF, Fraction(1, 4)]))
+    im = [[draw(_RAT) for _ in range(k)] for _ in range(k)]
+    quad = tuple(tuple(ComplexRational(
+        -sum(b[i][t] * b[j][t] for t in range(k)) - (eps if i == j else 0),
+        (im[i][j] + im[j][i]) / 2) for j in range(k)) for i in range(k))
+    value = st.builds(ComplexRational, _RAT, _RAT)
+    lin = tuple(draw(st.one_of(st.just(ZERO), value)) for _ in range(k))
+    poly = {}
+    exps = st.tuples(*[st.integers(0, 5)] * k)
+    for e, c in draw(st.lists(st.tuples(exps, value), max_size=5)):
+        _add_term(poly, e, c)
+    return poly, quad, lin
+
+
+class TestGaussianIntegral:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(integrand=integrands())
+    def test_bit_identical_to_the_elimination_oracle(self, integrand):
+        assert _gaussian_integral(*integrand) == _old_gaussian_integral(*integrand)
+
+    def test_high_degree_moment_has_the_closed_form(self):
+        value = _gaussian_integral(
+            {(200,): ONE}, ((ComplexRational(-HALF),),), (ZERO,))
+        expected = math.prod(range(1, 200, 2)) * math.sqrt(2 * math.pi)
+        assert abs(value - expected) <= 1e-12 * expected
+
+    def test_zero_polynomial_is_zero(self):
+        assert _gaussian_integral({}, ((ComplexRational(1),),), (ZERO,)) == 0j
+
+    def test_pivot_with_nonnegative_real_part_fails(self):
+        quad = ((ComplexRational(-1), ONE), (ONE, ComplexRational(-1)))
+        with pytest.raises(NumericFailureError, match="pivot"):
+            _gaussian_integral({(0, 0): ONE}, quad, (ZERO, ZERO))
+
+    def test_oscillator_states_of_different_energies_are_orthogonal(self):
+        ham = validate_quadratic(parse_to_polynomial(
+            "1/2*p1^2 + 1/2*p2^2 + 5/4*x1^2 + 5/4*x2^2 + 3/2*x1*x2"))
+        ladders = build_ladders(ham, eigen_decompose(adjoint_matrix(ham)))
+        raise_1, raise_2 = sorted(
+            (lad for lad in ladders if lad.lam.real > 0),
+            key=lambda lad: lad.lam.real)
+        assert (raise_1.lam, raise_2.lam) == (1, 2)
+        diag, off = ComplexRational(Fraction(-3, 4)), ComplexRational(Fraction(-1, 4))
+        vacuum = GaussianPolyFunction.pure_gaussian(((diag, off), (off, diag)))
+        entries = ladder_spectrum(ham, vacuum, raise_1, raise_2, 3, 3)
+        assert entries[0].energy == Fraction(3, 2)
+        assert all(entry.function is not None for entry in entries)
+        for a in entries:
+            for b in entries:
+                value = inner_product(a.function, b.function)
+                if a.energy != b.energy:
+                    assert value == 0
+                elif a is b:
+                    assert value.imag == 0 and value.real > 0
