@@ -150,10 +150,18 @@ def _rational_from_json(value) -> Fraction:
         f"not a rational number: {value!r} (use int, 'a/b', or [num, den])")
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's members as a dict, refusing a repeated key."""
+    keys = [key for key, _ in pairs]
+    if len(set(keys)) < len(keys):
+        raise ValidationError(f"repeated model file key {max(keys, key=keys.count)!r}")
+    return dict(pairs)
+
+
 def _load_model_file(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ValidationError(f"cannot read model file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

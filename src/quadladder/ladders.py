@@ -18,7 +18,7 @@ the Weyl product as an independent check.
 
 from dataclasses import dataclass
 
-from .adjoint import ComplexMatrix, QuadraticHamiltonian, adjoint_matrix, eigen_residual
+from .adjoint import QuadraticHamiltonian, adjoint_matrix, eigen_residual
 from .errors import (
     DefectiveSpectrumError,
     DimensionMismatchError,
@@ -100,13 +100,6 @@ def _normalize_float(vec: tuple[complex, ...]) -> list[complex]:
     return out
 
 
-def _relative_worst(m: ComplexMatrix, lam: complex, coeffs: list[complex]) -> float:
-    """Worst entry of M c - lambda c over max(1, ||M||_inf) * max|c|, a bound
-    that holds however c is scaled (a mode localized away from x1 has huge c)."""
-    scale = max(1.0, m.norm_inf()) * max(abs(c) for c in coeffs)
-    return max(map(abs, eigen_residual(m.entries, lam, coeffs))) / scale
-
-
 def build_ladders(ham: QuadraticHamiltonian,
                   spectrum: SpectralResult) -> list[LadderOperator]:
     """One ladder per eigenvector, ordered by (Re lambda, Im lambda).
@@ -115,7 +108,9 @@ def build_ladders(ham: QuadraticHamiltonian,
     ladder set does not exist then).  Each eigenvector is scaled so that its
     first nonzero coefficient (float: the first above 1e-10) is 1.  Exact
     eigen-data is verified exactly; float eigen-data must satisfy M c =
-    lambda c in complex floats to LADDER_RESIDUAL_TOL, relative as above.
+    lambda c in complex floats to LADDER_RESIDUAL_TOL relative to
+    max(1, ||M||_inf) max|c|, a bound that holds however c is scaled (a mode
+    localized away from x1 has huge c).
     Raises VerificationError when M is not purely imaginary (H is not
     Hermitian, so dagger(Z) need not be a ladder) or when some lambda has no
     partner frequency -conj(lambda) within PAIRING_TOL.
@@ -134,6 +129,7 @@ def build_ladders(ham: QuadraticHamiltonian,
             "adjoint matrix is not purely imaginary: the Hamiltonian is not "
             "Hermitian, so the dagger of a ladder need not be a ladder")
     ladders: list[LadderOperator] = []
+    norm = 0.0  # max(1, ||M||_inf), computed at the first float ladder
     for freq in spectrum.frequencies:
         for k in range(freq.geometric_multiplicity):
             exact_vec = freq.eigenvectors_exact[k]
@@ -148,7 +144,9 @@ def build_ladders(ham: QuadraticHamiltonian,
                         f"{WeylPolynomial.from_linear(residual, num_modes)}")
             else:
                 floats = _normalize_float(freq.eigenvectors[k])
-                worst = _relative_worst(m, freq.lam, floats)
+                norm = norm or max(1.0, m.norm_inf())
+                worst = (max(map(abs, eigen_residual(m.entries, freq.lam, floats)))
+                         / (norm * max(abs(c) for c in floats)))
                 if worst >= LADDER_RESIDUAL_TOL:
                     raise VerificationError(
                         f"ladder at lambda={freq.lam} fails its commutation "

@@ -5,8 +5,8 @@ characteristic polynomial chi(lambda) = q(lambda^2), with q of degree K and
 real rational coefficients (the square-reduced structure of a Hamiltonian
 matrix, Van Loan 1984).  The spectral data follow from q on one exact path:
 
-1. chi is computed exactly over the complex rationals from the Hessenberg
-   form of M.
+1. chi is computed exactly from the integer matrix d*M (d a common
+   denominator) by Hessenberg elimination modulo one Mersenne prime.
 2. The roots s of q come from its exact square-free decomposition (Yun's
    algorithm, which fixes every multiplicity) and a Durand-Kerner iteration
    per factor.  Newton steps in integer fixed point refine each s until the
@@ -31,12 +31,12 @@ import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
-from math import frexp, gcd, isqrt, lcm, ldexp
+from math import frexp, isqrt, lcm, ldexp
 from typing import Sequence
 
 from .adjoint import ComplexMatrix, Scalar
 from .errors import NumericFailureError
-from .weyl import ComplexRational, ONE, ZERO
+from .weyl import ComplexRational, ONE, ZERO, _common_denominator, _reduced
 
 __all__ = [
     "NaturalFrequency",
@@ -162,53 +162,100 @@ def squarefree_factors(p: Poly) -> list[tuple[Poly, int]]:
 # characteristic polynomial
 # ---------------------------------------------------------------------------
 
+# Exponents e of the Mersenne primes 2^e - 1 >= 2^61 - 1, each 3 (mod 4).
+_MERSENNE_EXPONENTS = (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423, 9689,
+                       9941, 11213, 19937, 21701, 23209, 44497, 86243, 110503, 132049,
+                       216091, 756839, 859433, 1257787, 1398269)
+
+
+class _GaussMod(tuple):
+    """(a, b) = a + b*i in Z[i]/(p) = GF(p^2), with the arithmetic the elimination uses."""
+
+    def __add__(self, o):
+        return _GaussMod((self[0] + o[0], self[1] + o[1]))
+
+    def __sub__(self, o):
+        return _GaussMod((self[0] - o[0], self[1] - o[1]))
+
+    def __mul__(self, o):
+        return _GaussMod((self[0] * o[0] - self[1] * o[1], self[0] * o[1] + self[1] * o[0]))
+
+    def __mod__(self, p):
+        return _GaussMod((self[0] % p, self[1] % p))
+
+    def __pow__(self, e, p):  # e = -1: (a - bi)/(a^2 + b^2)
+        n = pow(self[0] ** 2 + self[1] ** 2, e, p)
+        return _GaussMod((self[0] * n % p, -self[1] * n % p))
+
+    def __bool__(self):
+        return bool(self[0] or self[1])
+
+
 def characteristic_polynomial(m: ComplexMatrix) -> Poly:
     """Coefficients of det(M - lambda*I), ascending, exact.
 
-    Gaussian elimination by similarity transforms brings M to upper
-    Hessenberg form H (Cohen, Alg. 2.2.9): a row operation below the
-    subdiagonal and its inverse column operation per entry cleared.  The
-    leading principal minors p_k = det(lambda*I - H_k) then satisfy
-
-        p_k = (lambda - h_kk) p_{k-1}
-              - sum_{i<k} h_ik (h_{i+1,i} ... h_{k,k-1}) p_{i-1}.
+    A 2 x 2 M expands over Q(i).  Otherwise M = i^rot B/d, d the lcm of the
+    denominators, rot = 1 if M is i times a real matrix, else 0.  Each
+    coefficient c_k of det(tI - B) sums C(n, k) principal minors of modulus
+    at most R^(n-k), R the largest row sum of |Re| + |Im| in B, so
+    |c_k| <= (1 + R)^n < p/2 for the first listed Mersenne prime p above
+    2 (1 + R)^n.  Modulo p (GF(p^2) when B is not real), elimination by
+    similarity transforms gives a Hessenberg H (Cohen, Alg. 2.2.9) whose
+    minors p_k = det(tI - H_k) = (t - h_kk) p_{k-1} - sum_{i<k} h_ik
+    (h_{i+1,i} ... h_{k,k-1}) p_{i-1} hold the c_k as symmetric residues.
+    det(M - tI) = (-1)^n sum_k i^(rot (n-k)) c_k d^(k-n) t^k.  A bound past
+    the last prime raises NumericFailureError.
     """
     n = m.dim
-    h = [list(row) for row in m.exact]
+    if n == 2:  # cheaper without the reduction
+        (a, b), (c, e) = m.exact
+        return [a * e - b * c, -(a + e), ONE]
+    d, pairs = _common_denominator([z for row in m.exact for z in row])
+    rot = 0 if not any(b for _, b in pairs) else 1 if not any(a for a, _ in pairs) else None
+    sizes = [abs(a) + abs(b) for a, b in pairs]
+    bound = 2 * (1 + max((sum(sizes[k * n:k * n + n]) for k in range(n)), default=0)) ** n
+    e = next((e for e in _MERSENNE_EXPONENTS if (1 << e) - 1 > bound), None)
+    if e is None:
+        raise NumericFailureError(f"characteristic polynomial bound of {bound.bit_length()} "
+                                  f"bits exceeds the modulus 2^{_MERSENNE_EXPONENTS[-1]} - 1")
+    p, one = (1 << e) - 1, 1 if rot is not None else _GaussMod((1, 0))
+    flat = [a + b if rot is not None else _GaussMod((a, b)) for a, b in pairs]  # a or b is 0
+    h = [flat[k * n:k * n + n] for k in range(n)]
     for c in range(n - 2):
         r = c + 1
         piv = next((i for i in range(r, n) if h[i][c]), None)
         if piv is None:
             continue
-        if piv != r:
-            h[r], h[piv] = h[piv], h[r]
-            for row in h:
-                row[r], row[piv] = row[piv], row[r]
-        top = h[r][c]
+        h[r], h[piv] = h[piv], h[r]
+        for row in h:
+            row[r], row[piv] = row[piv], row[r]
+        inv, top = pow(h[r][c], -1, p), h[r]
         for i in range(r + 1, n):
-            if not h[i][c]:
-                continue
-            u = h[i][c] / top
-            h[i] = [a - u * b for a, b in zip(h[i], h[r])]
-            for row in h:
-                if row[i]:
-                    row[r] = row[r] + u * row[i]
-    minors: list[Poly] = [[ONE]]
+            if h[i][c]:
+                u = h[i][c] * inv % p
+                h[i] = [(a - u * b) % p for a, b in zip(h[i], top)]
+                for row in h:
+                    if row[i]:
+                        row[r] = (row[r] + u * row[i]) % p
+    zero, minors = one - one, [[one]]
     for k in range(n):
-        p = [ZERO] + minors[k]
-        for j, c in enumerate(minors[k]):
-            p[j] = p[j] - h[k][k] * c
-        chain = ONE
+        poly = [a - h[k][k] * b for a, b in zip([zero] + minors[k], minors[k] + [zero])]
+        chain = one
         for i in range(k - 1, -1, -1):
-            chain = chain * h[i + 1][i]
+            chain = chain * h[i + 1][i] % p
             if not chain:
                 break
-            coeff = h[i][k] * chain
-            if coeff:
+            if h[i][k]:
+                coeff = h[i][k] * chain
                 for j, c in enumerate(minors[i]):
-                    p[j] = p[j] - coeff * c
-        minors.append(p)
-    return minors[n] if n % 2 == 0 else [-c for c in minors[n]]
+                    poly[j] -= coeff * c
+        minors.append([c % p for c in poly])
+    out = []
+    for k, c in enumerate(minors[n]):
+        a, b = (x - p if 2 * x > p else x for x in ((c, 0) if rot is not None else c))
+        a, b = ((a, b), (-b, a), (-a, -b), (b, -a))[(2 * n + (rot or 0) * (n - k)) % 4]
+        out.append(_reduced(a, b, d ** (n - k)))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,9 @@ makes them safe to share across threads.
 
 from fractions import Fraction
 from itertools import product as _cartesian
-from math import comb, factorial, gcd, lcm
-from typing import Iterable, Iterator, Mapping, Union
+from math import comb, factorial, gcd, lcm, prod
+from operator import add, mul, sub
+from typing import Iterable, Mapping, Union
 
 from .errors import DimensionMismatchError, NumericFailureError
 
@@ -87,7 +88,9 @@ class ComplexRational:
     @classmethod
     def from_complex(cls, z: complex) -> "ComplexRational":
         """Exact conversion of a float complex (binary fractions, no rounding)."""
-        return cls(Fraction(float(z.real)), Fraction(float(z.imag)))
+        # lowest terms over powers of two: canonical over the larger denominator
+        (a, c), (b, d) = float(z.real).as_integer_ratio(), float(z.imag).as_integer_ratio()
+        return _canonical(a * (d // c), b, d) if c < d else _canonical(a, b * (c // d), c)
 
     @staticmethod
     def _coerce(value) -> "ComplexRational":
@@ -292,12 +295,8 @@ def _common_denominator(values: Iterable[ComplexRational]
     value in order; ``_reduced(a, b, d)`` turns a pair back into a value.
     """
     values = list(values)
-    d = lcm(*(v._d for v in values))
-    pairs = []
-    for v in values:
-        m = d // v._d
-        pairs.append((v._a * m, v._b * m))
-    return d, pairs
+    d = lcm(*[v._d for v in values])
+    return d, [(v._a * (m := d // v._d), v._b * m) for v in values]
 
 
 ZERO = ComplexRational(0)
@@ -385,11 +384,6 @@ def render_terms(parts: Iterable[tuple[ComplexRational, str]]) -> str:
         else:
             pieces.append(f" {sign} {term}")
     return "".join(pieces) if pieces else "0"
-
-
-def _reorder_coefficients(b: int, c: int) -> list[int]:
-    """Integer weights k! C(b,k) C(c,k) of the single-mode reordering identity."""
-    return [factorial(k) * comb(b, k) * comb(c, k) for k in range(min(b, c) + 1)]
 
 
 def _mode_flat(mode: int, num_modes: int) -> int:
@@ -556,7 +550,7 @@ class WeylPolynomial:
 
     def __mul__(self, other):
         if isinstance(other, WeylPolynomial):
-            return _multiply(self, other)
+            return multiply(self, other)
         scalar = ComplexRational._coerce(other)
         if scalar is NotImplemented:
             return NotImplemented
@@ -612,28 +606,26 @@ class WeylPolynomial:
 
 def _mono_product_terms(
     left: tuple[int, ...], right: tuple[int, ...], num_modes: int
-) -> Iterator[tuple[tuple[int, ...], ComplexRational]]:
+) -> list[tuple[tuple[int, ...], ComplexRational]]:
     """Expansion of (x^a p^b)(x^c p^d) into normal-ordered terms.
 
     Commuting the middle block p^b past x^c factorizes over modes, so the
-    expansion is a product of single-mode reordering identities.
+    expansion is a product of single-mode reordering identities.  Where no
+    mode has b_m c_m != 0 only their k = 0 term is left, with the weight ONE.
     """
-    a = left[:num_modes]
-    b = left[num_modes:]
-    c = right[:num_modes]
-    d = right[num_modes:]
-    per_mode = [_reorder_coefficients(b[m], c[m]) for m in range(num_modes)]
-    for ks in _cartesian(*(range(len(w)) for w in per_mode)):
-        weight = 1
-        for m, k in enumerate(ks):
-            weight *= per_mode[m][k]
-        coeff = _NEG_I_POW[sum(ks) % 4] * weight
-        new_x = tuple(a[m] + c[m] - ks[m] for m in range(num_modes))
-        new_p = tuple(b[m] + d[m] - ks[m] for m in range(num_modes))
-        yield new_x + new_p, coeff
+    b, c = left[num_modes:], right[:num_modes]
+    base = tuple(map(add, left, right))  # x^(a+c) p^(b+d)
+    if not any(map(mul, b, c)):
+        return [(base, ONE)]
+    per_mode = [[factorial(k) * comb(bm, k) * comb(cm, k) for k in range(min(bm, cm) + 1)]
+                for bm, cm in zip(b, c)]  # weights k! C(b,k) C(c,k) of each mode
+    return [(tuple(map(sub, base, ks + ks)),
+             _NEG_I_POW[sum(ks) % 4] * prod(w[k] for w, k in zip(per_mode, ks)))
+            for ks in _cartesian(*(range(len(w)) for w in per_mode))]
 
 
-def _multiply(a: WeylPolynomial, b: WeylPolynomial) -> WeylPolynomial:
+def multiply(a: WeylPolynomial, b: WeylPolynomial) -> WeylPolynomial:
+    """Normal-ordered operator product a*b."""
     a._check_modes(b)
     num_modes = a.num_modes
     acc: dict[tuple[int, ...], ComplexRational] = {}
@@ -641,18 +633,13 @@ def _multiply(a: WeylPolynomial, b: WeylPolynomial) -> WeylPolynomial:
         for m2, c2 in b.terms.items():
             c12 = c1 * c2
             for exps, w in _mono_product_terms(m1, m2, num_modes):
-                _add_term(acc, exps, c12 * w)
+                _add_term(acc, exps, c12 if w is ONE else c12 * w)
     return WeylPolynomial(num_modes, acc)
-
-
-def multiply(a: WeylPolynomial, b: WeylPolynomial) -> WeylPolynomial:
-    """Normal-ordered operator product a*b."""
-    return _multiply(a, b)
 
 
 def commutator(a: WeylPolynomial, b: WeylPolynomial) -> WeylPolynomial:
     """[a, b] = a*b - b*a."""
-    return _multiply(a, b) - _multiply(b, a)
+    return multiply(a, b) - multiply(b, a)
 
 
 def dagger(a: WeylPolynomial) -> WeylPolynomial:
@@ -671,7 +658,7 @@ def dagger(a: WeylPolynomial) -> WeylPolynomial:
         p_part = mono[num_modes:]
         # p^b x^a written as (unit * p^b) * (x^a * unit) and reordered.
         for exps, w in _mono_product_terms(zeros + p_part, x_part + zeros, num_modes):
-            _add_term(acc, exps, cc * w)
+            _add_term(acc, exps, cc if w is ONE else cc * w)
     return WeylPolynomial(num_modes, acc)
 
 

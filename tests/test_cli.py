@@ -426,6 +426,18 @@ class TestStrictBatemanFields:
         path.write_text(json.dumps(doc))
         assert_one_error_line(run_cli("--model", str(path)))
 
+    @pytest.mark.parametrize("text, key", [
+        ('{"bateman": {"b": 1, "b": 2}}', "b"),
+        ('{"bateman": {"b": 1}, "bateman": {"b": 2}}', "bateman"),
+        ('{"expression": "x1^2 + p1^2", "expression": "x1^2"}', "expression"),
+    ])
+    def test_repeated_model_file_keys_exit_2(self, text, key, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text(text)
+        result = run_cli("--model", str(path))
+        assert_one_error_line(result)
+        assert f"repeated model file key {key!r}" in result.stderr
+
     @pytest.mark.parametrize("spec", ["b=1,b=2", "gama=1",
                                       "m=1,gamma=1,omega=1,omega=2"])
     def test_misread_specs_exit_2(self, spec):

@@ -10,7 +10,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quadladder.weyl import ComplexRational
@@ -264,6 +264,36 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 def test_from_complex_matches_reference(re, im):
     assert_same(ComplexRational.from_complex(complex(re, im)),
                 FractionPair.from_complex(complex(re, im)))
+
+
+EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+               1e308, -1e308, 1.7976931348623157e308, 0.1, -3.0)
+
+
+@PROPERTY
+@given(st.one_of(finite, st.sampled_from(EDGE_FLOATS)),
+       st.one_of(finite, st.sampled_from(EDGE_FLOATS)))
+@example(0.0, -0.0)
+@example(5e-324, 1e308)
+@example(-1e308, -5e-324)
+def test_from_complex_equals_the_fraction_construction(re, im):
+    """The canonical triple read off float.as_integer_ratio() is the one
+    the constructor builds from two Fractions and their lcm."""
+    z = ComplexRational.from_complex(complex(re, im))
+    assert_canonical(z)
+    want = ComplexRational(Fraction(re), Fraction(im))
+    assert z == want and z.as_quad() == want.as_quad()
+
+
+@pytest.mark.parametrize("value", [
+    complex(0, float("nan")), complex(float("-inf"), 1.5), complex(float("inf"), float("nan")),
+])
+def test_from_complex_raises_what_fraction_raises(value):
+    """inf and NaN in either part raise the exception Fraction(float) raises."""
+    with pytest.raises(Exception) as want:
+        ComplexRational(Fraction(value.real), Fraction(value.imag))
+    with pytest.raises(want.type):
+        ComplexRational.from_complex(value)
 
 
 @pytest.mark.parametrize("value, error", [

@@ -27,6 +27,7 @@ from quadladder.spectral import (
     roots,
     spectral_to_json,
 )
+from quadladder.wavefn import _negative_definite
 from quadladder.weyl import ComplexRational, WeylPolynomial
 
 I = ComplexRational(0, 1)
@@ -368,6 +369,153 @@ def gaussian_matrices(draw):
 @given(m=gaussian_matrices())
 def test_charpoly_matches_faddeev_leverrier(m):
     assert characteristic_polynomial(m) == faddeev_leverrier(m)
+
+
+def hessenberg_over_q_i(m):
+    """det(M - lambda*I), ascending, by the Hessenberg reduction over Q(i)
+    itself (Cohen, Alg. 2.2.9) and its minor recurrence: an oracle whose
+    coefficients are never reduced modulo anything."""
+    zero, one = ComplexRational(0), ComplexRational(1)
+    n = m.dim
+    h = [list(row) for row in m.exact]
+    for c in range(n - 2):
+        r = c + 1
+        piv = next((i for i in range(r, n) if h[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            h[r], h[piv] = h[piv], h[r]
+            for row in h:
+                row[r], row[piv] = row[piv], row[r]
+        top = h[r][c]
+        for i in range(r + 1, n):
+            if not h[i][c]:
+                continue
+            u = h[i][c] / top
+            h[i] = [a - u * b for a, b in zip(h[i], h[r])]
+            for row in h:
+                if row[i]:
+                    row[r] = row[r] + u * row[i]
+    minors = [[one]]
+    for k in range(n):
+        p = [zero] + minors[k]
+        for j, c in enumerate(minors[k]):
+            p[j] = p[j] - h[k][k] * c
+        chain = one
+        for i in range(k - 1, -1, -1):
+            chain = chain * h[i + 1][i]
+            if not chain:
+                break
+            coeff = h[i][k] * chain
+            if coeff:
+                for j, c in enumerate(minors[i]):
+                    p[j] = p[j] - coeff * c
+        minors.append(p)
+    return minors[n] if n % 2 == 0 else [-c for c in minors[n]]
+
+
+@st.composite
+def wide_matrices(draw):
+    """Real, i times real, or general Gaussian matrices (n <= 6) whose
+    numerators and denominators run up to 10^30, so that the bound
+    2 (1 + R)^n spans the primes from 2^61 - 1 to 2^1279 - 1 and beyond;
+    many zeros make the pivot search run."""
+    n = draw(st.integers(1, 6))
+    digits = draw(st.integers(0, 30))
+    part = st.one_of(st.just(Fraction(0)), st.builds(
+        Fraction, st.integers(-10 ** digits, 10 ** digits), st.integers(1, 10 ** digits)))
+    re_on, im_on = draw(st.sampled_from([(1, 0), (0, 1), (1, 1)]))  # real, i*real, Gaussian
+    return ComplexMatrix([[ComplexRational(re_on * draw(part), im_on * draw(part))
+                           for _ in range(n)] for _ in range(n)])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(m=wide_matrices())
+def test_charpoly_matches_the_q_i_hessenberg(m):
+    assert characteristic_polynomial(m) == hessenberg_over_q_i(m)
+
+
+def _scalar(v, unit):
+    """v times unit, for unit in {1, 1j}, as a ComplexRational."""
+    return ComplexRational(*((0, v) if unit == 1j else (v, 0)))
+
+
+def _diagonal(values, unit=1):
+    zero = ComplexRational(0)
+    return ComplexMatrix([[_scalar(v, unit) if i == j else zero for j in range(len(values))]
+                          for i, v in enumerate(values)])
+
+
+def _power_poly(r, n, unit=1):
+    """det(M - t I) for M = unit * r * I: (unit r - t)^n, ascending."""
+    return [ComplexRational(math.comb(n, k) * (-1) ** k) * _scalar(r, unit) ** (n - k)
+            for k in range(n + 1)]
+
+
+class TestModularBound:
+    """The coefficients of det(tI - B) are at most (1 + R)^n, and the prime
+    must exceed twice that for the symmetric residues to hold them."""
+
+    # For n = 3, 2 (1 + R)^3 passes 2^61 - 1 at R = 2^20 - 1; R = 1200000 has
+    # (1 + R)^3 < 2^61 - 1 < 2 R^3, so a bound without the factor 2 fails it.
+    @pytest.mark.parametrize("r", [2 ** 20 - 2, 2 ** 20 - 1, 2 ** 20, 1200000, 2 ** 40, 3])
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("unit", [1, 1j])
+    def test_diagonal_has_c0_equal_to_r_to_the_n(self, r, n, unit):
+        for v in (r, -r):
+            got = characteristic_polynomial(_diagonal([v] * n, unit))
+            assert got[0] == _scalar(v, unit) ** n  # det M, of modulus R^n
+            assert got == _power_poly(v, n, unit)
+
+    # 2 (1 + |c|) < 2^61 - 1 exactly when |c| <= 2^60 - 2: the residues sit just
+    # inside and just outside +-p/2 of 2^61 - 1.
+    @pytest.mark.parametrize("c", [2 ** 60 - 2, 2 ** 60 - 1, 2 ** 60, 2 ** 60 + 1,
+                                   2 ** 88, 2 ** 89])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_one_by_one_near_half_the_prime(self, c, sign):
+        for unit in (1, 1j):
+            m = _diagonal([sign * c], unit)
+            assert characteristic_polynomial(m) == hessenberg_over_q_i(m) \
+                == _power_poly(sign * c, 1, unit)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_zero_matrix(self, n):
+        zero = ComplexRational(0)
+        got = characteristic_polynomial(ComplexMatrix([[zero] * n for _ in range(n)]))
+        assert got == [zero] * n + [ComplexRational((-1) ** n)]
+
+    def test_zero_subdiagonal_forces_a_pivot_search(self):
+        rows = [[1, 2, 3, 4], [0, 5, 6, 7], [8, 9, 10, 11], [12, 13, 14, 15]]
+        for re, im in ((1, 0), (0, 1), (1, 1)):  # real, i * real, Gaussian
+            m = ComplexMatrix([[ComplexRational(re * v, im * v) for v in row]
+                               for row in rows])
+            assert characteristic_polynomial(m) == hessenberg_over_q_i(m) \
+                == faddeev_leverrier(m)
+
+    def test_odd_negative_definite_quad(self):
+        """A 3 x 3 real symmetric S, as _negative_definite passes it."""
+        s = [[Fraction(-3), Fraction(1, 2), Fraction(0)],
+             [Fraction(1, 2), Fraction(-5, 3), Fraction(2, 7)],
+             [Fraction(0), Fraction(2, 7), Fraction(-1, 9)]]
+        m = ComplexMatrix(s)
+        char = characteristic_polynomial(m)
+        assert char == hessenberg_over_q_i(m) == faddeev_leverrier(m)
+        assert max(np.linalg.eigvalsh(np.array(s, dtype=float))) < 0
+        assert _negative_definite(s)
+        s[2][2] = Fraction(1, 9)
+        assert max(np.linalg.eigvalsh(np.array(s, dtype=float))) > 0
+        assert not _negative_definite(s)
+
+    def test_bound_past_the_last_prime_raises(self):
+        # pairwise coprime denominators of ~237,000 bits each: d*M has
+        # R ~ 2^475,000 and (1 + R)^3 ~ 2^1,430,000, past 2^1398269 - 1
+        dens = [3 ** 150000, 5 ** 102000, 7 ** 84700]
+        m = ComplexMatrix([[ComplexRational(Fraction(1, q)) if i == j else 0
+                            for j, _ in enumerate(dens)] for i, q in enumerate(dens)])
+        with pytest.raises(NumericFailureError,
+                           match=r"bound of \d+ bits exceeds the modulus 2\^1398269 - 1"):
+            characteristic_polynomial(m)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True,

@@ -1,6 +1,8 @@
 """Exact operator algebra: arithmetic, normal ordering, commutators, text."""
 
 from fractions import Fraction
+from itertools import product
+from math import comb, factorial
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -9,8 +11,10 @@ from hypothesis import strategies as st
 from conftest import naive_multiply, random_crat, random_polynomial
 from quadladder.errors import DimensionMismatchError
 from quadladder.weyl import (
+    ONE,
     ComplexRational,
     WeylPolynomial,
+    _mono_product_terms,
     _ratio,
     commutator,
     dagger,
@@ -149,6 +153,60 @@ class TestProducts:
         assert (x() * x() * p()).degree == 3
         assert WeylPolynomial.constant(5, 2).degree == 0
         assert WeylPolynomial.zero(1).degree == 0
+
+
+def general_reordering(left, right, num_modes):
+    """(x^a p^b)(x^c p^d) by the per-mode identity
+    p^b x^c = sum_k k! C(b,k) C(c,k) (-i)^k x^(c-k) p^(b-k), every k
+    written out, also where only k = 0 exists."""
+    a, b = left[:num_modes], left[num_modes:]
+    c, d = right[:num_modes], right[num_modes:]
+    neg_i_pow = [ComplexRational(1), ComplexRational(0, -1), ComplexRational(-1),
+                 ComplexRational(0, 1)]
+    out = []
+    for ks in product(*(range(min(b[m], c[m]) + 1) for m in range(num_modes))):
+        weight = 1
+        for m, k in enumerate(ks):
+            weight *= factorial(k) * comb(b[m], k) * comb(c[m], k)
+        out.append((tuple(a[m] + c[m] - ks[m] for m in range(num_modes))
+                    + tuple(b[m] + d[m] - ks[m] for m in range(num_modes)),
+                    neg_i_pow[sum(ks) % 4] * weight))
+    return out
+
+
+@st.composite
+def monomial_pairs(draw):
+    """Two exponent tuples over one K <= 3, half of them forced to reorder
+    (some mode with b_m c_m != 0)."""
+    num_modes = draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(0, 3)] * (2 * num_modes))
+    left, right = draw(exps), draw(exps)
+    if draw(st.booleans()):
+        m = draw(st.integers(0, num_modes - 1))
+        left = left[:num_modes + m] + (max(1, left[num_modes + m]),) + left[num_modes + m + 1:]
+        right = right[:m] + (max(1, right[m]),) + right[m + 1:]
+    return left, right, num_modes
+
+
+class TestMonoProductTerms:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(pair=monomial_pairs())
+    def test_matches_the_general_identity(self, pair):
+        left, right, num_modes = pair
+        assert _mono_product_terms(left, right, num_modes) \
+            == general_reordering(left, right, num_modes)
+
+    @pytest.mark.parametrize("left, right", [
+        ((1, 0, 0, 2), (0, 3, 1, 0)),   # x1 p2^2 times x2^3 p1: p2^2 meets x2^3
+        ((2, 1, 0, 0), (1, 0, 0, 1)),   # no p on the left, nothing to reorder
+        ((0, 0, 1, 0), (0, 2, 0, 0)),   # p1 before x2: different modes commute
+    ])
+    def test_unit_weight_only_without_reordering(self, left, right):
+        terms = _mono_product_terms(left, right, 2)
+        reorders = any(b * c for b, c in zip(left[2:], right[:2]))
+        assert (len(terms) > 1) == reorders
+        assert (terms[0][1] is ONE) == (not reorders)
+        assert terms[0][0] == tuple(u + v for u, v in zip(left, right))
 
 
 # ---------------------------------------------------------------------------
