@@ -18,8 +18,10 @@ so M = i A Omega.
 
 Every matrix is exact: its rows are Gaussian rationals, so downstream
 exact computations (characteristic polynomial, eigenvalue verification)
-never touch floats.  The same rows as Python complex numbers serve the float
-work on irrational frequencies.
+never touch floats.  They run on one integer form per matrix, B = d*M with d
+the lcm of the denominators, whose Gaussian-integer entries need no gcd per
+operation.  The same rows as Python complex numbers serve the float work on
+irrational frequencies.
 """
 
 from dataclasses import dataclass
@@ -35,6 +37,7 @@ from .weyl import (
     WeylPolynomial,
     ZERO,
     I,
+    _common_denominator,
     commutator,  # not called here; perfbench/trace.py wraps adjoint.commutator
     degree_decompose,
     is_hermitian,
@@ -52,6 +55,7 @@ __all__ = [
 ]
 
 ExactRows = tuple[tuple[ComplexRational, ...], ...]
+IntegerRows = tuple[tuple[tuple[int, int, int], ...], ...]  # nonzero (column, re, im)
 
 
 class ComplexMatrix:
@@ -61,7 +65,7 @@ class ComplexMatrix:
     same matrix as tuples of Python complex, for float work.
     """
 
-    __slots__ = ("dim", "entries", "exact")
+    __slots__ = ("dim", "entries", "exact", "_integer_form")
 
     def __init__(self, rows: Iterable[Iterable[ComplexRational]]):
         exact = tuple(tuple(ComplexRational._coerce(v) for v in row) for row in rows)
@@ -78,6 +82,17 @@ class ComplexMatrix:
 
     def __setattr__(self, name, value):
         raise AttributeError("ComplexMatrix is immutable")
+
+    @property
+    def integer_form(self) -> tuple[int, IntegerRows]:
+        """(d, B): d the lcm of the denominators and B = d*M, each row of B as
+        its nonzero entries (column, re, im) in Z[i]; built once, on first use."""
+        if not hasattr(self, "_integer_form"):
+            d, pairs = _common_denominator([v for row in self.exact for v in row])
+            object.__setattr__(self, "_integer_form", (d, tuple(
+                tuple((j, a, b) for j, (a, b) in enumerate(pairs[i:i + self.dim]) if a or b)
+                for i in range(0, len(pairs), self.dim))))
+        return self._integer_form
 
     def trace_exact(self) -> ComplexRational:
         return sum((self.exact[i][i] for i in range(self.dim)), ZERO)
@@ -103,6 +118,12 @@ def exact_matmul(a: ExactRows, b: ExactRows) -> ExactRows:
 
 
 Scalar = TypeVar("Scalar", ComplexRational, complex)
+
+
+def integer_matvec(rows: IntegerRows, vec: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
+    """B v for the rows of an integer form and a vector of Gaussian-integer pairs."""
+    return [(sum(a * vec[j][0] - b * vec[j][1] for j, a, b in row),
+             sum(a * vec[j][1] + b * vec[j][0] for j, a, b in row)) for row in rows]
 
 
 def eigen_residual(rows: Sequence[Sequence[Scalar]], lam: Scalar,

@@ -12,20 +12,23 @@ a ladder at -conj(lambda) whenever Z is one at lambda.
 
 Degree-1 operators need no operator products: [H, Z] has coefficients M c,
 and [Z_a, Z_b] is the scalar i sum_m (a_xm b_pm - a_pm b_xm) given by the
-canonical symplectic form.  ``ladder_shift_check`` recomputes [H, Z] with
-the Weyl product as an independent check.
+canonical symplectic form.  Both run on integers: M c = lambda c is checked
+on M's integer form, and the form on the numerators of the coefficients.
+``ladder_shift_check`` recomputes [H, Z] with the Weyl product as an
+independent check.
 """
 
 from dataclasses import dataclass
 
-from .adjoint import QuadraticHamiltonian, adjoint_matrix, eigen_residual
+from .adjoint import QuadraticHamiltonian, adjoint_matrix, eigen_residual, integer_matvec
 from .errors import (
     DefectiveSpectrumError,
     DimensionMismatchError,
     VerificationError,
 )
 from .spectral import NaturalFrequency, SpectralResult
-from .weyl import I, ComplexRational, WeylPolynomial, ZERO, _ratio, commutator, symbol
+from .weyl import (ComplexRational, WeylPolynomial, ZERO, _common_denominator, _ratio,
+                   _reduced, commutator, symbol)
 
 __all__ = [
     "LadderOperator",
@@ -107,7 +110,9 @@ def build_ladders(ham: QuadraticHamiltonian,
     Raises DefectiveSpectrumError when the spectrum is defective (a complete
     ladder set does not exist then).  Each eigenvector is scaled so that its
     first nonzero coefficient (float: the first above 1e-10) is 1.  Exact
-    eigen-data is verified exactly; float eigen-data must satisfy M c =
+    eigen-data is verified exactly, as L B n = d g n in Gaussian integers for
+    M's integer form (d, B), lambda = g/L and n the numerators of c; float
+    eigen-data must satisfy M c =
     lambda c in complex floats to LADDER_RESIDUAL_TOL relative to
     max(1, ||M||_inf) max|c|, a bound that holds however c is scaled (a mode
     localized away from x1 has huge c).
@@ -128,6 +133,7 @@ def build_ladders(ham: QuadraticHamiltonian,
         raise VerificationError(
             "adjoint matrix is not purely imaginary: the Hamiltonian is not "
             "Hermitian, so the dagger of a ladder need not be a ladder")
+    d, rows = m.integer_form
     ladders: list[LadderOperator] = []
     norm = 0.0  # max(1, ||M||_inf), computed at the first float ladder
     for freq in spectrum.frequencies:
@@ -136,8 +142,11 @@ def build_ladders(ham: QuadraticHamiltonian,
             lam_exact = freq.lam_exact if exact_vec is not None else None
             if lam_exact is not None:
                 coeffs = _normalize_exact(exact_vec)
-                residual = eigen_residual(m.exact, lam_exact, coeffs)
-                if any(residual):
+                den, ((gx, gy),) = _common_denominator([lam_exact])
+                gx, gy, num = d * gx, d * gy, _common_denominator(coeffs)[1]
+                if any(den * bx != gx * x - gy * y or den * by != gx * y + gy * x
+                       for (bx, by), (x, y) in zip(integer_matvec(rows, num), num)):
+                    residual = eigen_residual(m.exact, lam_exact, coeffs)
                     raise VerificationError(
                         f"exact ladder at lambda={lam_exact} fails its "
                         f"commutation relation; residual "
@@ -169,15 +178,31 @@ def build_ladders(ham: QuadraticHamiltonian,
 def commutator_table(ladders: list[LadderOperator]) -> CommutatorTable:
     """Exact pairwise commutators [Z_a, Z_b] = i sum_m (a_xm b_pm - a_pm b_xm).
 
-    Degree-1 operators always commute to scalars, given by the canonical
-    symplectic form on their coefficient vectors.
+    Degree-1 operators always commute to scalars.  For ladders from
+    build_ladders, whose exact check makes [H, Z] = lambda Z hold exactly,
+    the Jacobi identity gives [H, [Z_a, Z_b]] = (lambda_a + lambda_b)
+    [Z_a, Z_b]; a scalar commutes with H, so the entry is 0 wherever the
+    exact lambda_a + lambda_b is not.  The other entries (partners, and pairs
+    with an inexact lambda) come from the canonical symplectic form on the
+    integer numerators of the coefficients, one reduction per entry.
     """
-    vecs = [lad.coefficients for lad in ladders]
-    k = len(vecs[0]) // 2 if vecs else 0
-    return CommutatorTable(entries=tuple(
-        tuple(I * sum((a[m] * b[k + m] - a[k + m] * b[m] for m in range(k)), ZERO)
-              for b in vecs)
-        for a in vecs))
+    n = len(ladders)
+    k = len(ladders[0].coefficients) // 2 if ladders else 0
+    nums = [_common_denominator(lad.coefficients) for lad in ladders]
+    entries = [[ZERO] * n for _ in range(n)]
+    for i, (lad_a, (da, va)) in enumerate(zip(ladders, nums)):
+        for j in range(i + 1, n):
+            lam_a, lam_b = lad_a.lam_exact, ladders[j].lam_exact
+            if lam_a is not None and lam_b is not None and lam_a != -lam_b:
+                continue
+            (db, vb), re, im = nums[j], 0, 0
+            for (ax, ay), (px, py), (bx, by), (qx, qy) in zip(va[:k], va[k:],
+                                                              vb[:k], vb[k:]):
+                re += ax * qx - ay * qy - px * bx + py * by
+                im += ax * qy + ay * qx - px * by - py * bx
+            entries[i][j] = _reduced(-im, re, da * db)  # i (re + i im)/(da db)
+            entries[j][i] = -entries[i][j]
+    return CommutatorTable(entries=tuple(map(tuple, entries)))
 
 
 def ladder_shift_check(ham: QuadraticHamiltonian,

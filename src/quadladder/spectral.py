@@ -5,19 +5,23 @@ characteristic polynomial chi(lambda) = q(lambda^2), with q of degree K and
 real rational coefficients (the square-reduced structure of a Hamiltonian
 matrix, Van Loan 1984).  The spectral data follow from q on one exact path:
 
-1. chi is computed exactly from the integer matrix d*M (d a common
-   denominator) by Hessenberg elimination modulo one Mersenne prime.
-2. The roots s of q come from its exact square-free decomposition (Yun's
-   algorithm, which fixes every multiplicity) and a Durand-Kerner iteration
-   per factor.  Newton steps in integer fixed point refine each s until the
-   rational root theorem decides whether it lies in Q(i).  The
-   frequencies are lambda = +-sqrt(s), exact iff s is a square in Q(i).
-3. A simple exact lambda takes its eigenvector from one column of the
-   adjugate: with chi(t) = det(tI - M) = sum a_k t^k, the column
-   adj(tI - M) e_0 = sum t^k b_k follows from b_(n-1) = e_0 and
-   b_(k-1) = M b_k + a_k e_0, once per matrix.  Since
-   (lambda I - M) adj(lambda I - M) = chi(lambda) I = 0, its value at lambda
-   is an eigenvector whenever it is nonzero.  Repeated roots, a column that
+1. chi is computed exactly from M's integer form (d, B), B = d*M with d the
+   lcm of the denominators, by Hessenberg elimination modulo one Mersenne
+   prime p = 2^e - 1, products folded as (x & p) + (x >> e).
+2. The roots s of q come from its exact square-free decomposition and a
+   Durand-Kerner iteration per factor.  Modulo 2^61 - 1, gcd(q, q') of
+   degree 0 proves q square-free; otherwise Yun's algorithm over Q(i) fixes
+   every multiplicity.  Newton steps in integer fixed point refine each s
+   until the rational root theorem decides, in integers, whether it lies in
+   Q(i).  The frequencies are lambda = +-sqrt(s), exact iff s is a square in
+   Q(i).
+3. A simple exact lambda = g/L takes its eigenvector from one column of the
+   adjugate over Z[i], adj(uI - B) e_0 = sum u^k b_k with b_(n-1) = e_0 and
+   b_(k-1) = B b_k + A_k e_0 for det(uI - B) = sum A_k u^k, once per
+   matrix.  At u = d*lambda it is a multiple of adj(lambda I - M) e_0, an
+   eigenvector whenever it is nonzero, since (lambda I - M) adj(lambda I - M)
+   = chi(lambda) I = 0; it is evaluated homogeneously in integers, and one
+   division normalizes it.  Repeated roots, a column that
    vanishes at lambda, and irrational lambda take Gauss-Jordan elimination
    on M - lambda*I, exact over Q(i), or in floats with n - geo pivots, where
    the geometric multiplicity geo is exact: 1 for a simple root, else read
@@ -31,10 +35,10 @@ import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
-from math import frexp, isqrt, lcm, ldexp
+from math import frexp, isqrt, ldexp
 from typing import Sequence
 
-from .adjoint import ComplexMatrix, Scalar
+from .adjoint import ComplexMatrix, Scalar, integer_matvec
 from .errors import NumericFailureError
 from .weyl import ComplexRational, ONE, ZERO, _common_denominator, _reduced
 
@@ -114,14 +118,6 @@ def _pderiv(p: Poly) -> Poly:
     return _ptrim([p[k] * k for k in range(1, len(p))])
 
 
-def poly_eval(p: Poly, z: ComplexRational) -> ComplexRational:
-    """Exact Horner evaluation."""
-    acc = p[-1] if p else ZERO
-    for c in p[-2::-1]:
-        acc = acc * z + c
-    return acc
-
-
 def _peval_complex(p, z: complex) -> complex:
     acc = 0j
     for c in reversed(p):
@@ -129,19 +125,50 @@ def _peval_complex(p, z: complex) -> complex:
     return acc
 
 
+def _squarefree_mod(p: Poly) -> bool:
+    """True when p is certainly square-free over Q(i): modulo P = 2^61 - 1 (in
+    GF(P^2) when p is not real), P does not divide the leading coefficient of
+    p's integer form and gcd(p, p') has degree 0.  A common factor of degree k
+    over Q(i) would map to one of degree k there (the degree argument of
+    Brown's modular gcd, J. ACM 1971)."""
+    big, e = (1 << 61) - 1, 61
+    _, pairs = _common_denominator(p)
+    lift = ((lambda a, b: a % big) if not any(b for _, b in pairs)
+            else lambda a, b: _GaussMod((a % big, b % big)))
+    a = [lift(x, y) for x, y in pairs]
+    # deg p < P, so lc(p') = deg p * lc(p) is nonzero when lc(p) is
+    b = [lift(k * x, k * y) for k, (x, y) in enumerate(pairs)][1:]
+    if not a[-1]:
+        return False
+    while b:  # Euclid on trimmed remainders
+        inv = pow(b[-1], -1, big)
+        while len(a) >= len(b):
+            f = a[-1] * inv
+            f = ((f & big) + (f >> e)) % big
+            for j, c in enumerate(b[:-1], len(a) - len(b)):
+                t = a[j] - f * c
+                a[j] = ((t & big) + (t >> e)) % big
+            a.pop()
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    return len(a) == 1
+
+
 def squarefree_factors(p: Poly) -> list[tuple[Poly, int]]:
     """Yun's square-free decomposition: p ~ prod f_k^k with f_k square-free.
 
     The constant factor is dropped (only root structure matters here), and
-    each returned factor is monic.
+    each returned factor is monic.  _squarefree_mod settles the common
+    square-free case without Euclid over Q(i).
     """
     p = _pmonic(p)
     if _pdeg(p) < 1:
         return []
+    if _squarefree_mod(p):
+        return [(p, 1)]
     dp = _pderiv(p)
     g = _pgcd(p, dp)
-    if _pdeg(g) == 0:
-        return [(p, 1)]
     b, _ = _pdivmod(p, g)
     c, _ = _pdivmod(dp, g)
     d = _psub(c, _pderiv(b))
@@ -169,7 +196,8 @@ _MERSENNE_EXPONENTS = (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253,
 
 
 class _GaussMod(tuple):
-    """(a, b) = a + b*i in Z[i]/(p) = GF(p^2), with the arithmetic the elimination uses."""
+    """(a, b) = a + b*i in Z[i]/(p) = GF(p^2), with the arithmetic the elimination
+    uses; & and >> act on both parts, for the Mersenne fold."""
 
     def __add__(self, o):
         return _GaussMod((self[0] + o[0], self[1] + o[1]))
@@ -183,6 +211,12 @@ class _GaussMod(tuple):
     def __mod__(self, p):
         return _GaussMod((self[0] % p, self[1] % p))
 
+    def __and__(self, p):
+        return _GaussMod((self[0] & p, self[1] & p))
+
+    def __rshift__(self, e):
+        return _GaussMod((self[0] >> e, self[1] >> e))
+
     def __pow__(self, e, p):  # e = -1: (a - bi)/(a^2 + b^2)
         n = pow(self[0] ** 2 + self[1] ** 2, e, p)
         return _GaussMod((self[0] * n % p, -self[1] * n % p))
@@ -194,15 +228,18 @@ class _GaussMod(tuple):
 def characteristic_polynomial(m: ComplexMatrix) -> Poly:
     """Coefficients of det(M - lambda*I), ascending, exact.
 
-    A 2 x 2 M expands over Q(i).  Otherwise M = i^rot B/d, d the lcm of the
-    denominators, rot = 1 if M is i times a real matrix, else 0.  Each
-    coefficient c_k of det(tI - B) sums C(n, k) principal minors of modulus
+    A 2 x 2 M expands over Q(i).  Otherwise it reads M's integer form
+    (d, B = d*M) and writes B = i^rot B', with rot = 1 if M is i times a real
+    matrix, else 0.  Each
+    coefficient c_k of det(tI - B') sums C(n, k) principal minors of modulus
     at most R^(n-k), R the largest row sum of |Re| + |Im| in B, so
     |c_k| <= (1 + R)^n < p/2 for the first listed Mersenne prime p above
-    2 (1 + R)^n.  Modulo p (GF(p^2) when B is not real), elimination by
+    2 (1 + R)^n.  Modulo p (GF(p^2) when B' is not real), elimination by
     similarity transforms gives a Hessenberg H (Cohen, Alg. 2.2.9) whose
     minors p_k = det(tI - H_k) = (t - h_kk) p_{k-1} - sum_{i<k} h_ik
     (h_{i+1,i} ... h_{k,k-1}) p_{i-1} hold the c_k as symmetric residues.
+    Products are folded as (x & p) + (x >> e) before the final % p, which
+    is exact for negative x too, since 2^e = 1 (mod p = 2^e - 1).
     det(M - tI) = (-1)^n sum_k i^(rot (n-k)) c_k d^(k-n) t^k.  A bound past
     the last prime raises NumericFailureError.
     """
@@ -210,17 +247,25 @@ def characteristic_polynomial(m: ComplexMatrix) -> Poly:
     if n == 2:  # cheaper without the reduction
         (a, b), (c, e) = m.exact
         return [a * e - b * c, -(a + e), ONE]
-    d, pairs = _common_denominator([z for row in m.exact for z in row])
-    rot = 0 if not any(b for _, b in pairs) else 1 if not any(a for a, _ in pairs) else None
-    sizes = [abs(a) + abs(b) for a, b in pairs]
-    bound = 2 * (1 + max((sum(sizes[k * n:k * n + n]) for k in range(n)), default=0)) ** n
+    d, rows = m.integer_form
+    rot = (0 if not any(b for row in rows for *_, b in row)
+           else 1 if not any(a for row in rows for _, a, _ in row) else None)
+    bound = 2 * (1 + max((sum(abs(a) + abs(b) for _, a, b in row) for row in rows),
+                         default=0)) ** n
     e = next((e for e in _MERSENNE_EXPONENTS if (1 << e) - 1 > bound), None)
     if e is None:
         raise NumericFailureError(f"characteristic polynomial bound of {bound.bit_length()} "
                                   f"bits exceeds the modulus 2^{_MERSENNE_EXPONENTS[-1]} - 1")
     p, one = (1 << e) - 1, 1 if rot is not None else _GaussMod((1, 0))
-    flat = [a + b if rot is not None else _GaussMod((a, b)) for a, b in pairs]  # a or b is 0
-    h = [flat[k * n:k * n + n] for k in range(n)]
+    zero = one - one
+    h = [[zero] * n for _ in range(n)]
+    for row, cells in zip(h, rows):
+        for j, a, b in cells:  # a or b is 0 when rot is not None
+            row[j] = a + b if rot is not None else _GaussMod((a, b))
+
+    def fold(x):
+        return ((x & p) + (x >> e)) % p
+
     for c in range(n - 2):
         r = c + 1
         piv = next((i for i in range(r, n) if h[i][c]), None)
@@ -232,24 +277,24 @@ def characteristic_polynomial(m: ComplexMatrix) -> Poly:
         inv, top = pow(h[r][c], -1, p), h[r]
         for i in range(r + 1, n):
             if h[i][c]:
-                u = h[i][c] * inv % p
-                h[i] = [(a - u * b) % p for a, b in zip(h[i], top)]
+                u = fold(h[i][c] * inv)
+                h[i] = [fold(a - u * b) for a, b in zip(h[i], top)]
                 for row in h:
                     if row[i]:
-                        row[r] = (row[r] + u * row[i]) % p
-    zero, minors = one - one, [[one]]
+                        row[r] = fold(row[r] + u * row[i])
+    minors = [[one]]
     for k in range(n):
         poly = [a - h[k][k] * b for a, b in zip([zero] + minors[k], minors[k] + [zero])]
         chain = one
         for i in range(k - 1, -1, -1):
-            chain = chain * h[i + 1][i] % p
+            chain = fold(chain * h[i + 1][i])
             if not chain:
                 break
             if h[i][k]:
-                coeff = h[i][k] * chain
+                coeff = fold(h[i][k] * chain)
                 for j, c in enumerate(minors[i]):
                     poly[j] -= coeff * c
-        minors.append([c % p for c in poly])
+        minors.append([fold(c) for c in poly])
     out = []
     for k, c in enumerate(minors[n]):
         a, b = (x - p if 2 * x > p else x for x in ((c, 0) if rot is not None else c))
@@ -348,12 +393,14 @@ def roots(p: Poly) -> list[tuple[complex, int]]:
     return found
 
 
-def _gauss_horner(coeffs: list[int], x: int, y: int, bits: int) -> tuple[int, int]:
-    """2^(bits*n) p((x + iy)/2^bits) as a Gaussian integer, n = deg p."""
-    re, im, scale = coeffs[-1], 0, 1
-    for c in reversed(coeffs[:-1]):
-        scale <<= bits
-        re, im = re * x - im * y + c * scale, re * y + im * x
+def _gauss_horner(coeffs: list[tuple[int, int]], x: int, y: int,
+                  den: int) -> tuple[int, int]:
+    """den^n p((x + iy)/den) as a Gaussian integer, for p with Gaussian-integer
+    coefficients (re, im), n = deg p."""
+    (re, im), scale = coeffs[-1], 1
+    for a, b in coeffs[-2::-1]:
+        scale *= den
+        re, im = re * x - im * y + a * scale, re * y + im * x + b * scale
     return re, im
 
 
@@ -370,16 +417,15 @@ def _refine_root(q: Poly, z: complex,
     rational, which q(root) == 0 and a distance of at most 2r then verify.
     Returns the refined float and the exact root or None.
     """
-    den = lcm(*(c.re.denominator for c in q))
-    ints = [int(c.re * den) for c in q]
-    lead, deg = abs(ints[-1]), len(ints) - 1
-    slopes = [k * c for k, c in enumerate(ints)][1:]
+    _, ints = _common_denominator(q)
+    lead, deg = abs(ints[-1][0]), len(ints) - 1
+    slopes = [(k * c, 0) for k, (c, _) in enumerate(ints)][1:]
     bits = lead.bit_length() + FLOAT_BITS + 8
     one = 1 << bits
     x, y = round(Fraction(z.real) * one), round(Fraction(z.imag) * one)
     for _ in range(NEWTON_STEPS):
-        ax, ay = _gauss_horner(ints, x, y, bits)        # 2^(bits*deg) q(z)
-        bx, by = _gauss_horner(slopes, x, y, bits)      # 2^(bits*(deg-1)) q'(z)
+        ax, ay = _gauss_horner(ints, x, y, one)         # 2^(bits*deg) q(z)
+        bx, by = _gauss_horner(slopes, x, y, one)       # 2^(bits*(deg-1)) q'(z)
         na, nb = ax * ax + ay * ay, bx * bx + by * by
         if not na:
             break  # z is a root; rounding below finds it exactly
@@ -397,31 +443,29 @@ def _refine_root(q: Poly, z: complex,
         return complex(x / one, y / one), None
     gx, gy = (2 * lead * x + one) // (2 * one), (2 * lead * y + one) // (2 * one)
     ex, ey = lead * x - gx * one, lead * y - gy * one   # lead*2^bits*(z - g/lead)
-    near = ComplexRational(Fraction(gx, lead), Fraction(gy, lead))
-    if (ex * ex + ey * ey) * nb > 4 * deg * deg * na * lead * lead or poly_eval(q, near):
+    if ((ex * ex + ey * ey) * nb > 4 * deg * deg * na * lead * lead
+            or _gauss_horner(ints, gx, gy, lead) != (0, 0)):  # lead^deg q(g/lead)
         return complex(x / one, y / one), None  # another root may be the rational one
+    near = _reduced(gx, gy, lead)
     return complex(near), near
 
 
-def _rational_sqrt(r: Fraction) -> Fraction | None:
-    """The square root of r >= 0 when it is rational, else None."""
-    root = Fraction(isqrt(r.numerator), isqrt(r.denominator))
-    return root if root * root == r else None
-
-
 def _sqrt_exact(s: ComplexRational) -> ComplexRational | None:
-    """The square root x + iy of s with x >= 0 in Q(i), or None.
+    """The square root x + iy of s = (a + bi)/d with x >= 0 in Q(i), or None.
 
-    x^2 = (Re s + |s|)/2 and y = Im s/(2x), so |s| and x must be rational;
-    x = 0 leaves s = -y^2 with y^2 = |s|.
+    x^2 = (a + m)/(2d) with m^2 = a^2 + b^2 and y = b/(2dx), so m and
+    X = sqrt(2d(a + m)) must be integers; then x = X/(2d) and y = b/X.
+    X = 0 leaves s = a/d <= 0, whose root is i sqrt(-ad)/d.
     """
-    re, im = s.re, s.im
-    modulus = _rational_sqrt(re * re + im * im)
-    x = None if modulus is None else _rational_sqrt((re + modulus) / 2)
-    if not x:
-        y = None if x is None else _rational_sqrt(modulus)
-        return None if y is None else ComplexRational(0, y)
-    return ComplexRational(x, im / (2 * x))
+    d, ((a, b),) = _common_denominator([s])
+    m = isqrt(a * a + b * b)
+    big_x = isqrt(2 * d * (a + m))
+    if m * m != a * a + b * b or big_x * big_x != 2 * d * (a + m):
+        return None
+    if big_x:
+        return _reduced(big_x * big_x, 2 * d * b, 2 * d * big_x)
+    y = isqrt(-a * d)
+    return _reduced(0, y, d) if y * y == -a * d else None
 
 
 # ---------------------------------------------------------------------------
@@ -467,11 +511,12 @@ def _nullspace(a: Sequence[Sequence[Scalar]],
     return basis
 
 
-def _normalized(v: list[Scalar]) -> list[Scalar]:
-    """v divided by its first entry whose float modulus lies within
-    PEAK_TIE_TOL of the largest, so that entry becomes 1."""
-    floor = (1 - PEAK_TIE_TOL) * max(abs(z) for z in v)
-    lead = next(z for z in v if abs(z) >= floor)
+def _normalized(v: list[Scalar], moduli: list[float] | None = None) -> list[Scalar]:
+    """v divided by its first entry whose float modulus (abs, unless given)
+    lies within PEAK_TIE_TOL of the largest, so that entry becomes 1."""
+    moduli = moduli or [abs(z) for z in v]
+    floor = (1 - PEAK_TIE_TOL) * max(moduli)
+    lead = next(z for z, r in zip(v, moduli) if r >= floor)
     return [z / lead for z in v]
 
 
@@ -494,22 +539,41 @@ def _eigenspace_factors(m: ComplexMatrix, f: Poly) -> list[tuple[Poly, int]]:
         [[w[i] / v[i] for w in images] for v, i in zip(basis, own)])))
 
 
-def _adjugate_column(m: ComplexMatrix, chi: Poly) -> list[Poly]:
-    """adj(tI - M) e_0 = sum t^k b_k, entry by entry as polynomials in t.
+def _adjugate_column(m: ComplexMatrix, chi: Poly) -> list[list[tuple[int, int]]]:
+    """adj(uI - B) e_0 = sum u^k b_k over Z[i], entry by entry as polynomials
+    in u with coefficient pairs (re, im), for M's integer form (d, B).
 
-    chi = det(tI - M) = sum a_k t^k is monic; b_(n-1) = e_0 and
-    b_(k-1) = M b_k + a_k e_0, one exact matrix-vector product per step
-    over the nonzero entries of M.
+    chi = det(tI - M) = sum a_k t^k is monic, so det(uI - B) = sum A_k u^k
+    with A_k = d^(n-k) a_k in Z[i]; b_(n-1) = e_0 and
+    b_(k-1) = B b_k + A_k e_0, one matrix-vector product per step.  At
+    u = d*t, uI - B = d (tI - M), so the column is d^(n-1) adj(tI - M) e_0.
     """
+    d, rows = m.integer_form
     n = m.dim
-    rows = [[(j, z) for j, z in enumerate(row) if z] for row in m.exact]
-    b = [ONE] + [ZERO] * (n - 1)
+    _, coeffs = _common_denominator([c * d ** (n - k) for k, c in enumerate(chi)])
+    b = [(1, 0)] + [(0, 0)] * (n - 1)
     column = [b]
     for k in range(n - 1, 0, -1):
-        b = [sum((z * b[j] for j, z in row), ZERO) for row in rows]
-        b[0] = b[0] + chi[k]
+        b = integer_matvec(rows, b)
+        b[0] = (b[0][0] + coeffs[k][0], b[0][1] + coeffs[k][1])
         column.append(b)
     return [list(entry) for entry in zip(*reversed(column))]
+
+
+def _column_vector(column: list[list[tuple[int, int]]], d: int,
+                   lam: ComplexRational) -> list[ComplexRational] | None:
+    """The column at u = d*lam, normalized as _normalized does, or None where it
+    vanishes.  For lam = g/L, homogeneous Horner gives L^(n-1) c(d g/L) in
+    Z[i], a scale that the one division by the normalizing entry removes.
+    Float moduli are taken after a common shift that keeps them finite."""
+    den, ((gx, gy),) = _common_denominator([lam])
+    v = [_gauss_horner(entry, d * gx, d * gy, den) for entry in column]
+    shift = max(max(abs(x), abs(y)) for x, y in v).bit_length() - 1000
+    if shift == -1000:
+        return None
+    shift = max(shift, 0)
+    return _normalized([_reduced(x, y, 1) for x, y in v],
+                       [abs(complex(x >> shift, y >> shift)) for x, y in v])
 
 
 # ---------------------------------------------------------------------------
@@ -588,7 +652,7 @@ def eigen_decompose(m: ComplexMatrix) -> SpectralResult:
             (max(odd),),
         )
     chi = char if m.dim % 2 == 0 else [-c for c in char]  # det(tI - M)
-    column = None  # adj(tI - M) e_0, built at the first simple exact lambda
+    column = None  # adj(uI - B) e_0, built at the first simple exact lambda
     factors = {}  # multiplicity k of a Yun factor of q -> its _eigenspace_factors
     frequencies: list[NaturalFrequency] = []
     for lam, lam_exact, alg in _eigenvalues(q):
@@ -596,9 +660,9 @@ def eigen_decompose(m: ComplexMatrix) -> SpectralResult:
         if lam_exact is not None and alg == 1:
             if column is None:
                 column = _adjugate_column(m, chi)
-            v = [poly_eval(p, lam_exact) for p in column]
-            if any(v):
-                basis = [_normalized(v)]
+            v = _column_vector(column, m.integer_form[0], lam_exact)
+            if v is not None:
+                basis = [v]
         if basis is None:
             rows, shift, rank = m.exact, lam_exact, None
             if lam_exact is None:

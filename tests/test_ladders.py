@@ -9,8 +9,14 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_hermitian_quadratic
+from test_acceptance import B_VALUES
 from test_golden import MODELS
-from quadladder.adjoint import QuadraticHamiltonian, adjoint_matrix, validate_quadratic
+from quadladder.adjoint import (
+    QuadraticHamiltonian,
+    adjoint_matrix,
+    eigen_residual,
+    validate_quadratic,
+)
 from quadladder.bateman import build_hd
 from quadladder.dsl import parse_to_polynomial
 from quadladder.errors import DefectiveSpectrumError, VerificationError
@@ -23,6 +29,9 @@ from quadladder.ladders import (
 )
 from quadladder.spectral import eigen_decompose
 from quadladder.weyl import ComplexRational, WeylPolynomial, commutator, dagger
+
+I = ComplexRational(0, 1)
+ZERO = ComplexRational(0)
 
 
 def bateman_ladders(b):
@@ -192,10 +201,51 @@ def test_closed_forms_match_weyl_products(seed, num_modes):
         assert_dagger_is_partner_ladder(ham, a)
 
 
+def symplectic_table(ladders):
+    """Every entry from the symplectic form over Q(i), i sum_m (a_xm b_pm -
+    a_pm b_xm) (commutator_table before the lambda_a + lambda_b identity)."""
+    vecs = [lad.coefficients for lad in ladders]
+    k = len(vecs[0]) // 2 if vecs else 0
+    return tuple(
+        tuple(I * sum((a[m] * b[k + m] - a[k + m] * b[m] for m in range(k)), ZERO)
+              for b in vecs)
+        for a in vecs)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 2**32 - 1), num_modes=st.integers(1, 4))
+def test_table_matches_the_symplectic_oracle(seed, num_modes):
+    """Exact and float ladders alike: the identity zeroes only entries the
+    form makes exactly zero."""
+    ham = validate_quadratic(
+        random_hermitian_quadratic(random.Random(seed), num_modes))
+    spectrum = eigen_decompose(adjoint_matrix(ham))
+    assume(not spectrum.defective)
+    ladders = build_ladders(ham, spectrum)
+    assert commutator_table(ladders).entries == symplectic_table(ladders)
+
+
 def golden_hamiltonian(argv):
     if argv[0] == "--bateman":
         return build_hd(Fraction(argv[1].removeprefix("b=")))
     return validate_quadratic(parse_to_polynomial(argv[1]))
+
+
+TABLE_MODELS = {
+    **{f"bateman-{b}": build_hd(b) for b in B_VALUES},  # b = 0: criterion 09
+    "equal_oscillators": validate_quadratic(parse_to_polynomial(
+        "1/2*p1^2 + 1/2*x1^2 + 1/2*p2^2 + 1/2*x2^2")),
+    "three_modes_two_equal": validate_quadratic(parse_to_polynomial(
+        "1/2*p1^2 + 1/2*x1^2 + 1/2*p2^2 + 1/2*x2^2 + 1/2*p3^2 + 2*x3^2 + 1/3*x1*x3")),
+}
+
+
+@pytest.mark.parametrize("name", [*TABLE_MODELS, *(n for n in MODELS if "defective" not in n)])
+def test_named_tables_match_the_symplectic_oracle(name):
+    ham = TABLE_MODELS[name] if name in TABLE_MODELS else golden_hamiltonian(MODELS[name])
+    ladders = build_ladders(ham, eigen_decompose(adjoint_matrix(ham)))
+    assert commutator_table(ladders).entries == symplectic_table(ladders)
 
 
 class TestDaggerPairing:
@@ -237,6 +287,32 @@ class TestVerificationFailures:
         vec[1] = vec[1] + ComplexRational(0, Fraction(1, 3))
         bad = self.spectrum_with(spectrum, 0, eigenvectors_exact=(tuple(vec),))
         with pytest.raises(VerificationError, match="exact ladder"):
+            build_ladders(ham, bad)
+
+    @pytest.mark.parametrize("other", [1, 2, 3])
+    def test_eigenvector_at_another_exact_lambda(self, other):
+        # each vector is exact, but belongs to another frequency: the integer
+        # check refuses it with the residual the Q(i) check printed
+        ham = build_hd(Fraction(1, 2))
+        spectrum = eigen_decompose(adjoint_matrix(ham))
+        lam = spectrum.frequencies[other].lam_exact
+        bad = self.spectrum_with(spectrum, 0, lam_exact=lam)
+        vec = spectrum.frequencies[0].eigenvectors_exact[0]
+        coeffs = [c / next(c for c in vec if c) for c in vec]
+        residual = eigen_residual(adjoint_matrix(ham).exact, lam, coeffs)
+        with pytest.raises(VerificationError) as info:
+            build_ladders(ham, bad)
+        assert str(info.value) == (
+            f"exact ladder at lambda={lam} fails its commutation relation; "
+            f"residual {WeylPolynomial.from_linear(residual, 2)}")
+
+    def test_purely_imaginary_residual(self):
+        # H = (x p + p x)/2 has real eigenvectors x1 at -i and p1 at i; x1
+        # claimed at i leaves the residual (-i - i) x1, with no real part
+        ham = validate_quadratic(parse_to_polynomial("1/2*x1*p1 + 1/2*p1*x1"))
+        spectrum = eigen_decompose(adjoint_matrix(ham))
+        bad = self.spectrum_with(spectrum, 0, lam_exact=spectrum.frequencies[1].lam_exact)
+        with pytest.raises(VerificationError, match=r"lambda=i fails .* residual -2\*i\*x1"):
             build_ladders(ham, bad)
 
     def test_perturbed_float_eigenvector(self):

@@ -21,11 +21,18 @@ from quadladder.spectral import (
     _adjugate_column,
     _normalized,
     _nullspace,
+    _pderiv,
+    _pdivmod,
+    _pdeg,
+    _pgcd,
+    _pmonic,
+    _psub,
+    _sqrt_exact,
     characteristic_polynomial,
     eigen_decompose,
-    poly_eval,
     roots,
     spectral_to_json,
+    squarefree_factors,
 )
 from quadladder.wavefn import _negative_definite
 from quadladder.weyl import ComplexRational, WeylPolynomial
@@ -43,6 +50,14 @@ def poly_from_roots(root_list):
             nxt[k] = nxt[k] - r * c
         coeffs = nxt
     return coeffs
+
+
+def poly_eval(p, z):
+    """Exact Horner evaluation over Q(i): the oracles' evaluation."""
+    acc = p[-1] if p else ComplexRational(0)
+    for c in p[-2::-1]:
+        acc = acc * z + c
+    return acc
 
 
 def bateman_roots(b):
@@ -179,6 +194,15 @@ class TestRoots:
             ]
             got = [r for r, _ in roots(poly_from_roots(wanted))]
             assert got == sorted(got, key=lambda z: (z.real, z.imag))
+
+
+    def test_irrational_root_beside_a_rational_is_not_exact(self):
+        # q = (s - 1)^2 - 5/10^20: both roots 1 +- sqrt(5)/10^10 round to a
+        # Gaussian rational within the Newton radius; q(g/lead) != 0 refuses it
+        q = [ComplexRational(1 - Fraction(5, 10 ** 20)), ComplexRational(-2),
+             ComplexRational(1)]
+        for z, mult in roots(q):
+            assert spectral._refine_root(q, z, mult)[1] is None
 
 
 class TestEigenDecompose:
@@ -603,6 +627,11 @@ ADJUGATE_MODELS = {
         [Fraction(1), Fraction(1, 2), Fraction(5, 4), Fraction(7, 3)],
         {(0, 1): 1, (0, 3): Fraction(2, 5), (1, 2): Fraction(-1, 3),
          (2, 3): Fraction(3, 4), (1, 3): 2}),
+    # 40-digit denominators: column entries of about 4,700 bits, past the float range
+    "cayley-k3-large": rotated_oscillators(
+        [Fraction(10 ** 40 + 1, 10 ** 40), Fraction(3 * 10 ** 40 + 7, 2 * 10 ** 40),
+         Fraction(2 * 10 ** 40 - 3, 3 * 10 ** 40)],
+        {(0, 1): Fraction(10 ** 40 + 3, 10 ** 40), (1, 2): Fraction(1, 3), (0, 2): 2}),
 }
 
 
@@ -624,8 +653,26 @@ def nullspace_calls(monkeypatch):
     return calls
 
 
+def integer_matrix(matrix):
+    """B = d*M from the integer form, dense, as ComplexRational rows."""
+    d, rows = matrix.integer_form
+    dense = [[ComplexRational(0)] * matrix.dim for _ in rows]
+    for out, cells in zip(dense, rows):
+        for j, a, b in cells:
+            out[j] = ComplexRational(a, b)
+    return d, dense
+
+
+def column_at(column, d, lam):
+    """adj(lam I - M) e_0 from the integer column: its entries at u = d*lam,
+    by exact Horner over Q(i), over d^(n-1)."""
+    return [poly_eval([ComplexRational(a, b) for a, b in entry], lam * d) / d ** (len(column) - 1)
+            for entry in column]
+
+
 class TestAdjugateColumn:
-    """A simple exact lambda takes adj(lambda I - M) e_0 as its eigenvector."""
+    """A simple exact lambda takes adj(uI - B) e_0 at u = d*lambda, a multiple
+    of adj(lambda I - M) e_0, as its eigenvector."""
 
     @pytest.mark.parametrize("name", ADJUGATE_MODELS)
     def test_matches_the_elimination_basis(self, name, nullspace_calls):
@@ -635,7 +682,7 @@ class TestAdjugateColumn:
         column = _adjugate_column(matrix, chi)
         for f in spectrum.frequencies:
             assert f.lam_exact is not None and f.algebraic_multiplicity == 1
-            v = [poly_eval(p, f.lam_exact) for p in column]
+            v = column_at(column, matrix.integer_form[0], f.lam_exact)
             assert exact_matvec(matrix.exact, v) == [f.lam_exact * z for z in v]
             want = _nullspace(_shifted(matrix, f.lam_exact))
             assert [_normalized(v)] == want
@@ -643,17 +690,21 @@ class TestAdjugateColumn:
         assert nullspace_calls == []
 
     def test_column_has_the_adjugate_identity(self):
-        # (tI - M) sum t^k b_k = chi(t) e_0, coefficient by coefficient
+        # (uI - B) sum u^k b_k = det(uI - B) e_0, coefficient by coefficient,
+        # with det(uI - B) = sum d^(n-k) a_k u^k for chi = det(tI - M) = sum a_k t^k
         matrix = adjoint_matrix(ADJUGATE_MODELS["cayley-k3"])
+        d, b = integer_matrix(matrix)
+        assert b == [[z * d for z in row] for row in matrix.exact]
         chi = characteristic_polynomial(matrix)
-        column = list(zip(*_adjugate_column(matrix, chi)))  # b_0 .. b_(n-1)
+        column = [[ComplexRational(x, y) for x, y in v]
+                  for v in zip(*_adjugate_column(matrix, chi))]  # b_0 .. b_(n-1)
         n = matrix.dim
         zero = ComplexRational(0)
         for k in range(n + 1):
             lower = column[k - 1] if k else [zero] * n
-            here = exact_matvec(matrix.exact, column[k]) if k < n else [zero] * n
+            here = exact_matvec(b, column[k]) if k < n else [zero] * n
             assert [a - b for a, b in zip(lower, here)] \
-                == [chi[k] if i == 0 else zero for i in range(n)]
+                == [chi[k] * d ** (n - k) if i == 0 else zero for i in range(n)]
 
     def test_vanishing_column_falls_back_to_elimination(self, nullspace_calls):
         # x1 is decoupled from mode 2, so adj(lambda I - M) e_0 vanishes at
@@ -663,7 +714,7 @@ class TestAdjugateColumn:
         spectrum = eigen_decompose(matrix)
         column = _adjugate_column(matrix, characteristic_polynomial(matrix))
         vanishing = [f.lam_exact for f in spectrum.frequencies
-                     if not any(poly_eval(p, f.lam_exact) for p in column)]
+                     if not any(column_at(column, matrix.integer_form[0], f.lam_exact))]
         assert set(vanishing) == {ComplexRational(-2), ComplexRational(2)}
         assert nullspace_calls == [None, None]  # exact elimination
         assert len(spectrum.frequencies) == 4 and not spectrum.defective
@@ -684,6 +735,183 @@ class TestAdjugateColumn:
                 for f in spectrum.frequencies] == mults
         assert spectrum.defective is defective
         assert nullspace_calls == [None for _ in mults]  # exact elimination
+
+
+# ---------------------------------------------------------------------------
+# oracles: the Q(i) code that the integer and modular paths replaced
+# ---------------------------------------------------------------------------
+
+def qi_adjugate_column(m, chi):
+    """adj(tI - M) e_0 = sum t^k b_k over Q(i), entry by entry as polynomials
+    in t (the column before the integer form): b_(n-1) = e_0 and
+    b_(k-1) = M b_k + a_k e_0."""
+    n = m.dim
+    zero = ComplexRational(0)
+    rows = [[(j, z) for j, z in enumerate(row) if z] for row in m.exact]
+    b = [ComplexRational(1)] + [zero] * (n - 1)
+    column = [b]
+    for k in range(n - 1, 0, -1):
+        b = [sum((z * b[j] for j, z in row), zero) for row in rows]
+        b[0] = b[0] + chi[k]
+        column.append(b)
+    return [list(entry) for entry in zip(*reversed(column))]
+
+
+def qi_column_basis(m, chi, lam):
+    """The eigenvector the Q(i) column gave a simple exact lambda: the column
+    at lambda by poly_eval, normalized, or exact elimination where it vanishes."""
+    v = [poly_eval(p, lam) for p in qi_adjugate_column(m, chi)]
+    return [_normalized(v)] if any(v) else _nullspace(_shifted(m, lam))
+
+
+def yun_squarefree_factors(p):
+    """Yun's square-free decomposition over Q(i) alone (squarefree_factors
+    before the modular test)."""
+    p = _pmonic(p)
+    if _pdeg(p) < 1:
+        return []
+    dp = _pderiv(p)
+    g = _pgcd(p, dp)
+    if _pdeg(g) == 0:
+        return [(p, 1)]
+    b, _ = _pdivmod(p, g)
+    c, _ = _pdivmod(dp, g)
+    d = _psub(c, _pderiv(b))
+    out = []
+    k = 1
+    while _pdeg(b) > 0:
+        a = _pgcd(b, d)
+        if _pdeg(a) > 0:
+            out.append((_pmonic(a), k))
+        b, _ = _pdivmod(b, a)
+        c, _ = _pdivmod(d, a)
+        d = _psub(c, _pderiv(b))
+        k += 1
+    return out
+
+
+def assert_matches_the_oracles(matrix):
+    """The integer column is d^(n-1-k) times the Q(i) one, coefficient by
+    coefficient; every simple exact lambda gets the oracle's eigenvector; the
+    square-free factors of q, q^2 and chi are Yun's."""
+    chi = characteristic_polynomial(matrix)
+    if matrix.dim % 2:
+        chi = [-c for c in chi]
+    d, n = matrix.integer_form[0], matrix.dim
+    assert [[ComplexRational(a, b) for a, b in entry]
+            for entry in _adjugate_column(matrix, chi)] \
+        == [[c * d ** (n - 1 - k) for k, c in enumerate(entry)]
+            for entry in qi_adjugate_column(matrix, chi)]
+    for f in eigen_decompose(matrix).frequencies:
+        if f.lam_exact is not None and f.algebraic_multiplicity == 1:
+            assert f.eigenvectors_exact \
+                == tuple(map(tuple, qi_column_basis(matrix, chi, f.lam_exact)))
+    q = chi[::2]
+    square = [sum((q[i] * q[k - i] for i in range(max(0, k - len(q) + 1), min(k, len(q) - 1) + 1)),
+                  ComplexRational(0)) for k in range(2 * len(q) - 1)]
+    for p in (q, square, chi):
+        assert squarefree_factors(p) == yun_squarefree_factors(p)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 4))
+def test_integer_paths_match_the_q_i_oracles(seed, k):
+    assert_matches_the_oracles(adjoint_matrix(validate_quadratic(
+        random_hermitian_quadratic(random.Random(seed), k))))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(omegas=st.lists(st.fractions(Fraction(1, 3), 4, max_denominator=5),
+                       min_size=2, max_size=4, unique=True),
+       skew=st.lists(st.fractions(-2, 2, max_denominator=4), min_size=6, max_size=6))
+def test_exact_coupled_oscillators_match_the_q_i_oracles(omegas, skew):
+    # rational frequencies behind a Cayley rotation: simple exact lambda, K <= 4
+    pairs = [(i, j) for i in range(len(omegas)) for j in range(i + 1, len(omegas))]
+    assert_matches_the_oracles(adjoint_matrix(rotated_oscillators(omegas, dict(zip(pairs, skew)))))
+
+
+REPEATED_ROOT_MODELS = {
+    "free_particle": validate_quadratic(parse_to_polynomial("1/2*p1^2")),
+    "equal_oscillators": validate_quadratic(parse_to_polynomial(
+        "1/2*p1^2 + 1/2*x1^2 + 1/2*p2^2 + 1/2*x2^2")),
+    "criterion-09": build_hd(Fraction(0)),
+    "free_and_oscillator": validate_quadratic(parse_to_polynomial(
+        "1/2*p1^2 + 1/2*p2^2 + 2*x2^2")),
+}
+
+
+@pytest.mark.parametrize("name", [*ADJUGATE_MODELS, *REPEATED_ROOT_MODELS])
+def test_named_models_match_the_q_i_oracles(name):
+    assert_matches_the_oracles(adjoint_matrix({**ADJUGATE_MODELS, **REPEATED_ROOT_MODELS}[name]))
+
+
+def test_repeated_roots_take_yun():
+    for expr, want in [("1/2*p1^2", [1]), ("1/2*p1^2 + 1/2*x1^2 + 1/2*p2^2 + 1/2*x2^2", [2])]:
+        q = characteristic_polynomial(adjoint_matrix(validate_quadratic(
+            parse_to_polynomial(expr))))[::2]
+        assert [k for _, k in squarefree_factors(q)] == want
+    q = characteristic_polynomial(adjoint_matrix(build_hd(Fraction(0))))[::2]
+    assert squarefree_factors(q) == [([ComplexRational(-1), ComplexRational(1)], 2)]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.lists(st.sampled_from([ComplexRational(Fraction(a, b), Fraction(c, b))
+                                 for a in (-2, 0, 3) for c in (-1, 0, 2) for b in (1, 3)]),
+                min_size=1, max_size=7))
+def test_squarefree_matches_yun_on_gaussian_polynomials(root_list):
+    # real and Gaussian roots with repeats: GF(p) and GF(p^2) on both sides
+    p = poly_from_roots(root_list)
+    assert squarefree_factors(p) == yun_squarefree_factors(p)
+    assert sum(len(f) - 1 and (len(f) - 1) * k for f, k in squarefree_factors(p)) \
+        == len(root_list)
+
+
+@pytest.mark.parametrize("root_list", [[1, 1], [1, 2]], ids=["double", "simple"])
+def test_prime_dividing_the_leading_coefficient_takes_yun(root_list):
+    # over one denominator, (t - 1/P)(t - r/P) is P^2 t^2 - (1 + r) P t + r,
+    # the constant r modulo P = 2^61 - 1: no modular gcd can decide it
+    big = 2 ** 61 - 1
+    p = poly_from_roots([ComplexRational(Fraction(r, big)) for r in root_list])
+    assert squarefree_factors(p) == yun_squarefree_factors(p)
+    assert [k for _, k in squarefree_factors(p)] == ([2] if root_list == [1, 1] else [1])
+
+
+def fraction_sqrt_exact(s):
+    """The square root x + iy of s with x >= 0 in Q(i), or None, over
+    Fractions: x^2 = (Re s + |s|)/2, y = Im s/(2x) (the oracle of _sqrt_exact)."""
+    def rational_sqrt(r):
+        root = Fraction(math.isqrt(r.numerator), math.isqrt(r.denominator))
+        return root if root * root == r else None
+    re, im = s.re, s.im
+    modulus = rational_sqrt(re * re + im * im)
+    x = None if modulus is None else rational_sqrt((re + modulus) / 2)
+    if not x:
+        y = None if x is None else rational_sqrt(modulus)
+        return None if y is None else ComplexRational(0, y)
+    return ComplexRational(x, im / (2 * x))
+
+
+small_gaussians = st.builds(lambda a, b, d: ComplexRational(Fraction(a, d), Fraction(b, d)),
+                            st.integers(-30, 30), st.integers(-30, 30), st.integers(1, 12))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(z=small_gaussians, square=st.booleans())
+def test_sqrt_exact_matches_the_fraction_oracle(z, square):
+    s = z * z if square else z
+    assert _sqrt_exact(s) == fraction_sqrt_exact(s)
+    if square:
+        assert _sqrt_exact(s) in (z, -z)
+
+
+def test_large_distinct_denominators_match_the_q_i_hessenberg():
+    # d and the bound reach thousands of bits, so p = 2^86243 - 1
+    rng = random.Random(5)
+    m = ComplexMatrix([[Fraction(rng.randint(-10 ** 30, 10 ** 30), rng.randint(1, 10 ** 30))
+                        for _ in range(8)] for _ in range(8)])
+    assert characteristic_polynomial(m) == hessenberg_over_q_i(m)
 
 
 class TestSerialization:
