@@ -36,8 +36,8 @@ from .weyl import (
     ComplexRational,
     WeylPolynomial,
     ZERO,
-    I,
     _common_denominator,
+    _times_i,
     commutator,  # not called here; perfbench/trace.py wraps adjoint.commutator
     degree_decompose,
     is_hermitian,
@@ -201,7 +201,8 @@ def adjoint_matrix(ham: QuadraticHamiltonian) -> ComplexMatrix:
             a[first][second] = a[second][first] = coeff
     # (A Omega)[j][i] is -A[j][i+K] for an x column, +A[j][i-K] for a p column.
     return ComplexMatrix(
-        tuple(-I * row[i + k] if i < k else I * row[i - k] for i in range(dim))
+        tuple(_times_i(row[i + k], -1) if i < k else _times_i(row[i - k])
+              for i in range(dim))
         for row in a)
 
 

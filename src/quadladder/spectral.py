@@ -487,9 +487,17 @@ def _nullspace(a: Sequence[Sequence[Scalar]],
     pivot_cols: list[int] = []
     free_cols = list(range(n))
     for row in range(n if rank is None else rank):
-        cells = ((r, c) for c in free_cols for r in range(row, n))
-        best, col = (next(((r, c) for r, c in cells if m[r][c]), (row, free_cols[0]))
-                     if rank is None else max(cells, key=lambda rc: abs(m[rc[0]][rc[1]])))
+        if rank is None:
+            cells = ((r, c) for c in free_cols for r in range(row, n))
+            best, col = next(((r, c) for r, c in cells if m[r][c]), (row, free_cols[0]))
+        else:
+            # the first largest modulus in column-then-row order
+            peak = None
+            for c in free_cols:
+                mods = [abs(m[r][c]) for r in range(row, n)]
+                top = max(mods)
+                if peak is None or top > peak:
+                    peak, best, col = top, row + mods.index(top), c
         if not m[best][col]:
             break
         m[row], m[best] = m[best], m[row]

@@ -19,10 +19,14 @@ every map.  It packs each monomial x^e into one int, sum of e_j << (j*w),
 with w taken from a degree bound so that every digit fits, and keeps weights
 and coefficients as Gaussian-integer numerators over one denominator per
 polynomial, so a shift is one int addition and a product two int pairs.
-All states of a ladder family share the vacuum's sector, so ladder_spectrum
-builds one map each for H and the two raising ladders, keeps the whole grid
-packed with one content gcd per state, checks H f = E f on every state by
-cross-multiplied integers, and converts each state to exact values once.
+A degree-1 ladder Z = alpha^T x + beta^T p needs no expansion: it acts on
+the polynomial part as u + D with u = (alpha - 2i S beta)^T x - i beta^T l
+and D = -i beta^T grad, so its map is built in closed form from its
+coefficients.  All states of a ladder family share the vacuum's sector, so
+ladder_spectrum expands one map for H, builds the two raising ladders' maps
+in closed form, keeps the whole grid packed with one content gcd per state,
+and checks H f = E f on every state by cross-multiplied integers.  A state is
+converted to exact values only when its function is read.
 
 Sums of such functions over distinct exponents (needed to witness that a
 mixture of eigenfunctions is not an eigenfunction) are represented by
@@ -41,6 +45,7 @@ exponent are exact; only the sqrt and exp factors are floats.
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, perm
 
 from .adjoint import ComplexMatrix, QuadraticHamiltonian
@@ -59,6 +64,7 @@ from .weyl import (
     _common_denominator,
     _ratio,
     _reduced,
+    _times_i,
 )
 
 __all__ = [
@@ -356,6 +362,33 @@ def _sector_map(op: WeylPolynomial, f: GaussianPolyFunction, bits: int):
         for delta, group in groups.items())
 
 
+def _ladder_map(lad: LadderOperator, f: GaussianPolyFunction, bits: int):
+    """lad in f's sector, packed as _sector_map packs it, in closed form.
+
+    With S = f.quad and l = f.lin, Z = alpha^T x + beta^T p acts on the
+    polynomial part as u + D with u = (alpha - 2i S beta)^T x - i beta^T l
+    and D = -i beta^T grad: at most K + 1 shifts and K first derivatives.
+    """
+    k = f.num_modes
+    if len(lad.coefficients) != 2 * k:
+        raise ValueError("operator and function mode counts differ")
+    alpha, beta = lad.coefficients[:k], lad.coefficients[k:]
+    s_beta = [sum((s * b for s, b in zip(row, beta)), ZERO) for row in f.quad]
+    l_beta = sum((v * b for v, b in zip(f.lin, beta)), ZERO)
+    # (derivative orders, packed shift, weight): each x_t, 1, then each d/dx_j
+    terms = [((), 1 << (t * bits), a - _times_i(2 * sb))
+             for t, (a, sb) in enumerate(zip(alpha, s_beta))]
+    terms.append(((), 0, _times_i(l_beta, -1)))
+    terms += [(((j * bits, 1),), -1 << (j * bits), _times_i(b, -1))
+              for j, b in enumerate(beta)]
+    terms = [term for term in terms if term[2]]
+    den, pairs = _common_denominator(w for _, _, w in terms)
+    groups: dict = {}
+    for (derivs, shift, _), (a, b) in zip(terms, pairs):
+        groups.setdefault(derivs, []).append((shift, a, b))
+    return den, bits, tuple(groups.items())
+
+
 def _kernel(smap, poly: dict) -> dict:
     """The one application kernel: smap applied to poly, which maps packed
     exponents to Gaussian-integer numerators ``(a, b)`` over a denominator
@@ -467,16 +500,29 @@ def eigencheck(ham: QuadraticHamiltonian, f) -> ComplexRational | None:
 class SpectrumEntry:
     """State (raise_a)^n (raise_b)^m |vacuum> with its exact energy.
 
-    ``annihilated`` marks grid points where the ladder product vanished;
-    those carry no function but keep the energy the closed form predicts.
+    ``state`` is the packed ``(bits, den, poly)`` that ladder_spectrum
+    raised, or None where the ladder product vanished: an ``annihilated``
+    entry has no function but keeps the energy the closed form predicts.
+    ``function`` converts the state in the vacuum's sector on first read.
     """
 
     n: int
     m: int
     energy: ComplexRational
     family: str
-    function: GaussianPolyFunction | None
-    annihilated: bool = False
+    vacuum: GaussianPolyFunction
+    state: tuple[int, int, dict] | None
+
+    @property
+    def annihilated(self) -> bool:
+        return self.state is None
+
+    @cached_property
+    def function(self) -> GaussianPolyFunction | None:
+        if self.state is None:
+            return None
+        bits, den, poly = self.state
+        return _unpacked(self.vacuum, bits, den, poly)
 
 
 def _raised(smap, state: tuple[int, dict]) -> tuple[int, dict]:
@@ -517,8 +563,9 @@ def ladder_spectrum(ham: QuadraticHamiltonian,
     E(vacuum) + n*lambda_a + m*lambda_b; any mismatch raises
     VerificationError.  Vanishing states are reported as annihilated entries
     rather than errors.  Every state lies in the vacuum's Gaussian sector, so
-    H and both ladders are each turned into one sector map for the grid, and
-    the grid stays packed at one digit width until each state is reported.
+    H is expanded into one sector map for the grid and each ladder's map is
+    built in closed form.  The grid stays packed at one digit width; an
+    entry converts its state only when its function is read.
     """
     if vacuum.is_zero:
         raise ValueError("ladder_spectrum requires a nonzero vacuum")
@@ -527,17 +574,23 @@ def ladder_spectrum(ham: QuadraticHamiltonian,
     bits = (max(map(sum, vacuum.poly)) + n_max + m_max
             + ham.op.degree).bit_length()
     h_map = _sector_map(ham.op, vacuum, bits)
-    e_vac = _ratio(_apply_map(h_map, vacuum).poly, vacuum.poly)
-    if e_vac is None:
+    vac_den, vac_poly = _packed(vacuum, bits)
+    h_vac = _kernel(h_map, vac_poly)
+    # E = h/(h_den*v) at one exponent of the vacuum, then checked at all
+    ref = next(iter(vac_poly))
+    (va, vb), (ha, hb) = vac_poly[ref], h_vac.get(ref, (0, 0))
+    e_vac = _reduced(ha * va + hb * vb, hb * va - ha * vb,
+                     h_map[0] * (va * va + vb * vb))
+    if not _eigen_holds(h_vac, h_map[0], vac_poly, e_vac):
         raise ValueError("vacuum is not an eigenfunction of the Hamiltonian")
     if raise_a.lam_exact is None or raise_b.lam_exact is None:
         raise ValueError("ladder_spectrum needs ladders with exact frequencies")
     lam_a = raise_a.lam_exact
     lam_b = raise_b.lam_exact
     # a ladder's map is built only when its direction has rows to raise
-    a_map = _sector_map(raise_a.z, vacuum, bits) if n_max else None
-    b_map = _sector_map(raise_b.z, vacuum, bits) if m_max else None
-    base_row = [_packed(vacuum, bits)]
+    a_map = _ladder_map(raise_a, vacuum, bits) if n_max else None
+    b_map = _ladder_map(raise_b, vacuum, bits) if m_max else None
+    base_row = [(vac_den, vac_poly)]
     for _ in range(m_max):
         base_row.append(_raised(b_map, base_row[-1]))
     grid = [base_row]
@@ -548,26 +601,32 @@ def ladder_spectrum(ham: QuadraticHamiltonian,
         for m in range(m_max + 1):
             den, poly = grid[n][m]
             energy = e_vac + n * lam_a + m * lam_b
-            if not poly:
-                entries.append(SpectrumEntry(
-                    n=n, m=m, energy=energy, family=family,
-                    function=None, annihilated=True))
-                continue
-            current = _unpacked(vacuum, bits, den, poly)
-            if not _eigen_holds(_kernel(h_map, poly), h_map[0], poly, energy):
+            if poly and not _eigen_holds(
+                    _kernel(h_map, poly), h_map[0], poly, energy):
+                current = _unpacked(vacuum, bits, den, poly)
                 found = _ratio(_apply_map(h_map, current).poly, current.poly)
                 raise VerificationError(
                     f"state (n={n}, m={m}) has eigenvalue {found}, "
                     f"expected {energy}")
             entries.append(SpectrumEntry(
-                n=n, m=m, energy=energy, family=family,
-                function=current, annihilated=False))
+                n=n, m=m, energy=energy, family=family, vacuum=vacuum,
+                state=(bits, den, poly) if poly else None))
     return entries
 
 
 def annihilation_check(z, f) -> bool:
-    """Whether applying the ladder (or bare operator) kills f exactly."""
-    return apply_operator(_as_polynomial(z), f).is_zero
+    """Whether applying the ladder (or bare operator) kills f exactly.
+
+    A LadderOperator takes one kernel call with its closed-form map on each
+    Gaussian sector of f; any other operator goes through apply_operator.
+    """
+    if not isinstance(z, LadderOperator):
+        return apply_operator(_as_polynomial(z), f).is_zero
+    for comp in f.components if isinstance(f, GaussianPolySum) else (f,):
+        bits = (max(map(sum, comp.poly), default=0) + 1).bit_length()
+        if _kernel(_ladder_map(z, comp, bits), _packed(comp, bits)[1]):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -723,23 +782,20 @@ def function_to_json(f: GaussianPolyFunction) -> dict:
 
 
 def _integrable_flags(entries: list[SpectrumEntry]) -> list[bool | None]:
-    """is_square_integrable of each entry's function (None without one).
+    """is_square_integrable of each entry's state (None for an annihilated one).
 
-    The verdict depends only on the Gaussian exponent, and a family's states
-    share their vacuum's ``quad`` object, so it is decided once per object,
-    keyed by identity (hashing ``quad`` would hash each entry as a Fraction).
+    The verdict depends only on the Gaussian exponent, which a state shares
+    with its vacuum, and a family's states share their vacuum's ``quad``
+    object, so it is decided from the vacuum once per object, keyed by
+    identity (hashing ``quad`` would hash each entry as a Fraction); no state
+    is converted.
     """
     by_quad: dict = {}
-    flags: list[bool | None] = []
     for entry in entries:
-        f = entry.function
-        if isinstance(f, GaussianPolyFunction) and not f.is_zero:
-            if id(f.quad) not in by_quad:
-                by_quad[id(f.quad)] = is_square_integrable(f)
-            flags.append(by_quad[id(f.quad)])
-        else:
-            flags.append(None if f is None else is_square_integrable(f))
-    return flags
+        if entry.state is not None and id(entry.vacuum.quad) not in by_quad:
+            by_quad[id(entry.vacuum.quad)] = is_square_integrable(entry.vacuum)
+    return [None if entry.state is None else by_quad[id(entry.vacuum.quad)]
+            for entry in entries]
 
 
 def _entry_row(entry: SpectrumEntry, integrable: bool | None) -> dict:

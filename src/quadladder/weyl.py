@@ -274,6 +274,14 @@ def _canonical(a: int, b: int, d: int) -> ComplexRational:
     return z
 
 
+def _times_i(v: ComplexRational, sign: int = 1) -> ComplexRational:
+    """v times i (sign 1) or -i (sign -1): i*(a + b*i)/d = (-b + a*i)/d only
+    swaps the numerators, so it stays canonical with no gcd; a zero stays v."""
+    if not (v._a or v._b):
+        return v
+    return _canonical(-sign * v._b, sign * v._a, v._d)
+
+
 def _reduced(a: int, b: int, d: int) -> ComplexRational:
     """Canonical ComplexRational for (a + b*i)/d with d > 0."""
     if d != 1:

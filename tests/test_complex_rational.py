@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quadladder.weyl import ComplexRational
+from quadladder.weyl import ComplexRational, _times_i
 
 
 class FractionPair:
@@ -254,6 +254,17 @@ def test_unary_operations_match_reference(x, n):
     assert complex(z) == complex(zr)
     assert abs(z) == abs(zr)
     assert z == z.re + z.im * ComplexRational(0, 1)
+
+
+@PROPERTY
+@given(pairs)
+def test_rotation_by_i_matches_reference(x):
+    z, zr = both(x)
+    i = FractionPair(0, 1)
+    assert_same(_times_i(z), i * zr)
+    assert_same(_times_i(z, -1), -i * zr)
+    if not z:
+        assert _times_i(z) is z and _times_i(z, -1) is z
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)

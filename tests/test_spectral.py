@@ -314,6 +314,54 @@ class TestNullspace:
         assert _nullspace([[1.0, 0j], [0j, 1e-14]], rank) == want
 
 
+def _old_float_nullspace(a, rank):
+    """_nullspace's float branch as it was, with its pivot search of one
+    key call per cell (kept verbatim as the reference for pivot choice)."""
+    m = [list(r) for r in a]
+    n = len(m)
+    pivot_cols, free_cols = [], list(range(n))
+    for row in range(rank):
+        cells = ((r, c) for c in free_cols for r in range(row, n))
+        best, col = max(cells, key=lambda rc: abs(m[rc[0]][rc[1]]))
+        if not m[best][col]:
+            break
+        m[row], m[best] = m[best], m[row]
+        pivot = m[row][col]
+        m[row] = [z / pivot for z in m[row]]
+        for r in range(n):
+            factor = m[r][col]
+            if r != row and factor != 0:
+                m[r] = [z - factor * p for z, p in zip(m[r], m[row])]
+        pivot_cols.append(col)
+        free_cols.remove(col)
+    basis = []
+    for free in free_cols:
+        v = [0j] * n
+        v[free] = 1 + 0j
+        for r, col in enumerate(pivot_cols):
+            v[col] = -m[r][free]
+        basis.append(_normalized(v))
+    return basis
+
+
+@st.composite
+def tied_float_matrices(draw):
+    """Complex matrices over a few values whose moduli repeat (1, 2, sqrt 2),
+    so most pivot searches meet ties, with a rank up to n."""
+    n = draw(st.integers(1, 6))
+    values = st.sampled_from([0j, 1, -1, 1j, -1j, 2, -2j, 1 + 1j, 1 - 1j, -1 - 1j])
+    a = [[complex(draw(values)) for _ in range(n)] for _ in range(n)]
+    return a, draw(st.integers(0, n))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=tied_float_matrices())
+def test_float_pivots_match_the_old_search(case):
+    # the first largest modulus in column-then-row order, ties included
+    a, rank = case
+    assert _nullspace(a, rank) == _old_float_nullspace(a, rank)
+
+
 def _gaussian(parts):
     re, im = parts
     return ComplexRational(re, im)

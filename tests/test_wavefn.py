@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import random_fraction, random_polynomial
 from test_acceptance import B_VALUES
-from quadladder import wavefn
+from quadladder import cli, wavefn
 from quadladder.adjoint import adjoint_matrix, validate_quadratic
 from quadladder.bateman import build_hd, vacuum_functions
 from quadladder.dsl import parse_to_polynomial
@@ -21,7 +21,7 @@ from quadladder.errors import (
     NumericFailureError,
     VerificationError,
 )
-from quadladder.ladders import build_ladders
+from quadladder.ladders import LadderOperator, build_ladders
 from quadladder.spectral import eigen_decompose
 from quadladder.wavefn import (
     DIVERGENT,
@@ -399,6 +399,122 @@ class TestPackedSpectrum:
         assert max(max(e) for e in entries[-1].function.poly) == 10 + 2 * n_max
 
 
+# ---------------------------------------------------------------------------
+# closed-form ladder maps and states converted on read
+# ---------------------------------------------------------------------------
+
+gaussian_rationals = st.builds(
+    lambda a, b, c, d: ComplexRational(Fraction(a, c), Fraction(b, d)),
+    st.integers(-6, 6), st.integers(-6, 6), st.integers(1, 5), st.integers(1, 5))
+
+
+@st.composite
+def sectors_and_ladders(draw):
+    """A K-mode function with random symmetric S, l and polynomial part,
+    and a ladder with random Gaussian-rational coefficients."""
+    k = draw(st.integers(1, 3))
+    upper = [[draw(gaussian_rationals) for _ in range(k)] for _ in range(k)]
+    quad = tuple(tuple(upper[min(i, j)][max(i, j)] for j in range(k))
+                 for i in range(k))
+    lin = tuple(draw(gaussian_rationals) for _ in range(k))
+    poly = draw(st.dictionaries(
+        st.tuples(*[st.integers(0, 4)] * k), gaussian_rationals, max_size=5))
+    coefficients = tuple(draw(gaussian_rationals) for _ in range(2 * k))
+    lad = LadderOperator(coefficients=coefficients, lam=0j, lam_exact=None,
+                         frequency=None)
+    return GaussianPolyFunction(k, poly, quad, lin), lad
+
+
+def applied(smap, f, bits):
+    """smap applied to f through the kernel, as exact values."""
+    den, poly = wavefn._packed(f, bits)
+    return {e: _reduced(a, b, den * smap[0])
+            for e, (a, b) in wavefn._kernel(smap, poly).items()}
+
+
+def raised_states(ham, vacuum, raise_a, raise_b):
+    return [e.function for e in ladder_spectrum(ham, vacuum, raise_a, raise_b, 2, 2)
+            if not e.annihilated]
+
+
+class TestClosedFormLadders:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(sectors_and_ladders())
+    def test_map_matches_the_expanded_sector_map(self, case):
+        f, lad = case
+        bits = (max(map(sum, f.poly), default=0) + 1).bit_length()
+        assert applied(wavefn._ladder_map(lad, f, bits), f, bits) \
+            == applied(wavefn._sector_map(lad.z, f, bits), f, bits)
+
+    def test_mode_counts_must_agree(self):
+        _, ladders, _, _ = bateman_setup(Fraction(1))
+        with pytest.raises(ValueError, match="mode counts"):
+            annihilation_check(ladders[0], gauss_1d(-1))
+
+    @pytest.mark.parametrize("b", B_VALUES)
+    def test_annihilation_agrees_with_apply_operator(self, b):
+        ham, ladders, psi0, psi1 = bateman_setup(b)
+        z1, z2, z3, z4 = ladders
+        states = (raised_states(ham, psi0, z3, z4) + raised_states(ham, psi1, z1, z2)
+                  + [psi0 - psi0])
+        for lad in ladders:
+            for f in states:
+                assert annihilation_check(lad, f) == apply_operator(lad.z, f).is_zero
+
+    def test_annihilation_of_sums(self):
+        # S' = S + w w^T with w^T beta = 0 keeps 2i S' beta = alpha, so z1
+        # kills exp(x^T S' x) as well as psi0, and a sum of the two
+        _, ladders, psi0, psi1 = bateman_setup(Fraction(1, 2))
+        z1 = ladders[0]
+        beta = z1.coefficients[2:]
+        w = (beta[1], -beta[0])
+        quad = tuple(tuple(psi0.quad[i][j] + w[i] * w[j] for j in range(2))
+                     for i in range(2))
+        other = GaussianPolyFunction.pure_gaussian(quad, psi0.lin)
+        for f, killed in ((psi0 + other, True), (psi0 + psi1, False),
+                          (psi1 + other, False)):
+            assert isinstance(f, GaussianPolySum)
+            assert annihilation_check(z1, f) is killed
+            assert apply_operator(z1.z, f).is_zero is killed
+
+    @pytest.mark.parametrize("n_max", [0, 1, 3])
+    def test_one_sector_map_per_spectrum(self, monkeypatch, n_max):
+        ham, ladders, psi0, _ = bateman_setup(Fraction(1, 2))
+        built = []
+
+        def counting(op, f, bits):
+            built.append(op)
+            return sector_map(op, f, bits)
+
+        sector_map = wavefn._sector_map
+        monkeypatch.setattr(wavefn, "_sector_map", counting)
+        ladder_spectrum(ham, psi0, ladders[2], ladders[3], n_max, n_max)
+        assert built == [ham.op]
+
+    def test_reports_convert_no_state(self, monkeypatch):
+        ham, ladders, psi0, _ = bateman_setup(Fraction(1, 2))
+        entries = ladder_spectrum(ham, psi0, ladders[2], ladders[3], 3, 3)
+        expected_doc = spectrum_to_json(entries)
+        expected_report = cli.run_report(b=Fraction(1, 2), ladder_states=3)
+
+        def refuse(*args):
+            raise AssertionError("a state was converted")
+
+        monkeypatch.setattr(wavefn, "_unpacked", refuse)
+        entries = ladder_spectrum(ham, psi0, ladders[2], ladders[3], 3, 3)
+        assert spectrum_to_json(entries) == expected_doc
+        assert cli.run_report(b=Fraction(1, 2), ladder_states=3) == expected_report
+        with pytest.raises(AssertionError, match="converted"):
+            entries[1].function
+
+    def test_function_is_converted_once(self):
+        ham, ladders, psi0, _ = bateman_setup(Fraction(1))
+        entry = ladder_spectrum(ham, psi0, ladders[2], ladders[3], 1, 1)[3]
+        assert entry.function is entry.function
+        assert entry.function == apply_operator(
+            ladders[2], apply_operator(ladders[3], psi0))
+
+
 class TestSquareIntegrability:
     def test_bateman_vacua_are_not(self):
         _, _, psi0, psi1 = bateman_setup(Fraction(1))
@@ -588,11 +704,14 @@ class TestSerialization:
         assert calls == [psi0.quad]
         assert [s["square_integrable"] for s in expected["states"]] == [False] * 9
 
-        other = dataclasses.replace(entries[1], function=gauss_1d(-1))
-        gone = dataclasses.replace(entries[2], function=None, annihilated=True)
+        # an entry decides from its vacuum, and one without a state is
+        # annihilated
+        other = dataclasses.replace(entries[1], vacuum=gauss_1d(-1))
+        gone = dataclasses.replace(entries[2], state=None)
+        assert gone.annihilated and gone.function is None
         calls.clear()
         doc = spectrum_to_json([entries[0], other, gone, entries[3]])
-        assert calls == [psi0.quad, other.function.quad]
+        assert calls == [psi0.quad, other.vacuum.quad]
         assert [s["square_integrable"] for s in doc["states"]] == [
             False, True, None, False]
 
