@@ -25,6 +25,7 @@ irrational frequencies.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence, TypeVar
 
 from .errors import (
@@ -149,6 +150,30 @@ class QuadraticHamiltonian:
     def __str__(self):
         return str(self.op)
 
+    @cached_property
+    def _matrix(self) -> ComplexMatrix:
+        """The adjoint matrix, built on first use; see adjoint_matrix."""
+        k = self.num_modes
+        dim = 2 * k
+        a = [[ZERO] * dim for _ in range(dim)]
+        for mono, coeff in self.op.terms.items():
+            degree = sum(mono)
+            if degree == 0:
+                continue
+            if degree != 2:
+                validate_quadratic(self.op)  # NotQuadraticError names the terms
+            first, second = (
+                flat for flat, exp in enumerate(mono) for _ in range(exp))
+            if first == second:
+                a[first][first] = 2 * coeff
+            else:
+                a[first][second] = a[second][first] = coeff
+        # (A Omega)[j][i]: -A[j][i+K] for an x column, +A[j][i-K] for a p column
+        return ComplexMatrix(
+            tuple(_times_i(row[i + k], -1) if i < k else _times_i(row[i - k])
+                  for i in range(dim))
+            for row in a)
+
 
 def validate_quadratic(op: WeylPolynomial) -> QuadraticHamiltonian:
     """Check degrees and Hermiticity, returning the validated wrapper.
@@ -182,28 +207,10 @@ def adjoint_matrix(ham: QuadraticHamiltonian) -> ComplexMatrix:
 
     A is read off the degree-2 terms of H; constants drop out, and a term of
     any other degree raises NotQuadraticError (a hand-built Hamiltonian may
-    not have passed validate_quadratic).
+    not have passed validate_quadratic).  M is built once per Hamiltonian
+    and shared by every caller.
     """
-    k = ham.num_modes
-    dim = 2 * k
-    a = [[ZERO] * dim for _ in range(dim)]
-    for mono, coeff in ham.op.terms.items():
-        degree = sum(mono)
-        if degree == 0:
-            continue
-        if degree != 2:
-            validate_quadratic(ham.op)  # raises NotQuadraticError naming the terms
-        first, second = (
-            flat for flat, exp in enumerate(mono) for _ in range(exp))
-        if first == second:
-            a[first][first] = 2 * coeff
-        else:
-            a[first][second] = a[second][first] = coeff
-    # (A Omega)[j][i] is -A[j][i+K] for an x column, +A[j][i-K] for a p column.
-    return ComplexMatrix(
-        tuple(_times_i(row[i + k], -1) if i < k else _times_i(row[i - k])
-              for i in range(dim))
-        for row in a)
+    return ham._matrix
 
 
 def matrices_commute(a: ComplexMatrix, b: ComplexMatrix) -> bool:

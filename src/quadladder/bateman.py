@@ -21,6 +21,7 @@ the model's complex natural frequencies.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .adjoint import QuadraticHamiltonian, validate_quadratic
 from .weyl import ComplexRational, WeylPolynomial
@@ -93,12 +94,14 @@ def split_h0_h1(b) -> tuple[QuadraticHamiltonian, QuadraticHamiltonian]:
     return h0, validate_quadratic(h1_op)
 
 
+@cache
 def vacuum_functions() -> tuple["GaussianPolyFunction", "GaussianPolyFunction"]:
     """The two ladder-family vacua: exp(-x^2/2 + y^2/2) and its reflection.
 
     The first is annihilated by the lowering pair (negative real part
     frequencies) and has H_d eigenvalue +1; the second by the raising pair,
-    with eigenvalue -1.  Both hold at every b.
+    with eigenvalue -1.  Both hold at every b, so one pair, never mutated,
+    serves the whole process.
     """
     from .wavefn import GaussianPolyFunction
 

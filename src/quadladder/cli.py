@@ -168,6 +168,10 @@ def _load_model_file(path: str) -> dict:
         raise ValidationError(f"model file {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValidationError("model file must hold a JSON object")
+    extra = sorted(set(doc) - {"bateman", "expression"})
+    if extra:
+        raise ValidationError(f"unknown model file key {extra[0]!r}; a model file "
+                              "holds one 'bateman' or 'expression' entry")
     if ("bateman" in doc) == ("expression" in doc):
         raise ValidationError(
             "model file needs exactly one of a 'bateman' and an 'expression' entry")

@@ -128,7 +128,7 @@ def build_ladders(ham: QuadraticHamiltonian,
     if len(spectrum.char_poly) - 1 != 2 * num_modes:
         raise DimensionMismatchError(
             "spectral result dimension does not match the Hamiltonian")
-    m = adjoint_matrix(ham)  # closed form: cheap enough to rebuild
+    m = adjoint_matrix(ham)  # built once per Hamiltonian, with its integer form
     if not all(v.is_imaginary for row in m.exact for v in row):
         raise VerificationError(
             "adjoint matrix is not purely imaginary: the Hamiltonian is not "

@@ -21,16 +21,19 @@ and coefficients as Gaussian-integer numerators over one denominator per
 polynomial, so a shift is one int addition and a product two int pairs.
 A degree-1 ladder Z = alpha^T x + beta^T p needs no expansion: it acts on
 the polynomial part as u + D with u = (alpha - 2i S beta)^T x - i beta^T l
-and D = -i beta^T grad, so its map is built in closed form from its
-coefficients.  All states of a ladder family share the vacuum's sector, so
-ladder_spectrum expands one map for H, builds the two raising ladders' maps
-in closed form, keeps the whole grid packed with one content gcd per state,
-and checks H f = E f on every state by cross-multiplied integers.  A state is
-converted to exact values only when its function is read.
+and D = -i beta^T grad, so wherever a ladder is applied its map is built in
+closed form.  One routine reads an eigenvalue: E at one exponent, then
+H f = E f at all of them by cross-multiplied integers.  A ladder family
+shares the vacuum's sector, so ladder_spectrum expands one map for H, keeps
+the grid packed with one content gcd per state, and checks each state
+against its predicted energy.  A state is converted to exact values only
+when its function is read.
 
 Sums of such functions over distinct exponents (needed to witness that a
-mixture of eigenfunctions is not an eigenfunction) are represented by
-GaussianPolySum, which the checking operations accept as well.
+mixture of eigenfunctions is not an eigenfunction) are GaussianPolySum;
+both types expose ``components``, so the checking operations take either.
+Square integrability depends only on the exponent and is decided once per
+function.
 
 Integrals <f|g> come from one Gauss-Jordan elimination and a moment
 recurrence.  Eliminating x_K, ..., x_1 in turn from [quad | I] gives quad^-1
@@ -62,7 +65,6 @@ from .weyl import (
     _NEG_I_POW,
     _add_term,
     _common_denominator,
-    _ratio,
     _reduced,
     _times_i,
 )
@@ -182,6 +184,15 @@ class GaussianPolyFunction:
     def is_zero(self) -> bool:
         return not self.poly
 
+    @property
+    def components(self) -> tuple["GaussianPolyFunction"]:
+        return (self,)
+
+    @cached_property
+    def _square_integrable(self) -> bool:
+        """Whether quad + conj(quad) is negative definite, decided once."""
+        return _negative_definite(_real_part_matrix(self.quad))
+
     def _sector(self):
         return (
             tuple(tuple(v.as_quad() for v in row) for row in self.quad),
@@ -203,16 +214,13 @@ class GaussianPolyFunction:
             self.quad, self.lin)
 
     def __add__(self, other):
-        if isinstance(other, GaussianPolySum):
-            return GaussianPolySum.from_components((self,) + other.components)
-        if not isinstance(other, GaussianPolyFunction):
+        if not isinstance(other, (GaussianPolyFunction, GaussianPolySum)):
             return NotImplemented
-        if self.num_modes != other.num_modes:
-            raise ValueError("mode counts differ")
-        if self._sector() == other._sector():
+        if (isinstance(other, GaussianPolyFunction)
+                and self._sector() == other._sector()):
             return GaussianPolyFunction(
                 self.num_modes, _cp_add(self.poly, other.poly), self.quad, self.lin)
-        return GaussianPolySum.from_components((self, other))
+        return GaussianPolySum.from_components(self.components + other.components)
 
     def __sub__(self, other):
         if isinstance(other, (GaussianPolyFunction, GaussianPolySum)):
@@ -279,9 +287,7 @@ class GaussianPolySum:
             tuple(f.scaled(s) for f in self.components))
 
     def __add__(self, other):
-        if isinstance(other, GaussianPolyFunction):
-            return GaussianPolySum.from_components(self.components + (other,))
-        if isinstance(other, GaussianPolySum):
+        if isinstance(other, (GaussianPolyFunction, GaussianPolySum)):
             return GaussianPolySum.from_components(
                 self.components + other.components)
         return NotImplemented
@@ -438,18 +444,20 @@ def _unpacked(f: GaussianPolyFunction, bits: int, den: int,
     return g
 
 
-def _apply_map(smap, f: GaussianPolyFunction) -> GaussianPolyFunction:
-    """smap's operator applied to f, which must lie in smap's sector and
-    keep its digits within smap's width: pack, kernel, unpack."""
+def _map(op, f: GaussianPolyFunction):
+    """op in f's sector, its digits wide enough for f's exponents raised by
+    op: a ladder's closed-form map, or any other operator's expansion."""
+    ladder = isinstance(op, LadderOperator)
+    bits = (max(map(sum, f.poly), default=0)
+            + (1 if ladder else op.degree)).bit_length()
+    return (_ladder_map if ladder else _sector_map)(op, f, bits)
+
+
+def _apply_to_function(op, f: GaussianPolyFunction) -> GaussianPolyFunction:
+    """op applied to f through its map in f's sector."""
+    smap = _map(op, f)
     den, poly = _packed(f, smap[1])
     return _unpacked(f, smap[1], den * smap[0], _kernel(smap, poly))
-
-
-def _apply_to_function(op: WeylPolynomial,
-                       f: GaussianPolyFunction) -> GaussianPolyFunction:
-    """op applied to f through one sector map built for f's sector."""
-    bits = (max(map(sum, f.poly), default=0) + op.degree).bit_length()
-    return _apply_map(_sector_map(op, f, bits), f)
 
 
 def apply_operator(op, f):
@@ -459,21 +467,13 @@ def apply_operator(op, f):
     as the operator, and a GaussianPolyFunction or GaussianPolySum as the
     function; the result has the same Gaussian sectors as the input.
     """
-    op = _as_polynomial(op)
+    op = op.op if isinstance(op, QuadraticHamiltonian) else op
+    if not isinstance(op, (WeylPolynomial, LadderOperator)):
+        raise TypeError(f"cannot interpret {type(op).__name__} as an operator")
     if isinstance(f, GaussianPolySum):
         return GaussianPolySum.from_components(
             tuple(_apply_to_function(op, comp) for comp in f.components))
     return _apply_to_function(op, f)
-
-
-def _as_polynomial(op) -> WeylPolynomial:
-    if isinstance(op, WeylPolynomial):
-        return op
-    if isinstance(op, QuadraticHamiltonian):
-        return op.op
-    if isinstance(op, LadderOperator):
-        return op.z
-    raise TypeError(f"cannot interpret {type(op).__name__} as an operator")
 
 
 # ---------------------------------------------------------------------------
@@ -489,9 +489,8 @@ def eigencheck(ham: QuadraticHamiltonian, f) -> ComplexRational | None:
     """
     if f.is_zero:
         raise ValueError("eigencheck requires a nonzero function")
-    comps = f.components if isinstance(f, GaussianPolySum) else (f,)
-    values = [_ratio(_apply_to_function(ham.op, comp).poly, comp.poly)
-              for comp in comps]
+    values = [_eigenvalue(smap, _packed(comp, smap[1])[1])
+              for comp in f.components for smap in (_map(ham.op, comp),)]
     # None equals no ComplexRational, so one None makes the result None
     return values[0] if all(v == values[0] for v in values) else None
 
@@ -548,6 +547,17 @@ def _eigen_holds(h_poly: dict, h_den: int, poly: dict, energy) -> bool:
         for e, (fa, fb) in poly.items() for ha, hb in (h_poly.get(e, (0, 0)),))
 
 
+def _eigenvalue(smap, poly: dict) -> ComplexRational | None:
+    """E with smap's image of the nonempty packed poly equal to E*poly, or
+    None: read at one exponent of poly, then checked at every exponent."""
+    image = _kernel(smap, poly)
+    ref = next(iter(poly))
+    (va, vb), (ha, hb) = poly[ref], image.get(ref, (0, 0))
+    energy = _reduced(ha * va + hb * vb, hb * va - ha * vb,
+                      smap[0] * (va * va + vb * vb))
+    return energy if _eigen_holds(image, smap[0], poly, energy) else None
+
+
 def ladder_spectrum(ham: QuadraticHamiltonian,
                     vacuum: GaussianPolyFunction,
                     raise_a: LadderOperator,
@@ -562,10 +572,8 @@ def ladder_spectrum(ham: QuadraticHamiltonian,
     to it exactly and testing proportionality against
     E(vacuum) + n*lambda_a + m*lambda_b; any mismatch raises
     VerificationError.  Vanishing states are reported as annihilated entries
-    rather than errors.  Every state lies in the vacuum's Gaussian sector, so
-    H is expanded into one sector map for the grid and each ladder's map is
-    built in closed form.  The grid stays packed at one digit width; an
-    entry converts its state only when its function is read.
+    rather than errors.  Every state lies in the vacuum's sector, so one map
+    of H serves the whole grid, which stays packed at one digit width.
     """
     if vacuum.is_zero:
         raise ValueError("ladder_spectrum requires a nonzero vacuum")
@@ -575,18 +583,12 @@ def ladder_spectrum(ham: QuadraticHamiltonian,
             + ham.op.degree).bit_length()
     h_map = _sector_map(ham.op, vacuum, bits)
     vac_den, vac_poly = _packed(vacuum, bits)
-    h_vac = _kernel(h_map, vac_poly)
-    # E = h/(h_den*v) at one exponent of the vacuum, then checked at all
-    ref = next(iter(vac_poly))
-    (va, vb), (ha, hb) = vac_poly[ref], h_vac.get(ref, (0, 0))
-    e_vac = _reduced(ha * va + hb * vb, hb * va - ha * vb,
-                     h_map[0] * (va * va + vb * vb))
-    if not _eigen_holds(h_vac, h_map[0], vac_poly, e_vac):
+    e_vac = _eigenvalue(h_map, vac_poly)
+    if e_vac is None:
         raise ValueError("vacuum is not an eigenfunction of the Hamiltonian")
     if raise_a.lam_exact is None or raise_b.lam_exact is None:
         raise ValueError("ladder_spectrum needs ladders with exact frequencies")
-    lam_a = raise_a.lam_exact
-    lam_b = raise_b.lam_exact
+    lam_a, lam_b = raise_a.lam_exact, raise_b.lam_exact
     # a ladder's map is built only when its direction has rows to raise
     a_map = _ladder_map(raise_a, vacuum, bits) if n_max else None
     b_map = _ladder_map(raise_b, vacuum, bits) if m_max else None
@@ -603,11 +605,9 @@ def ladder_spectrum(ham: QuadraticHamiltonian,
             energy = e_vac + n * lam_a + m * lam_b
             if poly and not _eigen_holds(
                     _kernel(h_map, poly), h_map[0], poly, energy):
-                current = _unpacked(vacuum, bits, den, poly)
-                found = _ratio(_apply_map(h_map, current).poly, current.poly)
                 raise VerificationError(
-                    f"state (n={n}, m={m}) has eigenvalue {found}, "
-                    f"expected {energy}")
+                    f"state (n={n}, m={m}) has eigenvalue "
+                    f"{_eigenvalue(h_map, poly)}, expected {energy}")
             entries.append(SpectrumEntry(
                 n=n, m=m, energy=energy, family=family, vacuum=vacuum,
                 state=(bits, den, poly) if poly else None))
@@ -621,12 +621,9 @@ def annihilation_check(z, f) -> bool:
     Gaussian sector of f; any other operator goes through apply_operator.
     """
     if not isinstance(z, LadderOperator):
-        return apply_operator(_as_polynomial(z), f).is_zero
-    for comp in f.components if isinstance(f, GaussianPolySum) else (f,):
-        bits = (max(map(sum, comp.poly), default=0) + 1).bit_length()
-        if _kernel(_ladder_map(z, comp, bits), _packed(comp, bits)[1]):
-            return False
-    return True
+        return apply_operator(z, f).is_zero
+    return not any(_kernel(smap, _packed(comp, smap[1])[1])
+                   for comp in f.components for smap in (_map(z, comp),))
 
 
 # ---------------------------------------------------------------------------
@@ -652,15 +649,11 @@ def _negative_definite(mat: list[list[Fraction]]) -> bool:
 def is_square_integrable(f) -> bool:
     """Whether the integral of |f|^2 over R^K converges.
 
-    True exactly when quad + conj(quad) is negative definite (decided from
-    its exact characteristic polynomial); polynomial factors never affect the
-    verdict.  The zero function is trivially integrable.
+    True exactly when quad + conj(quad) is negative definite for every
+    nonzero component (decided once per function); polynomial factors never
+    affect the verdict, and the zero function is trivially integrable.
     """
-    if isinstance(f, GaussianPolySum):
-        return all(is_square_integrable(comp) for comp in f.components)
-    if f.is_zero:
-        return True
-    return _negative_definite(_real_part_matrix(f.quad))
+    return all(comp.is_zero or comp._square_integrable for comp in f.components)
 
 
 def _gaussian_integral(poly: CPoly,
@@ -732,11 +725,9 @@ def inner_product(f, g):
     integral to exist; that is decided exactly before any evaluation.  Sums
     expand bilinearly and are DIVERGENT if any cross term is.
     """
-    f_comps = f.components if isinstance(f, GaussianPolySum) else (f,)
-    g_comps = g.components if isinstance(g, GaussianPolySum) else (g,)
     total = 0j
-    for fc in f_comps:
-        for gc in g_comps:
+    for fc in f.components:
+        for gc in g.components:
             h = _pointwise_conj_mul(fc, gc)
             if h.is_zero:
                 continue
@@ -784,17 +775,10 @@ def function_to_json(f: GaussianPolyFunction) -> dict:
 def _integrable_flags(entries: list[SpectrumEntry]) -> list[bool | None]:
     """is_square_integrable of each entry's state (None for an annihilated one).
 
-    The verdict depends only on the Gaussian exponent, which a state shares
-    with its vacuum, and a family's states share their vacuum's ``quad``
-    object, so it is decided from the vacuum once per object, keyed by
-    identity (hashing ``quad`` would hash each entry as a Fraction); no state
-    is converted.
+    A state shares its vacuum's exponent, so it takes the vacuum's verdict,
+    decided once per vacuum object; no state is converted.
     """
-    by_quad: dict = {}
-    for entry in entries:
-        if entry.state is not None and id(entry.vacuum.quad) not in by_quad:
-            by_quad[id(entry.vacuum.quad)] = is_square_integrable(entry.vacuum)
-    return [None if entry.state is None else by_quad[id(entry.vacuum.quad)]
+    return [None if entry.state is None else entry.vacuum._square_integrable
             for entry in entries]
 
 

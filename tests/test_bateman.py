@@ -109,3 +109,6 @@ class TestVacua:
         psi0, psi1 = vacuum_functions()
         assert str(psi0) == "(1) * exp(-(1/2)*x^2 + (1/2)*y^2)"
         assert str(psi1) == "(1) * exp((1/2)*x^2 - (1/2)*y^2)"
+
+    def test_one_pair_per_process(self):
+        assert vacuum_functions() is vacuum_functions()

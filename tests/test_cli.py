@@ -443,6 +443,18 @@ class TestStrictBatemanFields:
     def test_misread_specs_exit_2(self, spec):
         assert_one_error_line(run_cli("--bateman", spec))
 
+    @pytest.mark.parametrize("doc, key", [
+        ({"bateman": {"b": "1/2"}, "ladder_states": 3}, "ladder_states"),
+        ({"expression": "x1^2 + p1^2", "format": "json"}, "format"),
+        ({"bateman": {"b": 1}, "Bateman": {"b": 2}}, "Bateman"),
+    ])
+    def test_extra_model_file_keys_exit_2(self, doc, key, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        result = run_cli("--model", str(path))
+        assert_one_error_line(result)
+        assert f"unknown model file key {key!r}" in result.stderr
+
     def test_physical_fields_are_checked_by_the_model(self, tmp_path):
         path = tmp_path / "model.json"
         path.write_text(json.dumps({"bateman": {"m": 1, "gamma": -1, "omega": 1}}))

@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_hermitian_quadratic
+from quadladder import adjoint
 from test_acceptance import B_VALUES
 from test_golden import MODELS
 from quadladder.adjoint import (
@@ -98,6 +99,24 @@ class TestBatemanLadders:
         ham, ladders = bateman_ladders(Fraction(2))
         for lad in ladders:
             assert ladder_shift_check(ham, lad) == lad.lam_exact
+
+    def test_matrix_is_built_once_per_hamiltonian(self, monkeypatch):
+        ham = build_hd(Fraction(3, 7))
+        matrix = adjoint_matrix(ham)
+        assert adjoint_matrix(ham) is matrix
+        built = []
+
+        def counting(rows):
+            built.append(rows)
+            return complex_matrix(rows)
+
+        complex_matrix = adjoint.ComplexMatrix
+        monkeypatch.setattr(adjoint, "ComplexMatrix", counting)
+        ladders = build_ladders(ham, eigen_decompose(matrix))
+        assert built == []
+        assert [lad.lam_exact for lad in ladders] == [
+            lad.lam_exact for lad in bateman_ladders(Fraction(3, 7))[1]]
+        assert len(built) == 1      # the fresh Hamiltonian built its own
 
 
 class TestDegenerateAndDefective:

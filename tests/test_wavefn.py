@@ -240,8 +240,11 @@ class TestLadderSpectrum:
             with pytest.raises(ValueError, match="vacuum"):
                 ladder_spectrum(ham, vacuum, ladders[2], ladders[3], 1, 1)
 
-    @pytest.mark.parametrize("which", ["a", "b"])
-    def test_wrong_frequency_fails_the_per_state_check(self, which):
+    @pytest.mark.parametrize("which, message", [
+        ("a", "state (n=1, m=0) has eigenvalue 2-1/4*i, expected 3-1/4*i"),
+        ("b", "state (n=0, m=1) has eigenvalue 2+1/4*i, expected 3+1/4*i"),
+    ], ids=["a", "b"])
+    def test_wrong_frequency_fails_the_per_state_check(self, which, message):
         # the states are right, so only the exact per-state check of H can
         # notice that the energies predicted from a wrong frequency are off
         ham, ladders, psi0, _ = bateman_setup(Fraction(1, 2))
@@ -250,8 +253,9 @@ class TestLadderSpectrum:
             raise_a = dataclasses.replace(raise_a, lam_exact=raise_a.lam_exact + 1)
         else:
             raise_b = dataclasses.replace(raise_b, lam_exact=raise_b.lam_exact + 1)
-        with pytest.raises(VerificationError, match="has eigenvalue"):
+        with pytest.raises(VerificationError) as failure:
             ladder_spectrum(ham, psi0, raise_a, raise_b, 1, 1)
+        assert str(failure.value) == message
 
 
 # ---------------------------------------------------------------------------
@@ -409,20 +413,27 @@ gaussian_rationals = st.builds(
 
 
 @st.composite
-def sectors_and_ladders(draw):
-    """A K-mode function with random symmetric S, l and polynomial part,
-    and a ladder with random Gaussian-rational coefficients."""
-    k = draw(st.integers(1, 3))
+def gaussian_functions(draw, k):
+    """A K-mode function with random symmetric S, l and polynomial part."""
     upper = [[draw(gaussian_rationals) for _ in range(k)] for _ in range(k)]
     quad = tuple(tuple(upper[min(i, j)][max(i, j)] for j in range(k))
                  for i in range(k))
     lin = tuple(draw(gaussian_rationals) for _ in range(k))
     poly = draw(st.dictionaries(
         st.tuples(*[st.integers(0, 4)] * k), gaussian_rationals, max_size=5))
+    return GaussianPolyFunction(k, poly, quad, lin)
+
+
+@st.composite
+def sectors_and_ladders(draw):
+    """A function from gaussian_functions and a ladder with random
+    Gaussian-rational coefficients."""
+    k = draw(st.integers(1, 3))
+    f = draw(gaussian_functions(k))
     coefficients = tuple(draw(gaussian_rationals) for _ in range(2 * k))
     lad = LadderOperator(coefficients=coefficients, lam=0j, lam_exact=None,
                          frequency=None)
-    return GaussianPolyFunction(k, poly, quad, lin), lad
+    return f, lad
 
 
 def applied(smap, f, bits):
@@ -445,6 +456,15 @@ class TestClosedFormLadders:
         bits = (max(map(sum, f.poly), default=0) + 1).bit_length()
         assert applied(wavefn._ladder_map(lad, f, bits), f, bits) \
             == applied(wavefn._sector_map(lad.z, f, bits), f, bits)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(sectors_and_ladders(), st.data())
+    def test_applied_ladder_matches_its_expansion(self, case, data):
+        # apply_operator builds a ladder's closed-form map, on sums as well
+        f, lad = case
+        g = f + data.draw(gaussian_functions(f.num_modes))
+        for h in (f, g):
+            assert apply_operator(lad, h) == apply_operator(lad.z, h)
 
     def test_mode_counts_must_agree(self):
         _, ladders, _, _ = bateman_setup(Fraction(1))
@@ -513,6 +533,59 @@ class TestClosedFormLadders:
         assert entry.function is entry.function
         assert entry.function == apply_operator(
             ladders[2], apply_operator(ladders[3], psi0))
+
+
+def eigenvalue(op, f):
+    """f's eigenvalue under op through the one routine that reads them."""
+    smap = wavefn._map(op, f)
+    return wavefn._eigenvalue(smap, wavefn._packed(f, smap[1])[1])
+
+
+class TestEigenvalueRoutine:
+    """_eigenvalue against _ratio on the exact image of apply_operator."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(sectors_and_ladders(), gaussian_rationals)
+    def test_matches_the_ratio_of_the_image(self, case, c):
+        # a ladder's image and its expansion's mostly have extra exponents;
+        # a constant's image is proportional and the zero operator's empty
+        f, lad = case
+        if f.is_zero:
+            return
+        k = f.num_modes
+        for op in (lad, lad.z, WeylPolynomial.constant(c, k),
+                   WeylPolynomial.constant(c, k) + lad.z, WeylPolynomial(k, {})):
+            assert eigenvalue(op, f) == _ratio(apply_operator(op, f).poly, f.poly)
+
+    @pytest.mark.parametrize("b", B_VALUES)
+    def test_raised_states_are_proportional(self, b):
+        ham, ladders, psi0, psi1 = bateman_setup(b)
+        entries = (ladder_spectrum(ham, psi0, ladders[2], ladders[3], 2, 2)
+                   + ladder_spectrum(ham, psi1, ladders[0], ladders[1], 2, 2))
+        for entry in entries:
+            assert eigenvalue(ham.op, entry.function) == entry.energy
+            assert eigenvalue(ham.op, entry.function) == _ratio(
+                apply_operator(ham, entry.function).poly, entry.function.poly)
+
+    def test_empty_image_reads_zero(self):
+        _, ladders, psi0, psi1 = bateman_setup(Fraction(1, 2))
+        for lad, f in ((ladders[0], psi0), (ladders[2], psi1)):
+            assert apply_operator(lad, f).is_zero
+            assert eigenvalue(lad, f) == ZERO
+
+    @pytest.mark.parametrize("poly", [
+        {(0,): ONE, (1,): ONE}, {(1,): ONE, (0,): ONE},
+        {(2,): ONE, (0,): ComplexRational(3)},
+    ])
+    @pytest.mark.parametrize("op", ["x1", "p1", "x1*p1", "x1^2", "x1*p1 + 1"])
+    def test_extra_and_missing_exponents(self, poly, op):
+        # x raises every exponent, p lowers them, x*p = -i x d/dx loses the
+        # constant, and x*p + 1 keeps every exponent but not the ratio
+        f = gauss_1d(0, poly=poly)
+        op = parse_to_polynomial(op)
+        expected = _ratio(apply_operator(op, f).poly, f.poly)
+        assert expected is None
+        assert eigenvalue(op, f) is None
 
 
 class TestSquareIntegrability:
@@ -689,19 +762,23 @@ class TestSerialization:
         assert first["function"]["text"] == "(1) * exp(-(1/2)*x^2 + (1/2)*y^2)"
 
     def test_integrability_decided_once_per_exponent(self, monkeypatch):
-        ham, ladders, psi0, _ = bateman_setup(Fraction(1))
+        # a fresh vacuum: the shared pair may have decided already
+        ham, ladders, _, _ = bateman_setup(Fraction(1))
+        psi0 = GaussianPolyFunction.pure_gaussian(vacuum_functions()[0].quad)
         entries = ladder_spectrum(
             ham, psi0, ladders[2], ladders[3], 2, 2, family="vacuum0")
-        expected = spectrum_to_json(entries)
         calls = []
 
-        def counting(f):
-            calls.append(f.quad)
-            return is_square_integrable(f)
+        def counting(mat):
+            calls.append(mat)
+            return negative_definite(mat)
 
-        monkeypatch.setattr(wavefn, "is_square_integrable", counting)
+        negative_definite = wavefn._negative_definite
+        monkeypatch.setattr(wavefn, "_negative_definite", counting)
+        expected = spectrum_to_json(entries)
         assert spectrum_to_json(entries) == expected
-        assert calls == [psi0.quad]
+        assert is_square_integrable(psi0) is False
+        assert calls == [wavefn._real_part_matrix(psi0.quad)]
         assert [s["square_integrable"] for s in expected["states"]] == [False] * 9
 
         # an entry decides from its vacuum, and one without a state is
@@ -711,9 +788,20 @@ class TestSerialization:
         assert gone.annihilated and gone.function is None
         calls.clear()
         doc = spectrum_to_json([entries[0], other, gone, entries[3]])
-        assert calls == [psi0.quad, other.vacuum.quad]
+        assert calls == [wavefn._real_part_matrix(other.vacuum.quad)]
         assert [s["square_integrable"] for s in doc["states"]] == [
             False, True, None, False]
+
+    def test_reports_decide_the_shared_vacua_once(self, monkeypatch):
+        first = cli.run_report(b=Fraction(1, 2), ladder_states=2)
+        calls = []
+        monkeypatch.setattr(wavefn, "_negative_definite",
+                            lambda mat: calls.append(mat))
+        second = cli.run_report(b=Fraction(3, 7), ladder_states=2)
+        assert calls == []
+        for report in (first, second):
+            assert {s["square_integrable"] for family in report["families"]
+                    for s in family["states"]} == {False}
 
     def test_spectrum_csv_golden(self):
         ham, ladders, psi0, _ = bateman_setup(Fraction(1))
