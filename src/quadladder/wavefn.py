@@ -12,22 +12,23 @@ Q(x) = x^T S x + l^T x, and conjugating by it turns each momentum into a
 differential operator on the polynomial part alone:
 exp(-Q) p_j exp(Q) = -i D_j with D_j = d/dx_j + 2(Sx)_j + l_j.  The D_j
 commute because S is symmetric, so a normal-ordered term c x^a p^b becomes
-c (-i)^|b| x^a D^b, which is expanded once into terms w x^g d^h.  Applying
-such a term to x^e needs only a falling factorial, d^h x^e =
+c (-i)^|b| x^a D^b, which is expanded once into terms w x^g d^h.  One
+builder makes every map: it reads a WeylPolynomial through its terms and a
+ladder Z = alpha^T x + beta^T p through its coefficients, and expands in
+Gaussian-integer pairs over powers of the common denominator of 2S and l,
+reduced by one content gcd at the end.  Applying a term w x^g d^h to x^e
+needs only a falling factorial, d^h x^e =
 prod_j e_j (e_j - 1) ... (e_j - h_j + 1) x^(e - h).  One kernel applies
 every map.  It packs each monomial x^e into one int, sum of e_j << (j*w),
 with w taken from a degree bound so that every digit fits, and keeps weights
 and coefficients as Gaussian-integer numerators over one denominator per
 polynomial, so a shift is one int addition and a product two int pairs.
-A degree-1 ladder Z = alpha^T x + beta^T p needs no expansion: it acts on
-the polynomial part as u + D with u = (alpha - 2i S beta)^T x - i beta^T l
-and D = -i beta^T grad, so wherever a ladder is applied its map is built in
-closed form.  One routine reads an eigenvalue: E at one exponent, then
-H f = E f at all of them by cross-multiplied integers.  A ladder family
-shares the vacuum's sector, so ladder_spectrum expands one map for H, keeps
-the grid packed with one content gcd per state, and checks each state
-against its predicted energy.  A state is converted to exact values only
-when its function is read.
+One routine reads an eigenvalue: E at one exponent, then H f = E f at all
+of them by cross-multiplied integers.  A ladder family shares the vacuum's
+sector, so ladder_spectrum builds one map for H and one for each raising
+direction that has states to raise, keeps the grid packed with one content
+gcd per state, and checks each state against its predicted energy.  A
+state is converted to exact values only when its function is read.
 
 Sums of such functions over distinct exponents (needed to witness that a
 mixture of eigenfunctions is not an eigenfunction) are GaussianPolySum;
@@ -62,11 +63,9 @@ from .weyl import (
     ONE,
     WeylPolynomial,
     ZERO,
-    _NEG_I_POW,
     _add_term,
     _common_denominator,
     _reduced,
-    _times_i,
 )
 
 __all__ = [
@@ -193,6 +192,13 @@ class GaussianPolyFunction:
         """Whether quad + conj(quad) is negative definite, decided once."""
         return _negative_definite(_real_part_matrix(self.quad))
 
+    @cached_property
+    def _exponent_pairs(self) -> tuple[int, list[tuple[int, int]]]:
+        """s and the numerators over s of 2S row by row, then of l: the
+        exponent's share of every sector map, taken once."""
+        return _common_denominator(
+            [2 * v for row in self.quad for v in row] + list(self.lin))
+
     def _sector(self):
         return (
             tuple(tuple(v.as_quad() for v in row) for row in self.quad),
@@ -307,92 +313,83 @@ class GaussianPolySum:
 # applying operators
 # ---------------------------------------------------------------------------
 
-def _left_d(terms: dict, j: int, quad, lin) -> dict:
-    """D_j composed from the left onto {(gamma, delta): w} = sum w x^gamma d^delta.
-
-    D_j = d/dx_j + L_j with L_j = sum_t 2*quad[j][t]*x_t + lin[j]; moving
-    d/dx_j past x^gamma leaves gamma_j * x^(gamma - e_j) behind.
-    """
-    out: dict = {}
-    for (gamma, delta), w in terms.items():
-        if gamma[j]:
-            lowered = gamma[:j] + (gamma[j] - 1,) + gamma[j + 1:]
-            _add_term(out, (lowered, delta), w * gamma[j])
-        _add_term(out, (gamma, delta[:j] + (delta[j] + 1,) + delta[j + 1:]), w)
-        for t, s in enumerate(quad[j]):
-            if s:
-                raised = gamma[:t] + (gamma[t] + 1,) + gamma[t + 1:]
-                _add_term(out, (raised, delta), w * (2 * s))
-        if lin[j]:
-            _add_term(out, (gamma, delta), w * lin[j])
-    return out
-
-
 def _pack(e: tuple[int, ...], bits: int) -> int:
     """x^e as the int sum of e_j << (j*bits); linear, so a shift with negative
     digits packs too while every sum's digits stay in [0, 2^bits)."""
     return sum(d << (j * bits) for j, d in enumerate(e))
 
 
-def _sector_map(op: WeylPolynomial, f: GaussianPolyFunction, bits: int):
+def _sector_map(op, f: GaussianPolyFunction, bits: int):
     """op conjugated by exp(Q) for f's exponent Q, as packed integer terms.
 
-    exp(-Q) p_j exp(Q) = -i D_j, so the term c x^alpha p^beta acts on the
-    polynomial part as c (-i)^|beta| x^alpha D^beta.  Expanded, that is a
-    sum of w x^gamma d^delta with |gamma| <= |beta| (no term raises the total
-    degree by more than op.degree), and d^delta x^e is a falling factorial
-    times x^(e - delta).  The map is ``(den, bits, groups)``: each group
-    holds ``(j*bits, delta_j)`` for the nonzero orders of one delta and its
-    terms ``(packed gamma - delta + alpha, a, b)`` with w = (a + b*i)/den.
+    A WeylPolynomial is read through its terms, a LadderOperator through its
+    coefficients.  exp(-Q) p_j exp(Q) = -i D_j, so the term c x^alpha p^beta
+    acts on the polynomial part as c (-i)^|beta| x^alpha D^beta, expanded
+    into terms w x^gamma d^delta keyed by the one int gamma + (delta <<
+    K*bits).  D_j = d/dx_j + sum_t 2 S_jt x_t + l_j is composed from the
+    left, and moving d/dx_j past x^gamma leaves gamma_j x^(gamma - e_j)
+    behind.  Over s, the common denominator of 2S and l, every weight stays
+    a Gaussian-integer pair: over s^|beta| for one term, and over s^depth
+    once each term is rescaled to the deepest, so one content gcd at the end
+    reduces the map.  The map is ``(den, bits, groups)``: each group holds
+    ``(j*bits, delta_j)`` for the nonzero orders of one delta and its terms
+    ``(packed gamma - delta + alpha, a, b)`` with w = (a + b*i)/den.
     """
     k = f.num_modes
-    if op.num_modes != k:
+    ladder = isinstance(op, LadderOperator)
+    if (len(op.coefficients) if ladder else 2 * op.num_modes) != 2 * k:
         raise ValueError("operator and function mode counts differ")
-    zero = (0,) * k
-    terms: dict = {}
-    for mono, coeff in op.terms.items():
-        alpha, beta = mono[:k], mono[k:]
-        d_beta: dict = {(zero, zero): coeff * _NEG_I_POW[sum(beta) % 4]}
-        for j, b in enumerate(beta):
-            for _ in range(b):
-                d_beta = _left_d(d_beta, j, f.quad, f.lin)
-        for (gamma, delta), w in d_beta.items():
-            shift = tuple(a + g - d for a, g, d in zip(alpha, gamma, delta))
-            _add_term(terms, (delta, shift), w)
-    den, pairs = _common_denominator(terms.values())
+    # each word as (packed alpha, the j of each D_j in D^beta, c)
+    if ladder:
+        words = [(1 << (t * bits), (), c) if t < k else (0, (t - k,), c)
+                 for t, c in enumerate(op.coefficients) if c]
+    else:
+        words = [(_pack(mono[:k], bits),
+                  tuple(j for j, b in enumerate(mono[k:]) for _ in range(b)), c)
+                 for mono, c in op.terms.items()]
+    s, pairs = f._exponent_pairs
+    mask, width = (1 << bits) - 1, k * bits
+    # s D_j as (key step, a, b): d/dx_j raises delta_j, then 2 S_jt x_t, l_j
+    offsets = [1 << (t * bits) for t in range(k)] + [0]
+    moves = [[(1 << (width + j * bits), s, 0)] + [
+        (step, a, b) for step, (a, b) in zip(
+            offsets, pairs[j * k:j * k + k] + [pairs[k * k + j]]) if a or b]
+        for j in range(k)]
+    den, coeffs = _common_denominator(c for _, _, c in words)
+    depth = max((len(word) for _, word, _ in words), default=0)
+    acc: dict = {}
+    for (alpha, word, _), (a, b) in zip(words, coeffs):
+        for _ in range(len(word) % 4):
+            a, b = b, -a                                 # times -i
+        scale = s ** (depth - len(word))
+        terms = {0: (a * scale, b * scale)}
+        for j in word:
+            out: dict = {}
+            for key, (a, b) in terms.items():
+                steps = moves[j]
+                if g := (key >> (j * bits)) & mask:
+                    steps = steps + [(-(1 << (j * bits)), g * s, 0)]
+                for step, ma, mb in steps:
+                    ra, rb = out.get(key + step, (0, 0))
+                    out[key + step] = (ra + ma * a - mb * b,
+                                       rb + ma * b + mb * a)
+            terms = out
+        for key, (a, b) in terms.items():
+            delta = key >> width
+            slot = (delta, alpha + (key & ((1 << width) - 1)) - delta)
+            ra, rb = acc.get(slot, (0, 0))
+            acc[slot] = (ra + a, rb + b)
+    kept = [(slot, a, b) for slot, (a, b) in acc.items() if a or b]
+    content = den = den * s ** depth
+    for _, a, b in kept:
+        content = gcd(content, a, b)
     groups: dict = {}
-    for ((delta, shift), (a, b)) in zip(terms, pairs):
-        groups.setdefault(delta, []).append((_pack(shift, bits), a, b))
-    return den, bits, tuple(
-        (tuple((j * bits, d) for j, d in enumerate(delta) if d), group)
+    for (delta, shift), a, b in kept:
+        groups.setdefault(delta, []).append((shift, a // content, b // content))
+    return den // content, bits, tuple(
+        (tuple((j * bits, d) for j in range(k)
+               if (d := (delta >> (j * bits)) & mask)), group)
         for delta, group in groups.items())
-
-
-def _ladder_map(lad: LadderOperator, f: GaussianPolyFunction, bits: int):
-    """lad in f's sector, packed as _sector_map packs it, in closed form.
-
-    With S = f.quad and l = f.lin, Z = alpha^T x + beta^T p acts on the
-    polynomial part as u + D with u = (alpha - 2i S beta)^T x - i beta^T l
-    and D = -i beta^T grad: at most K + 1 shifts and K first derivatives.
-    """
-    k = f.num_modes
-    if len(lad.coefficients) != 2 * k:
-        raise ValueError("operator and function mode counts differ")
-    alpha, beta = lad.coefficients[:k], lad.coefficients[k:]
-    s_beta = [sum((s * b for s, b in zip(row, beta)), ZERO) for row in f.quad]
-    l_beta = sum((v * b for v, b in zip(f.lin, beta)), ZERO)
-    # (derivative orders, packed shift, weight): each x_t, 1, then each d/dx_j
-    terms = [((), 1 << (t * bits), a - _times_i(2 * sb))
-             for t, (a, sb) in enumerate(zip(alpha, s_beta))]
-    terms.append(((), 0, _times_i(l_beta, -1)))
-    terms += [(((j * bits, 1),), -1 << (j * bits), _times_i(b, -1))
-              for j, b in enumerate(beta)]
-    terms = [term for term in terms if term[2]]
-    den, pairs = _common_denominator(w for _, _, w in terms)
-    groups: dict = {}
-    for (derivs, shift, _), (a, b) in zip(terms, pairs):
-        groups.setdefault(derivs, []).append((shift, a, b))
-    return den, bits, tuple(groups.items())
 
 
 def _kernel(smap, poly: dict) -> dict:
@@ -446,11 +443,10 @@ def _unpacked(f: GaussianPolyFunction, bits: int, den: int,
 
 def _map(op, f: GaussianPolyFunction):
     """op in f's sector, its digits wide enough for f's exponents raised by
-    op: a ladder's closed-form map, or any other operator's expansion."""
-    ladder = isinstance(op, LadderOperator)
-    bits = (max(map(sum, f.poly), default=0)
-            + (1 if ladder else op.degree)).bit_length()
-    return (_ladder_map if ladder else _sector_map)(op, f, bits)
+    op (a ladder has degree 1)."""
+    degree = 1 if isinstance(op, LadderOperator) else op.degree
+    return _sector_map(
+        op, f, (max(map(sum, f.poly), default=0) + degree).bit_length())
 
 
 def _apply_to_function(op, f: GaussianPolyFunction) -> GaussianPolyFunction:
@@ -460,6 +456,15 @@ def _apply_to_function(op, f: GaussianPolyFunction) -> GaussianPolyFunction:
     return _unpacked(f, smap[1], den * smap[0], _kernel(smap, poly))
 
 
+def _operator(op):
+    """A WeylPolynomial or LadderOperator, H's polynomial for a
+    QuadraticHamiltonian; anything else is a TypeError."""
+    op = op.op if isinstance(op, QuadraticHamiltonian) else op
+    if not isinstance(op, (WeylPolynomial, LadderOperator)):
+        raise TypeError(f"cannot interpret {type(op).__name__} as an operator")
+    return op
+
+
 def apply_operator(op, f):
     """Apply a normal-ordered operator (p_j = -i d/dx_j) to a wavefunction.
 
@@ -467,9 +472,7 @@ def apply_operator(op, f):
     as the operator, and a GaussianPolyFunction or GaussianPolySum as the
     function; the result has the same Gaussian sectors as the input.
     """
-    op = op.op if isinstance(op, QuadraticHamiltonian) else op
-    if not isinstance(op, (WeylPolynomial, LadderOperator)):
-        raise TypeError(f"cannot interpret {type(op).__name__} as an operator")
+    op = _operator(op)
     if isinstance(f, GaussianPolySum):
         return GaussianPolySum.from_components(
             tuple(_apply_to_function(op, comp) for comp in f.components))
@@ -573,7 +576,8 @@ def ladder_spectrum(ham: QuadraticHamiltonian,
     E(vacuum) + n*lambda_a + m*lambda_b; any mismatch raises
     VerificationError.  Vanishing states are reported as annihilated entries
     rather than errors.  Every state lies in the vacuum's sector, so one map
-    of H serves the whole grid, which stays packed at one digit width.
+    of H and one of each raiser serve the whole grid, which stays packed at
+    one digit width.
     """
     if vacuum.is_zero:
         raise ValueError("ladder_spectrum requires a nonzero vacuum")
@@ -590,8 +594,8 @@ def ladder_spectrum(ham: QuadraticHamiltonian,
         raise ValueError("ladder_spectrum needs ladders with exact frequencies")
     lam_a, lam_b = raise_a.lam_exact, raise_b.lam_exact
     # a ladder's map is built only when its direction has rows to raise
-    a_map = _ladder_map(raise_a, vacuum, bits) if n_max else None
-    b_map = _ladder_map(raise_b, vacuum, bits) if m_max else None
+    a_map = _sector_map(raise_a, vacuum, bits) if n_max else None
+    b_map = _sector_map(raise_b, vacuum, bits) if m_max else None
     base_row = [(vac_den, vac_poly)]
     for _ in range(m_max):
         base_row.append(_raised(b_map, base_row[-1]))
@@ -615,13 +619,10 @@ def ladder_spectrum(ham: QuadraticHamiltonian,
 
 
 def annihilation_check(z, f) -> bool:
-    """Whether applying the ladder (or bare operator) kills f exactly.
-
-    A LadderOperator takes one kernel call with its closed-form map on each
-    Gaussian sector of f; any other operator goes through apply_operator.
-    """
-    if not isinstance(z, LadderOperator):
-        return apply_operator(z, f).is_zero
+    """Whether applying the ladder (or any operator apply_operator takes)
+    kills f exactly: one kernel call with z's map on each Gaussian sector
+    of f, and no image is converted."""
+    z = _operator(z)
     return not any(_kernel(smap, _packed(comp, smap[1])[1])
                    for comp in f.components for smap in (_map(z, comp),))
 
@@ -772,17 +773,10 @@ def function_to_json(f: GaussianPolyFunction) -> dict:
     }
 
 
-def _integrable_flags(entries: list[SpectrumEntry]) -> list[bool | None]:
-    """is_square_integrable of each entry's state (None for an annihilated one).
-
-    A state shares its vacuum's exponent, so it takes the vacuum's verdict,
-    decided once per vacuum object; no state is converted.
-    """
-    return [None if entry.state is None else entry.vacuum._square_integrable
-            for entry in entries]
-
-
-def _entry_row(entry: SpectrumEntry, integrable: bool | None) -> dict:
+def _entry_row(entry: SpectrumEntry) -> dict:
+    """One report row; a state shares its vacuum's exponent, so it takes the
+    vacuum's integrability verdict (None for an annihilated one), decided
+    once per vacuum object, and no state is converted."""
     energy = complex(entry.energy)
     return {
         "n": entry.n,
@@ -790,7 +784,8 @@ def _entry_row(entry: SpectrumEntry, integrable: bool | None) -> dict:
         "energy": [energy.real, energy.imag],
         "energy_exact": list(entry.energy.as_quad()),
         "annihilated": entry.annihilated,
-        "square_integrable": integrable,
+        "square_integrable": (
+            None if entry.annihilated else entry.vacuum._square_integrable),
     }
 
 
@@ -800,8 +795,7 @@ def spectrum_to_json(entries: list[SpectrumEntry],
     exact), annihilation flag, and square-integrability flag."""
     doc: dict = {
         "family": entries[0].family if entries else "",
-        "states": [_entry_row(e, flag)
-                   for e, flag in zip(entries, _integrable_flags(entries))],
+        "states": [_entry_row(e) for e in entries],
     }
     if include_functions:
         for row, entry in zip(doc["states"], entries):
@@ -813,8 +807,9 @@ def spectrum_to_json(entries: list[SpectrumEntry],
 def spectrum_to_csv(entries: list[SpectrumEntry]) -> str:
     """CSV columns: n, m, energy_re, energy_im, annihilated, square_integrable."""
     lines = ["n,m,energy_re,energy_im,annihilated,square_integrable"]
-    for e, integrable in zip(entries, _integrable_flags(entries)):
-        row = _entry_row(e, integrable)
+    for e in entries:
+        row = _entry_row(e)
+        integrable = row["square_integrable"]
         flag = "" if integrable is None else str(integrable).lower()
         lines.append(
             f"{e.n},{e.m},{row['energy'][0]!r},{row['energy'][1]!r},"

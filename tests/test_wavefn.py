@@ -259,12 +259,34 @@ class TestLadderSpectrum:
 
 
 # ---------------------------------------------------------------------------
-# oracle: the ladder spectrum on exponent tuples, one canonical coefficient
-# per term between applications (the representation before packed exponents)
+# reference: the sector map expanded on exponent tuples in ComplexRational
+# arithmetic, one canonical weight per term after each D_j
 # ---------------------------------------------------------------------------
 
-def _tuple_map(op, f):
-    """op in f's sector as ``(den, [(orders, [(shift tuple, a, b)])])``."""
+def _left_d(terms, j, quad, lin):
+    """D_j composed from the left onto {(gamma, delta): w} = sum w x^gamma d^delta.
+
+    D_j = d/dx_j + L_j with L_j = sum_t 2*quad[j][t]*x_t + lin[j]; moving
+    d/dx_j past x^gamma leaves gamma_j * x^(gamma - e_j) behind.
+    """
+    out = {}
+    for (gamma, delta), w in terms.items():
+        if gamma[j]:
+            lowered = gamma[:j] + (gamma[j] - 1,) + gamma[j + 1:]
+            _add_term(out, (lowered, delta), w * gamma[j])
+        _add_term(out, (gamma, delta[:j] + (delta[j] + 1,) + delta[j + 1:]), w)
+        for t, s in enumerate(quad[j]):
+            if s:
+                raised = gamma[:t] + (gamma[t] + 1,) + gamma[t + 1:]
+                _add_term(out, (raised, delta), w * (2 * s))
+        if lin[j]:
+            _add_term(out, (gamma, delta), w * lin[j])
+    return out
+
+
+def _expanded(op, f):
+    """{(delta, shift): w}: the WeylPolynomial op in f's sector as terms
+    w x^shift d^delta, from c (-i)^|beta| x^alpha D^beta term by term."""
     k = f.num_modes
     zero = (0,) * k
     terms = {}
@@ -273,10 +295,40 @@ def _tuple_map(op, f):
         d_beta = {(zero, zero): coeff * ComplexRational(0, -1) ** sum(beta)}
         for j, b in enumerate(beta):
             for _ in range(b):
-                d_beta = wavefn._left_d(d_beta, j, f.quad, f.lin)
+                d_beta = _left_d(d_beta, j, f.quad, f.lin)
         for (gamma, delta), w in d_beta.items():
             shift = tuple(a + g - d for a, g, d in zip(alpha, gamma, delta))
             _add_term(terms, (delta, shift), w)
+    return terms
+
+
+def reference_map(op, f, bits):
+    """_expanded packed as wavefn._sector_map packs its map."""
+    terms = _expanded(op, f)
+    den, pairs = _common_denominator(terms.values())
+    groups = {}
+    for (delta, shift), (a, b) in zip(terms, pairs):
+        groups.setdefault(delta, []).append((wavefn._pack(shift, bits), a, b))
+    return den, bits, tuple(
+        (tuple((j * bits, d) for j, d in enumerate(delta) if d), group)
+        for delta, group in groups.items())
+
+
+def map_terms(smap):
+    """smap's denominator, width and terms, independent of their order."""
+    den, bits, groups = smap
+    return den, bits, sorted((derivs, shift, a, b)
+                             for derivs, group in groups for shift, a, b in group)
+
+
+# ---------------------------------------------------------------------------
+# oracle: the ladder spectrum on exponent tuples, one canonical coefficient
+# per term between applications (the representation before packed exponents)
+# ---------------------------------------------------------------------------
+
+def _tuple_map(op, f):
+    """op in f's sector as ``(den, [(orders, [(shift tuple, a, b)])])``."""
+    terms = _expanded(op, f)
     den, pairs = _common_denominator(terms.values())
     groups = {}
     for (delta, shift), (a, b) in zip(terms, pairs):
@@ -404,7 +456,7 @@ class TestPackedSpectrum:
 
 
 # ---------------------------------------------------------------------------
-# closed-form ladder maps and states converted on read
+# sector maps against the reference, ladder maps and states converted on read
 # ---------------------------------------------------------------------------
 
 gaussian_rationals = st.builds(
@@ -443,6 +495,47 @@ def applied(smap, f, bits):
             for e, (a, b) in wavefn._kernel(smap, poly).items()}
 
 
+@st.composite
+def weyl_polynomials(draw, k):
+    """A K-mode operator of degree <= 3: random words and x_a*p_a words."""
+    words = st.lists(st.integers(0, 2 * k - 1), max_size=3).map(
+        lambda flats: tuple(flats.count(t) for t in range(2 * k)))
+    mixed = st.integers(0, k - 1).map(
+        lambda a: tuple(int(t in (a, a + k)) for t in range(2 * k)))
+    return WeylPolynomial(k, draw(st.dictionaries(
+        st.one_of(words, mixed), gaussian_rationals, max_size=4)))
+
+
+class TestSectorMap:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(sectors_and_ladders(), st.data())
+    def test_matches_the_reference_expansion(self, case, data):
+        # random operators, a constant, the zero operator and a ladder both
+        # as its coefficients and as a WeylPolynomial, on K = 1-3 sectors
+        f, lad = case
+        k = f.num_modes
+        constant = WeylPolynomial.constant(data.draw(gaussian_rationals), k)
+        for op in (data.draw(weyl_polynomials(k)), constant,
+                   WeylPolynomial(k, {}), lad, lad.z):
+            expansion = lad.z if op is lad else op
+            bits = (max(map(sum, f.poly), default=0)
+                    + expansion.degree).bit_length()
+            smap = wavefn._sector_map(op, f, bits)
+            reference = reference_map(expansion, f, bits)
+            assert applied(smap, f, bits) == applied(reference, f, bits)
+            assert map_terms(smap) == map_terms(reference)
+
+    @pytest.mark.parametrize("check", [apply_operator, annihilation_check])
+    def test_refusals_keep_their_texts(self, check):
+        ham, ladders, _, _ = bateman_setup(Fraction(1))
+        for op in (ham, ham.op, ladders[0], ladders[0].z):
+            with pytest.raises(ValueError, match=(
+                    "^operator and function mode counts differ$")):
+                check(op, gauss_1d(-1))
+        with pytest.raises(TypeError, match="^cannot interpret str as an operator$"):
+            check("x1", gauss_1d(-1))
+
+
 def raised_states(ham, vacuum, raise_a, raise_b):
     return [e.function for e in ladder_spectrum(ham, vacuum, raise_a, raise_b, 2, 2)
             if not e.annihilated]
@@ -452,10 +545,12 @@ class TestClosedFormLadders:
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(sectors_and_ladders())
     def test_map_matches_the_expanded_sector_map(self, case):
+        # the map read from the coefficients is the map of lad.z
         f, lad = case
         bits = (max(map(sum, f.poly), default=0) + 1).bit_length()
-        assert applied(wavefn._ladder_map(lad, f, bits), f, bits) \
-            == applied(wavefn._sector_map(lad.z, f, bits), f, bits)
+        ladder, expanded = (wavefn._sector_map(op, f, bits) for op in (lad, lad.z))
+        assert applied(ladder, f, bits) == applied(expanded, f, bits)
+        assert map_terms(ladder) == map_terms(expanded)
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(sectors_and_ladders(), st.data())
@@ -499,7 +594,10 @@ class TestClosedFormLadders:
 
     @pytest.mark.parametrize("n_max", [0, 1, 3])
     def test_one_sector_map_per_spectrum(self, monkeypatch, n_max):
+        # H's map once, each raiser's once, and none for a direction with
+        # no rows to raise
         ham, ladders, psi0, _ = bateman_setup(Fraction(1, 2))
+        raise_a, raise_b = ladders[2], ladders[3]
         built = []
 
         def counting(op, f, bits):
@@ -508,8 +606,12 @@ class TestClosedFormLadders:
 
         sector_map = wavefn._sector_map
         monkeypatch.setattr(wavefn, "_sector_map", counting)
-        ladder_spectrum(ham, psi0, ladders[2], ladders[3], n_max, n_max)
-        assert built == [ham.op]
+        for n, m in ((n_max, n_max), (n_max, 2), (2, n_max)):
+            built.clear()
+            ladder_spectrum(ham, psi0, raise_a, raise_b, n, m)
+            expected = [ham.op] + [raise_a] * (n > 0) + [raise_b] * (m > 0)
+            assert len(built) == len(expected)
+            assert all(op is want for op, want in zip(built, expected))
 
     def test_reports_convert_no_state(self, monkeypatch):
         ham, ladders, psi0, _ = bateman_setup(Fraction(1, 2))
