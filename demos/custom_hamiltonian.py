@@ -38,17 +38,9 @@ for f in spectrum.frequencies:
     print(f"  lambda = {show(f.lam_exact, f.lam)}")
 print()
 
-print("Ladders (float coefficients where the eigendata is irrational):")
+print("Ladders (10-digit float coefficients where the eigendata is irrational):")
 for lad in build_ladders(ham, spectrum):
-    if lad.lam_exact is not None:
-        text = str(lad.z)
-    else:
-        coeffs = [complex(c) for c in lad.coefficients]
-        names = ("x1", "x2", "p1", "p2")
-        text = " + ".join(
-            f"({c.real:.6g}{c.imag:+.6g}i)*{n}"
-            for c, n in zip(coeffs, names) if c != 0)
-    print(f"  Z = {text}")
+    print(f"  Z = {lad.text}")
     print(f"      [H, Z] = ({show(lad.lam_exact, lad.lam)}) Z")
 print()
 

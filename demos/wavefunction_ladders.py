@@ -9,6 +9,7 @@ builds a corner of each grid and verifies every energy exactly.
 Run:  python3 demos/wavefunction_ladders.py
 """
 
+import json
 from fractions import Fraction
 
 from quadladder import (
@@ -21,7 +22,7 @@ from quadladder import (
     eigencheck,
     is_square_integrable,
     ladder_spectrum,
-    spectrum_to_csv,
+    spectrum_to_json,
     vacuum_functions,
 )
 
@@ -57,4 +58,5 @@ print("\n")
 
 print("Mirror family from psi1 (raising with Z1, Z2):")
 entries1 = ladder_spectrum(ham, psi1, z1, z2, 2, 2, family="vacuum1")
-print(spectrum_to_csv(entries1))
+for row in spectrum_to_json(entries1)["states"]:
+    print(f"  {json.dumps(row)}")

@@ -9,13 +9,13 @@ a deterministic text or JSON report.  The JSON text is byte-identical to
 input, bad flags, a report that cannot be written), 3 for numeric failures
 (non-convergence, residuals out of tolerance, values beyond the float range).
 
-Model sources (exactly one):
+Model sources (exactly one, which argparse enforces):
   --bateman b=<rat>  |  --bateman m=<rat>,gamma=<rat>,omega=<rat>[,hbar=<rat>]
   --expr "<expression>"         (see the dsl module for the grammar)
   --model <path.json>           {"bateman": {...}} or {"expression": "..."}
-
-`--sweep b=<start>..<end>:<step>` fans the Bateman pipeline out over a range
-of b values and merges the runs, in order, into one report.
+  --sweep b=<start>..<end>:<step>
+The sweep fans the Bateman pipeline out over a range of b values and merges
+the runs, in order, into one report.
 
 Set QUADLADDER_NO_COLOR=1 (or pipe the output) to disable ANSI styling.
 """
@@ -65,6 +65,10 @@ MAX_SWEEP_VALUES = 1000
 # ---------------------------------------------------------------------------
 
 def _parse_rational(text: str) -> Fraction:
+    # Fraction() reads an exponent such as 1e10000000 without the digit
+    # limit that bounds integers and decimals, so exponents are refused.
+    if "e" in text.lower():
+        raise ValidationError(f"exponent notation is not accepted: {text!r}")
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
@@ -135,14 +139,13 @@ def _parse_sweep_spec(spec: str) -> list[Fraction]:
 
 
 def _rational_from_json(value) -> Fraction:
-    if isinstance(value, bool):
-        raise ValidationError(f"not a rational number: {value!r}")
-    if isinstance(value, int):
+    # type() is int, not isinstance(): JSON true and false are no numbers.
+    if type(value) is int:
         return Fraction(value)
     if isinstance(value, str):
         return _parse_rational(value)
     if (isinstance(value, list) and len(value) == 2
-            and all(isinstance(v, int) for v in value)):
+            and all(type(v) is int for v in value)):
         if value[1] == 0:
             raise ValidationError("zero denominator in rational pair")
         return Fraction(value[0], value[1])
@@ -191,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="quadladder",
         description="Ladder-operator analysis of quadratic Hamiltonians "
                     "via the adjoint matrix representation.")
-    source = parser.add_mutually_exclusive_group()
+    source = parser.add_mutually_exclusive_group(required=True)
     source.add_argument(
         "--bateman", metavar="SPEC",
         help="b=<rat> or m=<rat>,gamma=<rat>,omega=<rat>[,hbar=<rat>]")
@@ -201,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument(
         "--model", metavar="PATH",
         help="JSON model file with a 'bateman' or 'expression' entry")
-    parser.add_argument(
+    source.add_argument(
         "--sweep", metavar="SPEC",
         help="b=<start>..<end>:<step>; runs the Bateman pipeline per value")
     parser.add_argument(
@@ -278,22 +281,18 @@ def run_report(*, b: Fraction | None = None, expression: str | None = None,
                 "--ladder-states is unavailable: the spectrum is defective")
         return report
     ladders = build_ladders(ham, spectrum)
-    if all(lad.lam_exact is not None for lad in ladders):
-        report["ladders"] = ladders_to_json(ladders, commutator_table(ladders))
-    else:
-        # The exact table is null once a ladder is inexact; skip building it.
-        report["ladders"] = {**ladders_to_json(ladders), "commutator_table": None}
+    exact = all(lad.lam_exact is not None for lad in ladders)
+    # The exact table is null once a ladder is inexact; skip building it.
+    report["ladders"] = ladders_to_json(
+        ladders, commutator_table(ladders) if exact else None)
     if ladder_states is not None:
-        report["families"] = _families_doc(
-            ham, ladders, report["ladders"]["ladders"], ladder_states)
+        report["families"] = _families_doc(ham, ladders, ladder_states)
     return report
 
 
-def _families_doc(ham: QuadraticHamiltonian, ladders, ladder_docs,
-                  n_max: int) -> list[dict]:
-    """Both families; a Bateman ladder is exact, so its doc's text is str(z)."""
+def _families_doc(ham: QuadraticHamiltonian, ladders, n_max: int) -> list[dict]:
+    """Both families, each ladder named by its cached text."""
     psi0, psi1 = vacuum_functions()
-    text = {id(lad): doc["text"] for lad, doc in zip(ladders, ladder_docs)}
     lowering = [lad for lad in ladders if lad.lam.real < 0]
     raising = [lad for lad in ladders if lad.lam.real >= 0]
     docs = []
@@ -307,9 +306,9 @@ def _families_doc(ham: QuadraticHamiltonian, ladders, ladder_docs,
         doc["vacuum"] = function_to_json(vacuum)
         # ladder_spectrum found the vacuum energy as the (0, 0) entry's.
         doc["vacuum_energy_exact"] = list(entries[0].energy.as_quad())
-        doc["raising"] = [text[id(raise_a)], text[id(raise_b)]]
+        doc["raising"] = [raise_a.text, raise_b.text]
         doc["annihilated_by"] = [
-            text[id(lad)] for lad in killers if annihilation_check(lad, vacuum)]
+            lad.text for lad in killers if annihilation_check(lad, vacuum)]
         docs.append(doc)
     return docs
 
@@ -521,13 +520,9 @@ def _provenance(exc: BaseException) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _PARSER.parse_args(argv)
+    args = _PARSER.parse_args(argv)  # exits 2 unless exactly one model source
     try:
         if args.sweep is not None:
-            if args.expr is not None or args.model is not None:
-                raise ValidationError("--sweep applies to Bateman models only")
-            if args.bateman is not None:
-                raise ValidationError("--sweep replaces --bateman; use one of them")
             values = _parse_sweep_spec(args.sweep)
             report = run_sweep(values, ladder_states=args.ladder_states)
         else:
@@ -537,12 +532,10 @@ def main(argv: list[str] | None = None) -> int:
                 b = _parse_bateman_spec(args.bateman)
             elif args.expr is not None:
                 expression = args.expr
-            elif args.model is not None:
+            else:
                 model = _load_model_file(args.model)
                 b = model.get("b")
                 expression = model.get("expression")
-            else:
-                _PARSER.error("one of --bateman, --expr, --model, --sweep is required")
             report = run_report(
                 b=b, expression=expression, ladder_states=args.ladder_states)
     except NumericFailureError as exc:

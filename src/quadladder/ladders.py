@@ -19,6 +19,7 @@ independent check.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .adjoint import QuadraticHamiltonian, adjoint_matrix, eigen_residual, integer_matvec
 from .errors import (
@@ -28,7 +29,7 @@ from .errors import (
 )
 from .spectral import NaturalFrequency, SpectralResult
 from .weyl import (ComplexRational, WeylPolynomial, ZERO, _common_denominator, _ratio,
-                   _reduced, commutator, symbol)
+                   _reduced, commutator, render_terms, symbol)
 
 __all__ = [
     "LadderOperator",
@@ -63,8 +64,18 @@ class LadderOperator:
         """Z as a Weyl polynomial, for operator products."""
         return WeylPolynomial.from_linear(self.coefficients, len(self.coefficients) // 2)
 
+    @cached_property
+    def text(self) -> str:
+        """The one ladder text, rendered once: the exact operator, equal to
+        str(self.z), when lambda is exact, else 10-digit floats."""
+        k = len(self.coefficients) // 2
+        if self.lam_exact is None:
+            return _float_ladder_text([complex(c) for c in self.coefficients], k)
+        return render_terms((c, symbol(flat, k))
+                            for flat, c in enumerate(self.coefficients) if c)
+
     def __str__(self):
-        return str(self.z)
+        return self.text
 
 
 @dataclass(frozen=True)
@@ -250,13 +261,12 @@ def _float_ladder_text(coefficients: list[complex], num_modes: int) -> str:
 
 
 def ladders_to_json(ladders: list[LadderOperator],
-                    table: CommutatorTable | None = None) -> dict:
+                    table: CommutatorTable | None) -> dict:
     """Schema: per-ladder float/exact lambda, coefficient vectors over the
-    flat basis, text; plus the exact commutator table.  Exact forms are null
-    once exactness was lost: a ladder's coefficients when its lambda is not
-    exact, the whole table when any ladder's lambda is not.  The text is the
-    exact operator for an exact ladder and 10-digit floats otherwise."""
-    doc: dict = {
+    flat basis and text, plus the exact commutator table.  Exact forms are
+    null once exactness was lost: a ladder's coefficients when its lambda is
+    not exact, the table when ``table`` is None or any lambda is not exact."""
+    return {
         "ladders": [
             {
                 "lambda": [lad.lam.real, lad.lam.imag],
@@ -269,17 +279,11 @@ def ladders_to_json(ladders: list[LadderOperator],
                 "coefficients_exact": (
                     [list(c.as_quad()) for c in lad.coefficients]
                     if lad.lam_exact is not None else None),
-                "text": (
-                    str(lad.z) if lad.lam_exact is not None
-                    else _float_ladder_text(
-                        [complex(c) for c in lad.coefficients],
-                        len(lad.coefficients) // 2)),
+                "text": lad.text,
             }
             for lad in ladders
         ],
+        "commutator_table": (
+            None if table is None or any(lad.lam_exact is None for lad in ladders)
+            else [[list(v.as_quad()) for v in row] for row in table.entries]),
     }
-    if table is not None:
-        doc["commutator_table"] = (
-            [[list(v.as_quad()) for v in row] for row in table.entries]
-            if all(lad.lam_exact is not None for lad in ladders) else None)
-    return doc

@@ -82,7 +82,6 @@ __all__ = [
     "hermiticity_witness",
     "function_to_json",
     "spectrum_to_json",
-    "spectrum_to_csv",
 ]
 
 CPoly = dict[tuple[int, ...], ComplexRational]
@@ -190,7 +189,7 @@ class GaussianPolyFunction:
     @cached_property
     def _square_integrable(self) -> bool:
         """Whether quad + conj(quad) is negative definite, decided once."""
-        return _negative_definite(_real_part_matrix(self.quad))
+        return _negative_definite([[2 * v.re for v in row] for row in self.quad])
 
     @cached_property
     def _exponent_pairs(self) -> tuple[int, list[tuple[int, int]]]:
@@ -631,10 +630,6 @@ def annihilation_check(z, f) -> bool:
 # square integrability and inner products
 # ---------------------------------------------------------------------------
 
-def _real_part_matrix(quad) -> list[list[Fraction]]:
-    return [[2 * v.re for v in row] for row in quad]
-
-
 def _negative_definite(mat: list[list[Fraction]]) -> bool:
     """Whether a rational symmetric matrix S is negative definite.
 
@@ -732,7 +727,7 @@ def inner_product(f, g):
             h = _pointwise_conj_mul(fc, gc)
             if h.is_zero:
                 continue
-            if not _negative_definite(_real_part_matrix(h.quad)):
+            if not h._square_integrable:
                 return DIVERGENT
             total += _gaussian_integral(h.poly, h.quad, h.lin)
     return total
@@ -789,29 +784,10 @@ def _entry_row(entry: SpectrumEntry) -> dict:
     }
 
 
-def spectrum_to_json(entries: list[SpectrumEntry],
-                     include_functions: bool = False) -> dict:
+def spectrum_to_json(entries: list[SpectrumEntry]) -> dict:
     """Schema: family label plus one row per state with energy (float and
     exact), annihilation flag, and square-integrability flag."""
-    doc: dict = {
+    return {
         "family": entries[0].family if entries else "",
         "states": [_entry_row(e) for e in entries],
     }
-    if include_functions:
-        for row, entry in zip(doc["states"], entries):
-            row["function"] = (
-                None if entry.function is None else function_to_json(entry.function))
-    return doc
-
-
-def spectrum_to_csv(entries: list[SpectrumEntry]) -> str:
-    """CSV columns: n, m, energy_re, energy_im, annihilated, square_integrable."""
-    lines = ["n,m,energy_re,energy_im,annihilated,square_integrable"]
-    for e in entries:
-        row = _entry_row(e)
-        integrable = row["square_integrable"]
-        flag = "" if integrable is None else str(integrable).lower()
-        lines.append(
-            f"{e.n},{e.m},{row['energy'][0]!r},{row['energy'][1]!r},"
-            f"{str(e.annihilated).lower()},{flag}")
-    return "\n".join(lines) + "\n"

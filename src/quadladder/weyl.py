@@ -374,11 +374,7 @@ def format_coefficient(coeff: ComplexRational, *, standalone: bool) -> tuple[str
         sign = "-" if im < 0 else "+"
         body = magnitude(abs(im), imag=True)
         return sign, body if standalone else f"{body}*"
-    imsign = "+" if im > 0 else "-"
-    immag = abs(im)
-    imtxt = "i" if immag == 1 else f"{immag}*i"
-    body = f"({re}{imsign}{imtxt})"
-    return "+", body if standalone else f"{body}*"
+    return "+", f"({coeff})" if standalone else f"({coeff})*"
 
 
 def render_terms(parts: Iterable[tuple[ComplexRational, str]]) -> str:

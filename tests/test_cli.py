@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quadladder import cli
+from quadladder import cli, ladders
 from quadladder.cli import render_text, run_report
 from quadladder.errors import NotQuadraticError, ValidationError
 
@@ -106,6 +106,19 @@ class TestJsonReports:
         assert calls == [2]
         assert exact_doc["commutator_table"] == [
             [[0, 1, 0, 1], [2, 1, 0, 1]], [[-2, 1, 0, 1], [0, 1, 0, 1]]]
+
+    @pytest.mark.parametrize("renderer, source", [
+        ("render_terms", {"b": Fraction(1, 2), "ladder_states": 2}),
+        ("_float_ladder_text", {"expression": "1/2*p1^2 + x1^2"}),
+    ])
+    def test_each_ladder_text_is_rendered_once(self, renderer, source, monkeypatch):
+        # the families read the ladders' cached text, so none renders twice
+        calls = []
+        render = getattr(ladders, renderer)
+        monkeypatch.setattr(ladders, renderer,
+                            lambda *args: calls.append(args) or render(*args))
+        report = run_report(**source)
+        assert len(calls) == len(report["ladders"]["ladders"])
 
     def test_defective_model_reports_without_ladders(self):
         result = run_cli("--expr", "1/2*p1^2", "--format", "json")
@@ -420,11 +433,21 @@ class TestStrictBatemanFields:
         {"bateman": {"b": 1, "m": 3}},
         {"bateman": {"gamma": -1}},
         {"bateman": {"b": 1}, "expression": "x1^2 + p1^2"},
+        {"bateman": {"b": "1e10000000"}},
     ])
     def test_misread_model_files_exit_2(self, doc, tmp_path):
         path = tmp_path / "model.json"
         path.write_text(json.dumps(doc))
         assert_one_error_line(run_cli("--model", str(path)))
+
+    @pytest.mark.parametrize("pair", [[True, 2], [1, False]])
+    def test_boolean_pair_members_exit_2(self, pair, tmp_path):
+        # JSON true is no integer: [true, 2] is not read as 1/2
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"bateman": {"b": pair}}))
+        result = run_cli("--model", str(path))
+        assert_one_error_line(result)
+        assert f"not a rational number: {pair!r}" in result.stderr
 
     @pytest.mark.parametrize("text, key", [
         ('{"bateman": {"b": 1, "b": 2}}', "b"),
@@ -513,9 +536,13 @@ class TestSweep:
         assert result.stdout.count("Model") == 2
         assert "=" * 64 in result.stdout
 
-    def test_sweep_conflicts(self):
-        assert run_cli("--sweep", "b=0..1:1", "--expr", "x1^2").returncode == 2
-        assert run_cli("--sweep", "b=0..1:1", "--bateman", "b=1").returncode == 2
+    def test_sweep_conflicts(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"bateman": {"b": 1}}))
+        for other in (("--expr", "x1^2"), ("--bateman", "b=1"), ("--model", str(path))):
+            result = run_cli("--sweep", "b=0..1:1", *other)
+            assert result.returncode == 2
+            assert f"argument {other[0]}: not allowed with argument --sweep" in result.stderr
         assert run_cli("--sweep", "b=1..0:1").returncode == 2
         assert run_cli("--sweep", "b=0..1:0").returncode == 2
         assert run_cli("--sweep", "x=0..1:1").returncode == 2
@@ -562,6 +589,16 @@ class TestInputBounds:
         err = capsys.readouterr().err
         assert "error [quadladder.dsl]: 1:60: product flattens to 4096 terms" in err
         assert "error [quadladder.dsl]: 1:1: term has degree 400" in err
+
+    @pytest.mark.parametrize("args", [
+        ("--bateman", "b=1e10000000"),
+        ("--bateman", "m=1,gamma=1E2,omega=1"),
+        ("--sweep", "b=0..1e10000000:1"),
+    ])
+    def test_exponent_notation_exit_2(self, args, capsys):
+        # Fraction() would build a 33-million-bit numerator for 1e10000000
+        assert cli.main(list(args)) == 2
+        assert "exponent notation is not accepted" in capsys.readouterr().err
 
     def test_sweep_value_cap(self, capsys):
         limit = cli.MAX_SWEEP_VALUES
@@ -659,8 +696,11 @@ class TestFailures:
         assert "float range" in err
 
     def test_missing_model_source(self):
-        assert run_cli().returncode == 2
-        assert run_cli("--format", "json").returncode == 2
+        for args in ((), ("--format", "json")):
+            result = run_cli(*args)
+            assert result.returncode == 2
+            assert ("one of the arguments --bateman --expr --model --sweep is required"
+                    in result.stderr)
 
     def test_run_report_needs_exactly_one_source(self):
         with pytest.raises(ValidationError):

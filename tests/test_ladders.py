@@ -220,6 +220,25 @@ def test_closed_forms_match_weyl_products(seed, num_modes):
         assert_dagger_is_partner_ladder(ham, a)
 
 
+@settings(max_examples=80, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 2**32 - 1), num_modes=st.integers(1, 4))
+def test_str_is_the_report_text(seed, num_modes):
+    """str(lad) is the report's text; an exact ladder's text is str(lad.z),
+    and an irrational one's shows no binary fraction."""
+    ham = validate_quadratic(
+        random_hermitian_quadratic(random.Random(seed), num_modes))
+    spectrum = eigen_decompose(adjoint_matrix(ham))
+    assume(not spectrum.defective)
+    ladders = build_ladders(ham, spectrum)
+    for lad, doc in zip(ladders, ladders_to_json(ladders, None)["ladders"]):
+        assert str(lad) == doc["text"]
+        if lad.lam_exact is not None:
+            assert doc["text"] == str(lad.z)
+        else:
+            assert "/" not in doc["text"]
+
+
 def symplectic_table(ladders):
     """Every entry from the symplectic form over Q(i), i sum_m (a_xm b_pm -
     a_pm b_xm) (commutator_table before the lambda_a + lambda_b identity)."""
@@ -371,6 +390,12 @@ class TestFloatLadders:
             coeffs = lad.z.linear_coefficients()
             assert next(c for c in coeffs if abs(c) > 1e-10) == ComplexRational(1)
 
+    def test_text_has_no_binary_fractions(self):
+        ham = validate_quadratic(parse_to_polynomial(self.EXPR))
+        for lad in build_ladders(ham, eigen_decompose(adjoint_matrix(ham))):
+            assert "/" in str(lad.z)
+            assert "/" not in str(lad)
+
     def test_weyl_product_confirms_float_ladders(self):
         ham = validate_quadratic(parse_to_polynomial(self.EXPR))
         for lad in build_ladders(ham, eigen_decompose(adjoint_matrix(ham))):
@@ -390,6 +415,12 @@ class TestSerialization:
         assert doc["commutator_table"][0][3] == [4, 1, 0, 1]
 
     def test_table_optional(self):
+        # the table is always written: null without one, or once a lambda
+        # is inexact
         _, ladders = bateman_ladders(Fraction(1))
-        doc = ladders_to_json(ladders)
-        assert "commutator_table" not in doc
+        assert ladders_to_json(ladders, None)["commutator_table"] is None
+        ham = validate_quadratic(parse_to_polynomial(TestFloatLadders.EXPR))
+        floats = build_ladders(ham, eigen_decompose(adjoint_matrix(ham)))
+        doc = ladders_to_json(floats, commutator_table(floats))
+        assert list(doc) == ["ladders", "commutator_table"]
+        assert doc["commutator_table"] is None

@@ -38,7 +38,6 @@ from quadladder.wavefn import (
     inner_product,
     is_square_integrable,
     ladder_spectrum,
-    spectrum_to_csv,
     spectrum_to_json,
 )
 from quadladder.weyl import (
@@ -855,13 +854,13 @@ class TestSerialization:
         ham, ladders, psi0, _ = bateman_setup(Fraction(1))
         entries = ladder_spectrum(
             ham, psi0, ladders[2], ladders[3], 1, 1, family="vacuum0")
-        doc = spectrum_to_json(entries, include_functions=True)
+        doc = spectrum_to_json(entries)
         assert doc["family"] == "vacuum0"
         assert len(doc["states"]) == 4
         first = doc["states"][0]
-        assert first["energy_exact"] == [1, 1, 0, 1]
-        assert first["square_integrable"] is False
-        assert first["function"]["text"] == "(1) * exp(-(1/2)*x^2 + (1/2)*y^2)"
+        assert first == {"n": 0, "m": 0, "energy": [1.0, 0.0],
+                         "energy_exact": [1, 1, 0, 1], "annihilated": False,
+                         "square_integrable": False}
 
     def test_integrability_decided_once_per_exponent(self, monkeypatch):
         # a fresh vacuum: the shared pair may have decided already
@@ -875,12 +874,15 @@ class TestSerialization:
             calls.append(mat)
             return negative_definite(mat)
 
+        def real_part(f):  # quad + conj(quad), the matrix that decides
+            return [[2 * v.re for v in row] for row in f.quad]
+
         negative_definite = wavefn._negative_definite
         monkeypatch.setattr(wavefn, "_negative_definite", counting)
         expected = spectrum_to_json(entries)
         assert spectrum_to_json(entries) == expected
         assert is_square_integrable(psi0) is False
-        assert calls == [wavefn._real_part_matrix(psi0.quad)]
+        assert calls == [real_part(psi0)]
         assert [s["square_integrable"] for s in expected["states"]] == [False] * 9
 
         # an entry decides from its vacuum, and one without a state is
@@ -890,7 +892,7 @@ class TestSerialization:
         assert gone.annihilated and gone.function is None
         calls.clear()
         doc = spectrum_to_json([entries[0], other, gone, entries[3]])
-        assert calls == [wavefn._real_part_matrix(other.vacuum.quad)]
+        assert calls == [real_part(other.vacuum)]
         assert [s["square_integrable"] for s in doc["states"]] == [
             False, True, None, False]
 
@@ -904,16 +906,6 @@ class TestSerialization:
         for report in (first, second):
             assert {s["square_integrable"] for family in report["families"]
                     for s in family["states"]} == {False}
-
-    def test_spectrum_csv_golden(self):
-        ham, ladders, psi0, _ = bateman_setup(Fraction(1))
-        entries = ladder_spectrum(ham, psi0, ladders[0], ladders[3], 1, 0)
-        got = spectrum_to_csv(entries)
-        assert got == (
-            "n,m,energy_re,energy_im,annihilated,square_integrable\n"
-            "0,0,1.0,0.0,false,false\n"
-            "1,0,0.0,-0.5,true,\n"
-        )
 
 
 # ---------------------------------------------------------------------------
