@@ -54,8 +54,8 @@ REPORT_SCHEMA = "quadladder.report/1"
 SWEEP_SCHEMA = "quadladder.sweep/1"
 
 # Input bounds, each refused with a ValidationError (exit 2) before the work
-# it bounds starts.  Family cost grows about 2x per +2 in N (b = 1/2:
-# about 0.04 s at N = 8 and 0.5 s at N = 16 on a 2-core x86-64 VM).
+# it bounds starts.  A families report raises no state: run_report(b=1/2)
+# takes 2-3 ms at N = 8 and 4-8 ms at N = 16 on a 2-core x86-64 VM.
 MAX_LADDER_STATES = 16
 MAX_SWEEP_VALUES = 1000
 
@@ -65,14 +65,16 @@ MAX_SWEEP_VALUES = 1000
 # ---------------------------------------------------------------------------
 
 def _parse_rational(text: str) -> Fraction:
-    # Fraction() reads an exponent such as 1e10000000 without the digit
-    # limit that bounds integers and decimals, so exponents are refused.
-    if "e" in text.lower():
-        raise ValidationError(f"exponent notation is not accepted: {text!r}")
+    # Fraction() reads an exponent such as 1e10000000 past the digit limit
+    # that bounds integers, and underscores only from Python 3.11 on.
+    shown = text if len(text) <= 40 else f"{text[:7]}... ({len(text)} characters)"
+    for mark, what in (("e", "exponent notation is"), ("_", "underscores are")):
+        if mark in text.lower():
+            raise ValidationError(f"{what} not accepted: {shown!r}")
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValidationError(f"not a rational number: {text!r}") from exc
+        raise ValidationError(f"not a rational number: {shown!r}") from exc
 
 
 def _bateman_b(fields: dict[str, Fraction]) -> Fraction:

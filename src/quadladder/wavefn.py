@@ -24,11 +24,11 @@ with w taken from a degree bound so that every digit fits, and keeps weights
 and coefficients as Gaussian-integer numerators over one denominator per
 polynomial, so a shift is one int addition and a product two int pairs.
 One routine reads an eigenvalue: E at one exponent, then H f = E f at all
-of them by cross-multiplied integers.  A ladder family shares the vacuum's
-sector, so ladder_spectrum builds one map for H and one for each raising
-direction that has states to raise, keeps the grid packed with one content
-gcd per state, and checks each state against its predicted energy.  A
-state is converted to exact values only when its function is read.
+of them by cross-multiplied integers; ladder_spectrum runs it on the vacuum
+alone, and one certificate per raiser, H Z - Z H = lambda Z on a probe of
+tagged monomials, proves every energy of the family.  A state is raised
+(packed, one content gcd) only when it is read or a pure derivation could
+annihilate it, and converted to exact values only when its function is read.
 
 Sums of such functions over distinct exponents (needed to witness that a
 mixture of eigenfunctions is not an eigenfunction) are GaussianPolySum;
@@ -47,7 +47,7 @@ exponent are exact; only the sqrt and exp factors are floats.
 """
 
 import cmath
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, perm
@@ -391,13 +391,13 @@ def _sector_map(op, f: GaussianPolyFunction, bits: int):
         for delta, group in groups.items())
 
 
-def _kernel(smap, poly: dict) -> dict:
+def _kernel(smap, poly: dict, acc: dict | None = None) -> dict:
     """The one application kernel: smap applied to poly, which maps packed
     exponents to Gaussian-integer numerators ``(a, b)`` over a denominator
-    the caller keeps.  The image's nonzero numerators come back, over that
-    denominator times smap's."""
+    the caller keeps, plus acc (an image over the same one) if given.  The
+    nonzero numerators come back, over that denominator times smap's."""
     mask = (1 << smap[1]) - 1
-    acc: dict = {}
+    acc = {} if acc is None else acc
     for e, (fa, fb) in poly.items():
         for derivs, group in smap[2]:
             ff = 1
@@ -501,10 +501,11 @@ def eigencheck(ham: QuadraticHamiltonian, f) -> ComplexRational | None:
 class SpectrumEntry:
     """State (raise_a)^n (raise_b)^m |vacuum> with its exact energy.
 
-    ``state`` is the packed ``(bits, den, poly)`` that ladder_spectrum
-    raised, or None where the ladder product vanished: an ``annihilated``
-    entry has no function but keeps the energy the closed form predicts.
-    ``function`` converts the state in the vacuum's sector on first read.
+    ``state`` is the packed ``(bits, den, poly)``, or None where the ladder
+    product vanished: an ``annihilated`` entry has no function but keeps the
+    energy the closed form predicts.  The family shares ``_grid``, ``(bits,
+    (a_map, b_map), memo)``: a state is raised on first read (B along row 0,
+    then A up column m) and kept in memo as ``(den, poly)``.
     """
 
     n: int
@@ -512,18 +513,28 @@ class SpectrumEntry:
     energy: ComplexRational
     family: str
     vacuum: GaussianPolyFunction
-    state: tuple[int, int, dict] | None
+    _grid: tuple = field(repr=False, compare=False)
+
+    @property
+    def state(self) -> tuple[int, int, dict] | None:
+        (bits, (a_map, b_map), memo), n, m = self._grid, self.n, self.m
+        for i, j in [(0, j) for j in range(1, m + 1)] + [(i, m) for i in range(1, n + 1)]:
+            if (i, j) not in memo:
+                memo[i, j] = _raised(a_map if i else b_map,
+                                     memo[(i - 1, j) if i else (0, j - 1)])
+        den, poly = memo[n, m]
+        return (bits, den, poly) if poly else None
 
     @property
     def annihilated(self) -> bool:
-        return self.state is None
+        # a map u^T x + c + w^T d with u or c nonzero kills no nonzero
+        # polynomial (compare top-degree parts); only a pure derivation may
+        return any(k and all(d for d, _ in smap[2]) for k, smap in zip(
+            (self.n, self.m), self._grid[1])) and self.state is None
 
     @cached_property
     def function(self) -> GaussianPolyFunction | None:
-        if self.state is None:
-            return None
-        bits, den, poly = self.state
-        return _unpacked(self.vacuum, bits, den, poly)
+        return (state := self.state) and _unpacked(self.vacuum, *state)
 
 
 def _raised(smap, state: tuple[int, dict]) -> tuple[int, dict]:
@@ -560,6 +571,17 @@ def _eigenvalue(smap, poly: dict) -> ComplexRational | None:
     return energy if _eigen_holds(image, smap[0], poly, energy) else None
 
 
+def _shifts(h_map, z_map, lam, probe: dict, h_probe: dict) -> bool:
+    """Whether H Z - Z H == lam Z on probe, h_probe being H's image of -probe.
+    H's second-order part has constant coefficients and Z has order 1, so
+    C = H Z - Z H - lam Z = c_0 + sum_j c_j d/dx_j is zero iff it kills 1
+    and each x_j (C x_j = c_0 x_j + c_j), the probe's monomials; each has
+    its own tag digit above the K mode digits, which no map touches."""
+    z_probe = _kernel(z_map, probe)
+    diff = _kernel(z_map, h_probe, _kernel(h_map, z_probe))
+    return _eigen_holds(diff, h_map[0], z_probe, lam)
+
+
 def ladder_spectrum(ham: QuadraticHamiltonian,
                     vacuum: GaussianPolyFunction,
                     raise_a: LadderOperator,
@@ -567,22 +589,20 @@ def ladder_spectrum(ham: QuadraticHamiltonian,
                     n_max: int,
                     m_max: int,
                     family: str = "") -> list[SpectrumEntry]:
-    """States raise_a^n raise_b^m vacuum for the full (n, m) grid, verified.
+    """States raise_a^n raise_b^m vacuum for the full (n, m) grid, certified.
 
     The vacuum must be a nonzero eigenfunction and both ladders must carry
-    exact frequencies.  Each generated state is then verified by applying H
-    to it exactly and testing proportionality against
-    E(vacuum) + n*lambda_a + m*lambda_b; any mismatch raises
-    VerificationError.  Vanishing states are reported as annihilated entries
-    rather than errors.  Every state lies in the vacuum's sector, so one map
-    of H and one of each raiser serve the whole grid, which stays packed at
-    one digit width.
+    exact frequencies.  Each direction with rows to raise is certified once
+    (see _shifts) or VerificationError is raised; with H v = E0 v that
+    proves H f = (E0 + n*lambda_a + m*lambda_b) f for every state.  The
+    states share the vacuum's sector and maps, and are raised only when
+    read (see SpectrumEntry); a vanishing one is an annihilated entry.
     """
     if vacuum.is_zero:
         raise ValueError("ladder_spectrum requires a nonzero vacuum")
-    # a ladder is linear, so every digit of every state, and of H applied
-    # to it, fits in bits
-    bits = (max(map(sum, vacuum.poly)) + n_max + m_max
+    # a ladder is linear, so every digit of every state, of H applied to the
+    # vacuum and of the probe's images (degree 1 + 1 + 2) fits in bits
+    bits = (max(max(map(sum, vacuum.poly)) + n_max + m_max, 2)
             + ham.op.degree).bit_length()
     h_map = _sector_map(ham.op, vacuum, bits)
     vac_den, vac_poly = _packed(vacuum, bits)
@@ -592,29 +612,21 @@ def ladder_spectrum(ham: QuadraticHamiltonian,
     if raise_a.lam_exact is None or raise_b.lam_exact is None:
         raise ValueError("ladder_spectrum needs ladders with exact frequencies")
     lam_a, lam_b = raise_a.lam_exact, raise_b.lam_exact
-    # a ladder's map is built only when its direction has rows to raise
+    # a ladder's map is built and certified only if its direction has rows
     a_map = _sector_map(raise_a, vacuum, bits) if n_max else None
     b_map = _sector_map(raise_b, vacuum, bits) if m_max else None
-    base_row = [(vac_den, vac_poly)]
-    for _ in range(m_max):
-        base_row.append(_raised(b_map, base_row[-1]))
-    grid = [base_row]
-    for _ in range(n_max):
-        grid.append([_raised(a_map, state) for state in grid[-1]])
-    entries: list[SpectrumEntry] = []
-    for n in range(n_max + 1):
-        for m in range(m_max + 1):
-            den, poly = grid[n][m]
-            energy = e_vac + n * lam_a + m * lam_b
-            if poly and not _eigen_holds(
-                    _kernel(h_map, poly), h_map[0], poly, energy):
+    if a_map or b_map:
+        probe = {mono + (i << (vacuum.num_modes * bits)): (1, 0) for i, mono in
+                 enumerate([0] + [1 << (j * bits) for j in range(vacuum.num_modes)])}
+        h_probe = _kernel(h_map, {e: (-1, 0) for e in probe})
+        for name, smap, lam in (("a", a_map, lam_a), ("b", b_map, lam_b)):
+            if smap and not _shifts(h_map, smap, lam, probe, h_probe):
                 raise VerificationError(
-                    f"state (n={n}, m={m}) has eigenvalue "
-                    f"{_eigenvalue(h_map, poly)}, expected {energy}")
-            entries.append(SpectrumEntry(
-                n=n, m=m, energy=energy, family=family, vacuum=vacuum,
-                state=(bits, den, poly) if poly else None))
-    return entries
+                    f"raise_{name} fails H Z - Z H = lambda Z for lambda = {lam}")
+    grid = (bits, (a_map, b_map), {(0, 0): (vac_den, vac_poly)})
+    return [SpectrumEntry(n=n, m=m, energy=e_vac + n * lam_a + m * lam_b,
+                          family=family, vacuum=vacuum, _grid=grid)
+            for n in range(n_max + 1) for m in range(m_max + 1)]
 
 
 def annihilation_check(z, f) -> bool:

@@ -434,6 +434,7 @@ class TestStrictBatemanFields:
         {"bateman": {"gamma": -1}},
         {"bateman": {"b": 1}, "expression": "x1^2 + p1^2"},
         {"bateman": {"b": "1e10000000"}},
+        {"bateman": {"b": "1_000"}},
     ])
     def test_misread_model_files_exit_2(self, doc, tmp_path):
         path = tmp_path / "model.json"
@@ -599,6 +600,28 @@ class TestInputBounds:
         # Fraction() would build a 33-million-bit numerator for 1e10000000
         assert cli.main(list(args)) == 2
         assert "exponent notation is not accepted" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [
+        ("--bateman", "b=1_000"),
+        ("--bateman", "m=1,gamma=1_0,omega=1"),
+        ("--sweep", "b=0..1:1_0"),
+    ])
+    def test_underscores_exit_2(self, args, capsys):
+        # Fraction() reads 1_000 on Python 3.11 and later but not on 3.10
+        assert cli.main(list(args)) == 2
+        assert "underscores are not accepted" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, message", [
+        ("1" * 5000 + "x", "not a rational number: '1111111... (5001 characters)'"),
+        ("1" * 5000 + "e5", "exponent notation is not accepted: "
+                            "'1111111... (5002 characters)'"),
+        ("1/" + "2" * 37 + "x", "not a rational number: '1/" + "2" * 37 + "x'"),
+    ])
+    def test_long_inputs_are_abbreviated(self, text, message):
+        with pytest.raises(ValidationError) as failure:
+            cli._parse_rational(text)
+        assert str(failure.value) == message
+        assert len(str(failure.value)) < 80
 
     def test_sweep_value_cap(self, capsys):
         limit = cli.MAX_SWEEP_VALUES

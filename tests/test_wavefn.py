@@ -240,12 +240,12 @@ class TestLadderSpectrum:
                 ladder_spectrum(ham, vacuum, ladders[2], ladders[3], 1, 1)
 
     @pytest.mark.parametrize("which, message", [
-        ("a", "state (n=1, m=0) has eigenvalue 2-1/4*i, expected 3-1/4*i"),
-        ("b", "state (n=0, m=1) has eigenvalue 2+1/4*i, expected 3+1/4*i"),
+        ("a", "raise_a fails H Z - Z H = lambda Z for lambda = 2-1/4*i"),
+        ("b", "raise_b fails H Z - Z H = lambda Z for lambda = 2+1/4*i"),
     ], ids=["a", "b"])
-    def test_wrong_frequency_fails_the_per_state_check(self, which, message):
-        # the states are right, so only the exact per-state check of H can
-        # notice that the energies predicted from a wrong frequency are off
+    def test_wrong_frequency_fails_the_certificate(self, which, message):
+        # the raisers are right, so only the certificate H Z - Z H = lambda Z
+        # can notice that the energies predicted from a wrong frequency are off
         ham, ladders, psi0, _ = bateman_setup(Fraction(1, 2))
         raise_a, raise_b = ladders[2], ladders[3]
         if which == "a":
@@ -255,6 +255,44 @@ class TestLadderSpectrum:
         with pytest.raises(VerificationError) as failure:
             ladder_spectrum(ham, psi0, raise_a, raise_b, 1, 1)
         assert str(failure.value) == message
+
+    @pytest.mark.parametrize("which", ["a", "b"])
+    def test_corrupted_raiser_map_fails_the_certificate(self, monkeypatch, which):
+        # one weight of one raiser's map doubled: the states it would raise
+        # are no eigenfunctions, and the certificate refuses the map itself
+        ham, ladders, psi0, _ = bateman_setup(Fraction(1, 2))
+        target = ladders[2] if which == "a" else ladders[3]
+
+        def corrupted(op, f, bits):
+            den, bits, groups = sector_map(op, f, bits)
+            if op is target:
+                (derivs, ((shift, a, b), *rest)), *others = groups
+                groups = ((derivs, ((shift, 2 * a, 2 * b), *rest)), *others)
+            return den, bits, groups
+
+        sector_map = wavefn._sector_map
+        monkeypatch.setattr(wavefn, "_sector_map", corrupted)
+        with pytest.raises(VerificationError, match=f"raise_{which} fails H Z - Z H"):
+            ladder_spectrum(ham, psi0, ladders[2], ladders[3], 1, 1)
+
+    def test_probe_images_outgrow_the_family_width(self, monkeypatch):
+        # at (n_max, m_max) = (1, 0) the states and H v need digits up to 3,
+        # 2 bits, but the probe's images are bounded only by degree
+        # 1 + 1 + 2 = 4, which needs 3
+        ham, ladders, psi0, _ = bateman_setup(Fraction(1, 2))
+        widths = []
+
+        def recording(op, f, bits):
+            widths.append(bits)
+            return sector_map(op, f, bits)
+
+        sector_map = wavefn._sector_map
+        monkeypatch.setattr(wavefn, "_sector_map", recording)
+        entries = ladder_spectrum(ham, psi0, ladders[2], ladders[3], 1, 0)
+        assert (max(map(sum, psi0.poly)) + 1 + 0 + ham.op.degree).bit_length() == 2
+        assert widths == [3, 3]
+        assert [e.energy for e in entries] == [1, 2 - ComplexRational(0, 1) / 4]
+        assert eigencheck(ham, entries[1].function) == entries[1].energy
 
 
 # ---------------------------------------------------------------------------
@@ -455,6 +493,78 @@ class TestPackedSpectrum:
 
 
 # ---------------------------------------------------------------------------
+# the certificate: no state is checked against H, so the states a report
+# never reads are raised here and checked against apply_operator and H
+# ---------------------------------------------------------------------------
+
+def family_setup(b, which):
+    """H, vacuum and raisers of family ``which``, chosen as the CLI does."""
+    ham, ladders, psi0, psi1 = bateman_setup(b)
+    raising = [lad for lad in ladders if lad.lam.real >= 0]
+    lowering = [lad for lad in ladders if lad.lam.real < 0]
+    return (ham, psi0, *raising) if which == 0 else (ham, psi1, *lowering)
+
+
+def probe(k, bits):
+    """1, x_1, ..., x_K tagged as in ladder_spectrum: the i-th carries digit
+    i above the K mode digits."""
+    return {mono + (i << (k * bits)): (1, 0) for i, mono in enumerate(
+        [0] + [1 << (j * bits) for j in range(k)])}
+
+
+class TestCertifiedStates:
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(b=st.fractions(min_value=0, max_value=3, max_denominator=8),
+           which=st.sampled_from([0, 1]),
+           n_max=st.integers(0, 6), m_max=st.integers(0, 6))
+    def test_read_states_are_raised_eigenfunctions(self, b, which, n_max, m_max):
+        ham, vacuum, raise_a, raise_b = family_setup(b, which)
+        entries = ladder_spectrum(ham, vacuum, raise_a, raise_b, n_max, m_max)
+        column = [vacuum]
+        for _ in range(m_max):
+            column.append(apply_operator(raise_b, column[-1]))
+        expected = {}
+        for m, f in enumerate(column):
+            for n in range(n_max + 1):
+                expected[n, m] = f
+                f = apply_operator(raise_a, f)
+        for entry in entries:
+            assert not entry.annihilated
+            assert entry.function == expected[entry.n, entry.m]
+            assert eigencheck(ham, entry.function) == entry.energy
+
+    @pytest.mark.parametrize("n_max, m_max, bits", [
+        (5, 0, 3), (2, 3, 3), (0, 5, 3), (6, 0, 4), (3, 3, 4), (0, 6, 4)])
+    def test_states_on_both_sides_of_the_width_step(self, n_max, m_max, bits):
+        # digits up to n_max + m_max + 2 = 7 fit in 3 bits, 8 needs 4
+        ham, psi0, raise_a, raise_b = family_setup(Fraction(3, 7), 0)
+        entries = ladder_spectrum(ham, psi0, raise_a, raise_b, n_max, m_max)
+        f = psi0
+        for lad in [raise_b] * m_max + [raise_a] * n_max:
+            f = apply_operator(lad, f)
+        assert entries[-1].state[0] == bits
+        assert entries[-1].function == f
+        for entry in entries:
+            assert eigencheck(ham, entry.function) == entry.energy
+
+    def test_the_certificate_holds_in_any_sector(self):
+        # in the plain sector H's map multiplies by x^2, so H Z of the probe
+        # has a digit of 4, which 2 bits could not hold; at 3 bits right
+        # frequencies pass and wrong ones fail
+        ham, ladders, _, _ = bateman_setup(Fraction(1, 2))
+        plain = GaussianPolyFunction.pure_gaussian(((ZERO, ZERO), (ZERO, ZERO)))
+        h_map = wavefn._sector_map(ham.op, plain, 3)
+        h_probe = wavefn._kernel(h_map, {e: (-1, 0) for e in probe(2, 3)})
+        for lad in ladders:
+            z_map = wavefn._sector_map(lad, plain, 3)
+            image = wavefn._kernel(h_map, wavefn._kernel(z_map, probe(2, 3)))
+            assert max((e >> j) & 7 for e in image for j in (0, 3)) == 4
+            for lam, right in ((lad.lam_exact, True), (lad.lam_exact + 1, False)):
+                assert wavefn._shifts(
+                    h_map, z_map, lam, probe(2, 3), h_probe) is right
+
+
+# ---------------------------------------------------------------------------
 # sector maps against the reference, ladder maps and states converted on read
 # ---------------------------------------------------------------------------
 
@@ -627,6 +737,32 @@ class TestClosedFormLadders:
         assert cli.run_report(b=Fraction(1, 2), ladder_states=3) == expected_report
         with pytest.raises(AssertionError, match="converted"):
             entries[1].function
+
+    def test_reports_raise_no_state(self, monkeypatch):
+        # every raiser of a Bateman family has a term free of derivatives,
+        # so no state vanishes and none is raised; H runs on each vacuum once
+        expected = cli.run_report(b=Fraction(1, 2), ladder_states=4)
+        calls = []
+
+        def counting(smap, poly):
+            calls.append(len(poly))
+            return eigenvalue(smap, poly)
+
+        def refuse(*args):
+            raise AssertionError("a state was raised")
+
+        eigenvalue = wavefn._eigenvalue
+        monkeypatch.setattr(wavefn, "_eigenvalue", counting)
+        monkeypatch.setattr(wavefn, "_raised", refuse)
+        assert cli.run_report(b=Fraction(1, 2), ladder_states=4) == expected
+        assert calls == [1, 1]
+        # a lowering ladder passed as a raiser is a pure derivation here, so
+        # deciding its entries raises states
+        ham, ladders, psi0, _ = bateman_setup(Fraction(1, 2))
+        entries = ladder_spectrum(ham, psi0, ladders[0], ladders[3], 1, 1)
+        assert not entries[1].annihilated
+        with pytest.raises(AssertionError, match="raised"):
+            entries[2].annihilated
 
     def test_function_is_converted_once(self):
         ham, ladders, psi0, _ = bateman_setup(Fraction(1))
@@ -885,10 +1021,11 @@ class TestSerialization:
         assert calls == [real_part(psi0)]
         assert [s["square_integrable"] for s in expected["states"]] == [False] * 9
 
-        # an entry decides from its vacuum, and one without a state is
-        # annihilated
+        # an entry decides from its vacuum, and one without a state (a
+        # lowering ladder passed as a raiser) is annihilated
         other = dataclasses.replace(entries[1], vacuum=gauss_1d(-1))
-        gone = dataclasses.replace(entries[2], state=None)
+        gone = ladder_spectrum(ham, psi0, ladders[0], ladders[1], 0, 1)[1]
+        assert gone.state is None
         assert gone.annihilated and gone.function is None
         calls.clear()
         doc = spectrum_to_json([entries[0], other, gone, entries[3]])
