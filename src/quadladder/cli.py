@@ -55,7 +55,7 @@ SWEEP_SCHEMA = "quadladder.sweep/1"
 
 # Input bounds, each refused with a ValidationError (exit 2) before the work
 # it bounds starts.  A families report raises no state: run_report(b=1/2)
-# takes 2-3 ms at N = 8 and 4-8 ms at N = 16 on a 2-core x86-64 VM.
+# takes 2-3.5 ms at N = 8 and 3.5-4.5 ms at N = 16 on a 2-core x86-64 VM.
 MAX_LADDER_STATES = 16
 MAX_SWEEP_VALUES = 1000
 
@@ -64,10 +64,15 @@ MAX_SWEEP_VALUES = 1000
 # argument handling
 # ---------------------------------------------------------------------------
 
+def _abbreviated(text: str) -> str:
+    """text, or past 40 characters its first 7 and its length."""
+    return text if len(text) <= 40 else f"{text[:7]}... ({len(text)} characters)"
+
+
 def _parse_rational(text: str) -> Fraction:
     # Fraction() reads an exponent such as 1e10000000 past the digit limit
     # that bounds integers, and underscores only from Python 3.11 on.
-    shown = text if len(text) <= 40 else f"{text[:7]}... ({len(text)} characters)"
+    shown = _abbreviated(text)
     for mark, what in (("e", "exponent notation is"), ("_", "underscores are")):
         if mark in text.lower():
             raise ValidationError(f"{what} not accepted: {shown!r}")
@@ -151,8 +156,8 @@ def _rational_from_json(value) -> Fraction:
         if value[1] == 0:
             raise ValidationError("zero denominator in rational pair")
         return Fraction(value[0], value[1])
-    raise ValidationError(
-        f"not a rational number: {value!r} (use int, 'a/b', or [num, den])")
+    raise ValidationError(f"not a rational number: {_abbreviated(repr(value))} "
+                          "(use int, 'a/b', or [num, den])")
 
 
 def _unique_keys(pairs: list) -> dict:

@@ -26,9 +26,11 @@ polynomial, so a shift is one int addition and a product two int pairs.
 One routine reads an eigenvalue: E at one exponent, then H f = E f at all
 of them by cross-multiplied integers; ladder_spectrum runs it on the vacuum
 alone, and one certificate per raiser, H Z - Z H = lambda Z on a probe of
-tagged monomials, proves every energy of the family.  A state is raised
-(packed, one content gcd) only when it is read or a pure derivation could
-annihilate it, and converted to exact values only when its function is read.
+tagged monomials, proves every energy of the family, each then written from
+its closed form.  A state is raised (packed, one content gcd) only when it
+is read or a pure derivation could annihilate it, and converted to exact
+values only when its function is read.  Whether a ladder kills a function
+needs no map: alpha = 2i S beta, beta^T l = 0 and beta^T grad P = 0.
 
 Sums of such functions over distinct exponents (needed to witness that a
 mixture of eigenfunctions is not an eigenfunction) are GaussianPolySum;
@@ -52,7 +54,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, perm
 
-from .adjoint import ComplexMatrix, QuadraticHamiltonian
+from .adjoint import ComplexMatrix, QuadraticHamiltonian, validate_quadratic
 from .errors import DivergentInputError, NumericFailureError, VerificationError
 from .ladders import LadderOperator
 # Imported by name: the characteristic_polynomial module attribute that
@@ -60,6 +62,7 @@ from .ladders import LadderOperator
 from .spectral import characteristic_polynomial
 from .weyl import (
     ComplexRational,
+    I,
     ONE,
     WeylPolynomial,
     ZERO,
@@ -233,6 +236,10 @@ class GaussianPolyFunction:
         return NotImplemented
 
     def __str__(self):
+        return self._text
+
+    @cached_property
+    def _text(self) -> str:
         exponent_terms = []
         for i in range(self.num_modes):
             for j in range(i, self.num_modes):
@@ -504,8 +511,9 @@ class SpectrumEntry:
     ``state`` is the packed ``(bits, den, poly)``, or None where the ladder
     product vanished: an ``annihilated`` entry has no function but keeps the
     energy the closed form predicts.  The family shares ``_grid``, ``(bits,
-    (a_map, b_map), memo)``: a state is raised on first read (B along row 0,
-    then A up column m) and kept in memo as ``(den, poly)``.
+    (a_map, b_map), memo, pure)``: a state is raised on first read (B along
+    row 0, then A up column m) and kept in memo as ``(den, poly)``; pure
+    says, once per family, whether each map is a pure derivation.
     """
 
     n: int
@@ -517,7 +525,7 @@ class SpectrumEntry:
 
     @property
     def state(self) -> tuple[int, int, dict] | None:
-        (bits, (a_map, b_map), memo), n, m = self._grid, self.n, self.m
+        (bits, (a_map, b_map), memo, _), n, m = self._grid, self.n, self.m
         for i, j in [(0, j) for j in range(1, m + 1)] + [(i, m) for i in range(1, n + 1)]:
             if (i, j) not in memo:
                 memo[i, j] = _raised(a_map if i else b_map,
@@ -527,10 +535,8 @@ class SpectrumEntry:
 
     @property
     def annihilated(self) -> bool:
-        # a map u^T x + c + w^T d with u or c nonzero kills no nonzero
-        # polynomial (compare top-degree parts); only a pure derivation may
-        return any(k and all(d for d, _ in smap[2]) for k, smap in zip(
-            (self.n, self.m), self._grid[1])) and self.state is None
+        a_pure, b_pure = self._grid[3]
+        return (a_pure and self.n > 0 or b_pure and self.m > 0) and self.state is None
 
     @cached_property
     def function(self) -> GaussianPolyFunction | None:
@@ -600,6 +606,8 @@ def ladder_spectrum(ham: QuadraticHamiltonian,
     """
     if vacuum.is_zero:
         raise ValueError("ladder_spectrum requires a nonzero vacuum")
+    if any(sum(mono) not in (0, 2) for mono in ham.op.terms):
+        validate_quadratic(ham.op)  # NotQuadraticError: the probe needs H quadratic
     # a ladder is linear, so every digit of every state, of H applied to the
     # vacuum and of the probe's images (degree 1 + 1 + 2) fits in bits
     bits = (max(max(map(sum, vacuum.poly)) + n_max + m_max, 2)
@@ -623,17 +631,50 @@ def ladder_spectrum(ham: QuadraticHamiltonian,
             if smap and not _shifts(h_map, smap, lam, probe, h_probe):
                 raise VerificationError(
                     f"raise_{name} fails H Z - Z H = lambda Z for lambda = {lam}")
-    grid = (bits, (a_map, b_map), {(0, 0): (vac_den, vac_poly)})
-    return [SpectrumEntry(n=n, m=m, energy=e_vac + n * lam_a + m * lam_b,
-                          family=family, vacuum=vacuum, _grid=grid)
+    # a map u^T x + c + w^T d with u or c nonzero kills no nonzero
+    # polynomial (compare top-degree parts); only a pure derivation may
+    grid = (bits, (a_map, b_map), {(0, 0): (vac_den, vac_poly)}, tuple(
+        bool(smap) and all(d for d, _ in smap[2]) for smap in (a_map, b_map)))
+    # E0 + n lam_a + m lam_b as integer numerators over one denominator
+    d, ((ea, eb), (aa, ab), (ba, bb)) = _common_denominator((e_vac, lam_a, lam_b))
+    return [SpectrumEntry(n=n, m=m, energy=_reduced(
+                ea + n * aa + m * ba, eb + n * ab + m * bb, d),
+                family=family, vacuum=vacuum, _grid=grid)
             for n in range(n_max + 1) for m in range(m_max + 1)]
+
+
+def _ladder_kills(z: LadderOperator, f: GaussianPolyFunction) -> bool:
+    """Whether Z = alpha^T x + beta^T p kills f = P exp(x^T S x + l^T x).
+
+    Z f = ((alpha - 2i S beta)^T x - i beta^T l - i beta^T grad) P exp(...),
+    and a nonzero u^T x + c keeps P's top degree, so Z kills a nonzero f iff
+    alpha = 2i S beta, beta^T l = 0 and beta^T grad P = 0."""
+    k = f.num_modes
+    if len(z.coefficients) != 2 * k:
+        raise ValueError("operator and function mode counts differ")
+    alpha, beta = z.coefficients[:k], z.coefficients[k:]
+
+    def dot(row):
+        return sum((v * bj for v, bj in zip(row, beta)), ZERO)
+
+    if dot(f.lin) or any(a != 2 * I * dot(row) for a, row in zip(alpha, f.quad)):
+        return f.is_zero
+    grad: CPoly = {}
+    for e, c in f.poly.items():
+        for j, bj in enumerate(beta):
+            if e[j] and bj:
+                _add_term(grad, e[:j] + (e[j] - 1,) + e[j + 1:], e[j] * bj * c)
+    return not grad
 
 
 def annihilation_check(z, f) -> bool:
     """Whether applying the ladder (or any operator apply_operator takes)
-    kills f exactly: one kernel call with z's map on each Gaussian sector
-    of f, and no image is converted."""
+    kills f exactly.  A ladder is decided on each Gaussian sector of f by
+    the identity of _ladder_kills, any other operator by one kernel call
+    with its map there; no image is converted."""
     z = _operator(z)
+    if isinstance(z, LadderOperator):
+        return all(_ladder_kills(z, comp) for comp in f.components)
     return not any(_kernel(smap, _packed(comp, smap[1])[1])
                    for comp in f.components for smap in (_map(z, comp),))
 
@@ -784,15 +825,14 @@ def _entry_row(entry: SpectrumEntry) -> dict:
     """One report row; a state shares its vacuum's exponent, so it takes the
     vacuum's integrability verdict (None for an annihilated one), decided
     once per vacuum object, and no state is converted."""
-    energy = complex(entry.energy)
+    energy, gone = complex(entry.energy), entry.annihilated
     return {
         "n": entry.n,
         "m": entry.m,
         "energy": [energy.real, energy.imag],
         "energy_exact": list(entry.energy.as_quad()),
-        "annihilated": entry.annihilated,
-        "square_integrable": (
-            None if entry.annihilated else entry.vacuum._square_integrable),
+        "annihilated": gone,
+        "square_integrable": None if gone else entry.vacuum._square_integrable,
     }
 
 

@@ -350,31 +350,22 @@ def format_coefficient(coeff: ComplexRational, *, standalone: bool) -> tuple[str
     inside parentheses and always carry sign '+'.  Every body reparses under
     the expression grammar to the same value.
     """
-    re, im = coeff.re, coeff.im
-
-    def magnitude(mag: Fraction, imag: bool) -> str:
-        # Fractional magnitudes are parenthesized whenever a '*' follows, so
-        # the canonical text never leans on precedence between '/' and '*'.
-        if imag:
-            if mag == 1:
-                return "i"
-            return f"{mag}*i" if mag.denominator == 1 else f"({mag})*i"
-        if mag.denominator == 1:
-            return str(mag)
-        return str(mag) if standalone else f"({mag})"
-
-    if im == 0:
-        sign = "-" if re < 0 else "+"
-        mag = abs(re)
-        if not standalone and mag == 1:
-            return sign, ""
-        body = magnitude(mag, imag=False)
-        return sign, body if standalone else f"{body}*"
-    if re == 0:
-        sign = "-" if im < 0 else "+"
-        body = magnitude(abs(im), imag=True)
-        return sign, body if standalone else f"{body}*"
-    return "+", f"({coeff})" if standalone else f"({coeff})*"
+    a, b, d = coeff._a, coeff._b, coeff._d
+    if a and b:
+        return "+", f"({coeff})" if standalone else f"({coeff})*"
+    # one part is zero, so the other's numerator over d is in lowest terms
+    n = b or a
+    sign = "-" if n < 0 else "+"
+    mag = str(abs(n)) if d == 1 else f"{abs(n)}/{d}"
+    # Fractional magnitudes are parenthesized whenever a '*' follows, so
+    # the canonical text never leans on precedence between '/' and '*'.
+    if b:
+        body = "i" if mag == "1" else f"{mag}*i" if d == 1 else f"({mag})*i"
+    elif mag == "1" and not standalone:
+        return sign, ""
+    else:
+        body = mag if standalone or d == 1 else f"({mag})"
+    return sign, body if standalone else f"{body}*"
 
 
 def render_terms(parts: Iterable[tuple[ComplexRational, str]]) -> str:

@@ -450,6 +450,16 @@ class TestStrictBatemanFields:
         assert_one_error_line(result)
         assert f"not a rational number: {pair!r}" in result.stderr
 
+    def test_long_model_file_values_are_abbreviated(self, tmp_path):
+        # 3,000 ones: the refused value is quoted by its first 7 characters
+        # and its length, as a long flag value is
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"bateman": {"b": [1] * 3000}}))
+        result = run_cli("--model", str(path))
+        assert_one_error_line(result)
+        assert "not a rational number: [1, 1, ... (9000 characters)" in result.stderr
+        assert len(result.stderr) < 120
+
     @pytest.mark.parametrize("text, key", [
         ('{"bateman": {"b": 1, "b": 2}}', "b"),
         ('{"bateman": {"b": 1}, "bateman": {"b": 2}}', "bateman"),

@@ -18,6 +18,7 @@ from quadladder.bateman import build_hd, vacuum_functions
 from quadladder.dsl import parse_to_polynomial
 from quadladder.errors import (
     DivergentInputError,
+    NotQuadraticError,
     NumericFailureError,
     VerificationError,
 )
@@ -41,6 +42,7 @@ from quadladder.wavefn import (
     spectrum_to_json,
 )
 from quadladder.weyl import (
+    I,
     ZERO,
     ComplexRational,
     WeylPolynomial,
@@ -293,6 +295,37 @@ class TestLadderSpectrum:
         assert widths == [3, 3]
         assert [e.energy for e in entries] == [1, 2 - ComplexRational(0, 1) / 4]
         assert eigencheck(ham, entries[1].function) == entries[1].energy
+
+    @pytest.mark.parametrize("b", (Fraction(0),) + B_VALUES)
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_energies_are_the_closed_form(self, b, which):
+        ham, vacuum, raise_a, raise_b = family_setup(b, which)
+        e_vac = eigencheck(ham, vacuum)
+        entries = ladder_spectrum(ham, vacuum, raise_a, raise_b, 4, 3)
+        assert [(e.n, e.m) for e in entries] == [
+            (n, m) for n in range(5) for m in range(4)]
+        for e in entries:
+            assert e.energy == e_vac + e.n * raise_a.lam_exact + e.m * raise_b.lam_exact
+
+    def test_non_quadratic_hamiltonian_is_refused(self):
+        # H + (x + i px)^3 passes the K + 1 probe, yet the states (1, 2),
+        # (2, 1) and (2, 2) are no eigenfunctions of it: the probe holds for
+        # a quadratic H only.  A constant term is quadratic enough.
+        ham, ladders, psi0, _ = bateman_setup(Fraction(1, 2))
+        raise_a, raise_b = ladders[2], ladders[3]
+        z = WeylPolynomial.position(1, 2) + I * WeylPolynomial.momentum(1, 2)
+        cubic = dataclasses.replace(ham, op=ham.op + z * z * z)
+        with pytest.raises(NotQuadraticError, match="degree 1, 3"):
+            ladder_spectrum(cubic, psi0, raise_a, raise_b, 2, 2)
+        for n, m in ((1, 2), (2, 1), (2, 2)):
+            f = psi0
+            for lad in [raise_b] * m + [raise_a] * n:
+                f = apply_operator(lad, f)
+            assert eigencheck(ham, f) is not None
+            assert eigencheck(cubic, f) is None
+        shifted = dataclasses.replace(ham, op=ham.op + WeylPolynomial.constant(3, 2))
+        assert [e.energy for e in ladder_spectrum(shifted, psi0, raise_a, raise_b, 1, 1)] \
+            == [e.energy + 3 for e in ladder_spectrum(ham, psi0, raise_a, raise_b, 1, 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -645,6 +678,41 @@ class TestSectorMap:
             check("x1", gauss_1d(-1))
 
 
+@st.composite
+def killed_functions(draw):
+    """A ladder Z = alpha^T x + beta^T p, a function f with a non-constant
+    polynomial part and nonzero l, and whether Z kills f.  K = 2 or 3 with
+    beta = (b_1, b_2, 0) and b_1 != 0: l = r (b_2, -b_1, l_3) and P a
+    polynomial in w = b_2 x_1 - b_1 x_2 and x_3 are orthogonal to beta, and
+    alpha = 2i S beta, so Z kills f.  One of alpha, l and P may then be
+    nudged off the identity: alpha_1 + t, l + t conj(beta) or x_1 P."""
+    k = draw(st.integers(2, 3))
+    nonzero = gaussian_rationals.filter(bool)
+    f = draw(gaussian_functions(k))
+    beta = (draw(nonzero), draw(gaussian_rationals)) + (ZERO,) * (k - 2)
+    w = {(1, 0, 0)[:k]: beta[1], (0, 1, 0)[:k]: -beta[0]}    # _cp_mul drops zeros
+    poly = {(0,) * k: draw(nonzero)}
+    for _ in range(draw(st.integers(1, 3))):
+        poly = _cp_mul(poly, w)
+    if k == 3:
+        poly = _cp_mul(poly, {(0, 0, 0): ONE, (0, 0, draw(st.integers(1, 2))): draw(nonzero)})
+    r = draw(nonzero)
+    lin = [r * beta[1], -r * beta[0]] + [draw(gaussian_rationals)] * (k - 2)
+    alpha = [2 * I * sum((f.quad[i][j] * beta[j] for j in range(k)), ZERO)
+             for i in range(k)]
+    nudge, t = draw(st.integers(0, 3)), draw(nonzero)
+    if nudge == 1:
+        alpha[0] += t
+    elif nudge == 2:
+        lin = [v + t * bj.conjugate() for v, bj in zip(lin, beta)]
+    elif nudge == 3:
+        poly = _cp_mul(poly, {(1,) + (0,) * (k - 1): ONE})
+    g = GaussianPolyFunction(k, poly, f.quad, tuple(lin))
+    lad = LadderOperator(coefficients=tuple(alpha) + beta, lam=0j,
+                         lam_exact=None, frequency=None)
+    return lad, g, nudge == 0
+
+
 def raised_states(ham, vacuum, raise_a, raise_b):
     return [e.function for e in ladder_spectrum(ham, vacuum, raise_a, raise_b, 2, 2)
             if not e.annihilated]
@@ -664,11 +732,13 @@ class TestClosedFormLadders:
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(sectors_and_ladders(), st.data())
     def test_applied_ladder_matches_its_expansion(self, case, data):
-        # apply_operator builds a ladder's closed-form map, on sums as well
+        # apply_operator builds a ladder's closed-form map, on sums as well,
+        # and annihilation_check's identity agrees with its kernel path
         f, lad = case
         g = f + data.draw(gaussian_functions(f.num_modes))
         for h in (f, g):
             assert apply_operator(lad, h) == apply_operator(lad.z, h)
+            assert annihilation_check(lad, h) == annihilation_check(lad.z, h)
 
     def test_mode_counts_must_agree(self):
         _, ladders, _, _ = bateman_setup(Fraction(1))
@@ -700,6 +770,16 @@ class TestClosedFormLadders:
             assert isinstance(f, GaussianPolySum)
             assert annihilation_check(z1, f) is killed
             assert apply_operator(z1.z, f).is_zero is killed
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(killed_functions())
+    def test_identity_matches_the_kernel(self, case):
+        # the identity path (a LadderOperator) against the kernel path (its
+        # WeylPolynomial) and the applied operator, on kills and near misses
+        lad, f, killed = case
+        assert annihilation_check(lad, f) is killed
+        assert annihilation_check(lad.z, f) is killed
+        assert apply_operator(lad.z, f).is_zero is killed
 
     @pytest.mark.parametrize("n_max", [0, 1, 3])
     def test_one_sector_map_per_spectrum(self, monkeypatch, n_max):
@@ -985,6 +1065,24 @@ class TestSerialization:
         assert doc["quad"][0][0] == [-1, 2, 0, 1]
         assert doc["quad"][1][1] == [1, 2, 0, 1]
         assert doc["text"] == "(1) * exp(-(1/2)*x^2 + (1/2)*y^2)"
+
+    def test_text_is_rendered_once(self, monkeypatch):
+        # a fresh function renders on first read; the shared vacua have, so
+        # a second report renders neither
+        f = GaussianPolyFunction.pure_gaussian(vacuum_functions()[0].quad)
+        cli.run_report(b=Fraction(1, 2), ladder_states=1)
+        calls = []
+        cp_text = wavefn._cp_text
+        monkeypatch.setattr(wavefn, "_cp_text",
+                            lambda p, k: calls.append(p) or cp_text(p, k))
+        assert str(f) == "(1) * exp(-(1/2)*x^2 + (1/2)*y^2)"
+        assert function_to_json(f)["text"] is str(f)
+        assert len(calls) == 2
+        calls.clear()
+        report = cli.run_report(b=Fraction(3, 7), ladder_states=1)
+        assert calls == []
+        assert [fam["vacuum"]["text"] for fam in report["families"]] == [
+            "(1) * exp(-(1/2)*x^2 + (1/2)*y^2)", "(1) * exp((1/2)*x^2 - (1/2)*y^2)"]
 
     def test_spectrum_json(self):
         ham, ladders, psi0, _ = bateman_setup(Fraction(1))

@@ -19,6 +19,7 @@ from quadladder.weyl import (
     commutator,
     dagger,
     degree_decompose,
+    format_coefficient,
     is_hermitian,
     symbol,
 )
@@ -381,3 +382,60 @@ class TestRendering:
     def test_order_is_graded_lex_descending(self):
         poly = x() + p() * p()
         assert str(poly) == "p1^2 + x1"
+
+
+def old_format_coefficient(coeff, *, standalone):
+    """format_coefficient as it was written on two Fractions, kept as the
+    oracle for the version that reads the canonical triple."""
+    re, im = coeff.re, coeff.im
+
+    def magnitude(mag, imag):
+        if imag:
+            if mag == 1:
+                return "i"
+            return f"{mag}*i" if mag.denominator == 1 else f"({mag})*i"
+        if mag.denominator == 1:
+            return str(mag)
+        return str(mag) if standalone else f"({mag})"
+
+    if im == 0:
+        sign = "-" if re < 0 else "+"
+        mag = abs(re)
+        if not standalone and mag == 1:
+            return sign, ""
+        body = magnitude(mag, imag=False)
+        return sign, body if standalone else f"{body}*"
+    if re == 0:
+        sign = "-" if im < 0 else "+"
+        body = magnitude(abs(im), imag=True)
+        return sign, body if standalone else f"{body}*"
+    return "+", f"({coeff})" if standalone else f"({coeff})*"
+
+
+BIG = 10 ** 399 + 7                   # 400 digits
+
+
+class TestFormatCoefficient:
+    @pytest.mark.parametrize("coeff", [
+        ComplexRational(0), ComplexRational(1), ComplexRational(-1),
+        ComplexRational(0, 1), ComplexRational(0, -1), ComplexRational(7),
+        ComplexRational(0, -7), ComplexRational(Fraction(-3, 4)),
+        ComplexRational(0, Fraction(5, 2)), ComplexRational(1, 1),
+        ComplexRational(Fraction(1, 2), Fraction(-3, 4)),
+        ComplexRational(Fraction(-1, 6), Fraction(1, 4)),
+        ComplexRational(BIG), ComplexRational(0, -BIG),
+        ComplexRational(Fraction(-BIG, BIG + 2)), ComplexRational(0, Fraction(1, BIG)),
+        ComplexRational(Fraction(BIG, 3), Fraction(-1, BIG)),
+    ])
+    @pytest.mark.parametrize("standalone", [True, False])
+    def test_matches_the_fraction_oracle(self, coeff, standalone):
+        assert format_coefficient(coeff, standalone=standalone) \
+            == old_format_coefficient(coeff, standalone=standalone)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.integers(-12, 12), st.integers(-12, 12), st.integers(1, 12),
+           st.integers(1, 12), st.booleans())
+    def test_matches_the_oracle_on_small_values(self, a, b, c, d, standalone):
+        coeff = ComplexRational(Fraction(a, c), Fraction(b, d))
+        assert format_coefficient(coeff, standalone=standalone) \
+            == old_format_coefficient(coeff, standalone=standalone)
