@@ -69,7 +69,8 @@ class ComplexMatrix:
     __slots__ = ("dim", "entries", "exact", "_integer_form")
 
     def __init__(self, rows: Iterable[Iterable[ComplexRational]]):
-        exact = tuple(tuple(ComplexRational._coerce(v) for v in row) for row in rows)
+        exact = tuple(tuple(v if type(v) is ComplexRational else ComplexRational._coerce(v)
+                            for v in row) for row in rows)
         if any(v is NotImplemented for row in exact for v in row):
             raise TypeError("matrix entries must be ComplexRational, int or Fraction")
         dim = len(exact)
@@ -182,9 +183,9 @@ def validate_quadratic(op: WeylPolynomial) -> QuadraticHamiltonian:
     message names the offending monomials) and NotHermitianError when the
     operator differs from its dagger.
     """
-    parts = degree_decompose(op)
-    bad = sorted(deg for deg in parts if deg not in (0, 2))
+    bad = sorted({deg for deg in map(sum, op.terms) if deg != 2 and deg != 0})
     if bad:
+        parts = degree_decompose(op)
         offending = tuple(
             word_text(mono, op.num_modes)
             for deg in bad

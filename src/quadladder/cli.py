@@ -36,6 +36,7 @@ from .errors import (
     NumericFailureError,
     QuadladderError,
     ValidationError,
+    abbreviated,
 )
 from .ladders import build_ladders, commutator_table, ladders_to_json
 from .spectral import eigen_decompose, spectral_to_json
@@ -64,15 +65,10 @@ MAX_SWEEP_VALUES = 1000
 # argument handling
 # ---------------------------------------------------------------------------
 
-def _abbreviated(text: str) -> str:
-    """text, or past 40 characters its first 7 and its length."""
-    return text if len(text) <= 40 else f"{text[:7]}... ({len(text)} characters)"
-
-
 def _parse_rational(text: str) -> Fraction:
     # Fraction() reads an exponent such as 1e10000000 past the digit limit
     # that bounds integers, and underscores only from Python 3.11 on.
-    shown = _abbreviated(text)
+    shown = abbreviated(text)
     for mark, what in (("e", "exponent notation is"), ("_", "underscores are")):
         if mark in text.lower():
             raise ValidationError(f"{what} not accepted: {shown!r}")
@@ -156,7 +152,7 @@ def _rational_from_json(value) -> Fraction:
         if value[1] == 0:
             raise ValidationError("zero denominator in rational pair")
         return Fraction(value[0], value[1])
-    raise ValidationError(f"not a rational number: {_abbreviated(repr(value))} "
+    raise ValidationError(f"not a rational number: {abbreviated(repr(value))} "
                           "(use int, 'a/b', or [num, den])")
 
 
@@ -176,6 +172,10 @@ def _load_model_file(path: str) -> dict:
         raise ValidationError(f"cannot read model file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(f"model file {path} is not valid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"model file {path} is not UTF-8 (byte {exc.start})") from exc
+    except ValueError as exc:  # int() refuses integer text past 4,300 digits
+        raise ValidationError(f"model file {path} has an integer past 4,300 digits") from exc
     if not isinstance(doc, dict):
         raise ValidationError("model file must hold a JSON object")
     extra = sorted(set(doc) - {"bateman", "expression"})

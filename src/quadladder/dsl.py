@@ -10,31 +10,36 @@ Grammar (whitespace-insensitive; no implicit multiplication):
 Symbols are either the two-mode aliases x, y, px, py or the numbered forms
 x<N>, p<N> with 1 <= N <= MAX_MODES; mixing the two styles in one expression
 is an error that names the clashing symbols.  Powers attach to symbols only.
+Parentheses nest at most MAX_NESTING deep.
 
 One regular expression splits the text into tokens: runs of decimal digits
 (str.isdecimal, so a superscript or circled digit is an unexpected
 character), letter-led runs of letters and digits, and single operators.  A
-token keeps only its offset; an error's 1-based line:column is worked out
-from that offset, and only a newline starts a line.
+token keeps its kind and text; an error scans again for its offset and
+reports the 1-based line:column, where only a newline starts a line, and it
+quotes a token past 40 characters by its first 7 and its length.
 
 Parsing produces a flat sum-of-products AST: products are flattened left to
 right, parenthesized sums are distributed, and like terms are never merged,
-so the AST is a faithful record of the expression's term structure.  Every
-flattened coefficient is purely real or purely imaginary by construction.
+so the AST is a faithful record of the expression's term structure.  A
+coefficient is carried as ints (a, b, d) for (a + b*i)/d and reduced once per
+flattened term, which is purely real or purely imaginary by construction.
+Lowering adds the exponents of a word in which no p_j stands left of an x_j
+(its factors only commute into normal order) and reorders any other word.
 """
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
+from itertools import islice
 
-from .errors import AliasConflictError, ParseError
+from .errors import AliasConflictError, ParseError, abbreviated
 from .weyl import (
     ComplexRational,
     ONE,
-    I,
     WeylPolynomial,
     _add_term,
     _mono_product_terms,
+    _reduced,
     render_terms,
 )
 
@@ -57,38 +62,36 @@ MAX_MODES = 16
 # admitted product (that form times p1*x1*p2*x2) lowers in 0.36 s (2-core VM).
 MAX_TERM_DEGREE = 6
 MAX_PRODUCT_TERMS = 1024
+# Depth of nested parentheses; the parser recurses twice per level.
+MAX_NESTING = 100
 
-_ALIASES = {"x": ("x", 1), "y": ("x", 2), "px": ("p", 1), "py": ("p", 2)}
+_ALIASES = {"x": 0, "y": 1, "px": 2, "py": 3}   # index in the basis x, y, px, py
 _NUMBERED = re.compile(r"^([xp])([1-9][0-9]*)$")
 
 # One token per match: a run of decimal digits, a run of letters and digits,
 # or any other non-blank character.  \d is str.isdecimal, \w is str.isalnum
 # plus "_" and \s is str.isspace, so superscripts never start a number.
 _TOKEN = re.compile(r"\d+|[^\W_]+|\S")
-_OPERATORS = frozenset("+-*/^()")
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    """(kind, text, offset) tokens, closed by ("end", "", len(text))."""
-    tokens = []
-    for match in _TOKEN.finditer(text):
-        word = match[0]
-        if word.isdecimal():
-            kind = "number"
-        elif word[0].isalpha():
-            kind = "ident"
-        elif word in _OPERATORS:
-            kind = word
-        else:
-            raise _error_at(text, match.start(), f"unexpected character {word[0]!r}")
-        tokens.append((kind, word, match.start()))
-    tokens.append(("end", "", len(text)))
-    return tokens
+def _tokenize(text: str) -> tuple[list[str], list[str]]:
+    """Each token's kind (number, ident or the operator) and text, closed by
+    ("end", "")."""
+    words = _TOKEN.findall(text)
+    kinds = [word if word in "+-*/^()" else "number" if word.isdecimal()
+             else "ident" if word[0].isalpha() else "" for word in words]
+    if "" in kinds:
+        index = kinds.index("")
+        raise _error_at(text, index, f"unexpected character {words[index][0]!r}")
+    return kinds + ["end"], words + [""]
 
 
-def _error_at(text: str, offset: int, message: str,
+def _error_at(text: str, index: int, message: str,
               expected: tuple[str, ...] = ()) -> ParseError:
-    """A ParseError whose message starts with the line:column of text[offset]."""
+    """A ParseError whose message starts with the line:column of token index
+    (past the last token, the end of text)."""
+    match = next(islice(_TOKEN.finditer(text), index, None), None)
+    offset = len(text) if match is None else match.start()
     line = text.count("\n", 0, offset) + 1
     col = offset - text.rfind("\n", 0, offset)
     return ParseError(f"{line}:{col}: {message}", line, col, expected)
@@ -122,116 +125,111 @@ def _check_no_mixing(symbols: set[str]) -> None:
 
 
 class _Parser:
+    """Recursive descent over the token lists, read by index.
+
+    A product is a list of flat terms (a, b, d, factors): the coefficient
+    (a + b*i)/d unreduced, with d > 0, and the word as (symbol, power) pairs.
+    """
+
     def __init__(self, text: str):
         self.text = text
-        self.tokens = _tokenize(text)
+        self.kinds, self.words = _tokenize(text)
         self.pos = 0
 
-    def peek(self) -> str:
-        """Kind of the next token."""
-        return self.tokens[self.pos][0]
+    def fail(self, index: int, expected: tuple[str, ...]) -> ParseError:
+        word = self.words[index]
+        got = repr(abbreviated(word)) if word else "end of input"
+        return _error_at(self.text, index, f"expected {', '.join(expected)}; got {got}",
+                         expected)
 
-    def advance(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def error(self, tok, message: str, expected: tuple[str, ...] = ()) -> ParseError:
-        return _error_at(self.text, tok[2], message, expected)
-
-    def fail(self, expected: tuple[str, ...]) -> ParseError:
-        kind, word, _ = tok = self.tokens[self.pos]
-        got = "end of input" if kind == "end" else repr(word)
-        return self.error(tok, f"expected {', '.join(expected)}; got {got}", expected)
-
-    def number(self) -> int:
-        """The next token, which must be a number, as an int."""
-        if self.peek() != "number":
-            raise self.fail(("number",))
-        tok = self.advance()
+    def number(self, index: int) -> int:
+        """Token index, which must be a number, as an int."""
+        if self.kinds[index] != "number":
+            raise self.fail(index, ("number",))
+        word = self.words[index]
         try:
-            return int(tok[1])
+            return int(word)
         except ValueError:   # more digits than the interpreter converts
-            raise self.error(
-                tok, f"number has too many digits ({len(tok[1])})") from None
+            raise _error_at(self.text, index,
+                            f"number has too many digits ({len(word)})") from None
 
-    def parse_expr(self) -> list[ExprTerm]:
-        terms: list[ExprTerm] = []
-        sign = ONE
-        if self.peek() in ("+", "-"):
-            if self.advance()[0] == "-":
-                sign = -ONE
-        terms.extend(self._signed_term(sign))
-        while self.peek() in ("+", "-"):
-            sign = ONE if self.advance()[0] == "+" else -ONE
-            terms.extend(self._signed_term(sign))
-        return terms
+    def parse_expr(self, depth: int) -> tuple[list[tuple], int]:
+        """The flat terms of a sum inside depth parentheses, and their largest
+        degree."""
+        terms, top, kind = [], 0, self.kinds[self.pos]
+        while True:
+            if kind in ("+", "-"):
+                self.pos += 1
+            product, degree = self.parse_term(depth)
+            terms += [(-a, -b, d, w) for a, b, d, w in product] if kind == "-" else product
+            top = max(top, degree)
+            kind = self.kinds[self.pos]
+            if kind not in ("+", "-"):
+                return terms, top
 
-    def _signed_term(self, sign: ComplexRational) -> list[ExprTerm]:
-        return [
-            ExprTerm(coeff=sign * t.coeff, factors=t.factors)
-            for t in self.parse_term()
-        ]
-
-    def parse_term(self) -> list[ExprTerm]:
-        product, degree = self._bounded_factor(0)
-        while self.peek() == "*":
-            star = self.advance()
-            rhs, degree = self._bounded_factor(degree)
-            size = len(product) * len(rhs)
-            if size > MAX_PRODUCT_TERMS:
-                raise self.error(star, f"product flattens to {size} terms; the "
-                                       f"limit is {MAX_PRODUCT_TERMS}")
-            product = [
-                ExprTerm(coeff=a.coeff * b.coeff, factors=a.factors + b.factors)
-                for a in product
-                for b in rhs
-            ]
-        return product
-
-    def _bounded_factor(self, degree: int) -> tuple[list[ExprTerm], int]:
-        """The next factor and the term degree, refused above MAX_TERM_DEGREE."""
-        tok = self.tokens[self.pos]
-        factor = self.parse_factor()
-        degree += max(sum(power for _, power in t.factors) for t in factor)
-        if degree > MAX_TERM_DEGREE:
-            raise self.error(
-                tok, f"term has degree {degree}; the limit is {MAX_TERM_DEGREE}")
-        return factor, degree
-
-    def parse_factor(self) -> list[ExprTerm]:
-        kind, word, _ = tok = self.tokens[self.pos]
-        if kind == "number":
-            value = Fraction(self.number())
-            if self.peek() == "/":
-                self.advance()
-                den_tok = self.tokens[self.pos]
-                denominator = self.number()
-                if denominator == 0:
-                    raise self.error(den_tok, "zero denominator")
-                value /= denominator
-            return [ExprTerm(coeff=ComplexRational(value), factors=())]
-        if kind == "ident":
-            self.advance()
-            if word == "i":
-                return [ExprTerm(coeff=I, factors=())]
-            if word not in _ALIASES and not _NUMBERED.match(word):
-                raise self.error(tok, f"unknown symbol {word!r}; expected one of "
-                                 "x, y, px, py or numbered x<N>, p<N> with N >= 1",
-                                 ("symbol",))
-            power = 1
-            if self.peek() == "^":
-                self.advance()
-                power = self.number()
-            return [ExprTerm(coeff=ONE, factors=((word, power),))]
-        if kind == "(":
-            self.advance()
-            inner = self.parse_expr()
-            if self.peek() != ")":
-                raise self.fail(("')'", "'+'", "'-'", "'*'"))
-            self.advance()
-            return inner
-        raise self.fail(("number", "'i'", "symbol", "'('"))
+    def parse_term(self, depth: int) -> tuple[list[tuple], int]:
+        """The flat terms of a product and its degree, the sum of the largest
+        degree of each factor.  The scalar factors gather in (a, b, d), the
+        symbol powers in word; a parenthesized sum is multiplied out."""
+        kinds, words, text = self.kinds, self.words, self.text
+        pos, star = self.pos, None
+        product, a, b, d, word, degree = [(1, 0, 1, ())], 1, 0, 1, [], 0
+        while True:
+            kind, start, size = kinds[pos], pos, len(product)
+            pos += 1
+            if kind == "number":
+                a *= (n := self.number(start))
+                b *= n
+                if kinds[pos] == "/":
+                    if not (n := self.number(pos + 1)):
+                        raise _error_at(text, pos + 1, "zero denominator")
+                    d *= n
+                    pos += 2
+            elif kind == "ident" and words[start] == "i":
+                a, b = -b, a
+            elif kind == "ident":
+                name = words[start]
+                if name not in _ALIASES and not _NUMBERED.match(name):
+                    raise _error_at(
+                        text, start, f"unknown symbol {abbreviated(name)!r}; expected "
+                        "one of x, y, px, py or numbered x<N>, p<N> with N >= 1",
+                        ("symbol",))
+                power = 1
+                if kinds[pos] == "^":
+                    power = self.number(pos + 1)
+                    pos += 2
+                word.append((name, power))
+                degree += power
+            elif kind == "(":
+                if depth == MAX_NESTING:
+                    raise _error_at(
+                        text, start, f"parentheses nest deeper than {MAX_NESTING} levels")
+                self.pos = pos
+                inner, inner_degree = self.parse_expr(depth + 1)
+                if kinds[self.pos] != ")":
+                    raise self.fail(self.pos, ("')'", "'+'", "'-'", "'*'"))
+                pos = self.pos + 1
+                degree += inner_degree
+                size *= len(inner)
+            else:
+                raise self.fail(start, ("number", "'i'", "symbol", "'('"))
+            if degree > MAX_TERM_DEGREE:
+                raise _error_at(
+                    text, start, f"term has degree {degree}; the limit is {MAX_TERM_DEGREE}")
+            if star is not None and size > MAX_PRODUCT_TERMS:
+                raise _error_at(text, star, f"product flattens to {size} terms; the "
+                                            f"limit is {MAX_PRODUCT_TERMS}")
+            if kind == "(":
+                w = tuple(word)
+                product = [(pa * qa - pb * qb, pa * qb + pb * qa, pd * qd, pw + w + qw)
+                           for pa, pb, pd, pw in product for qa, qb, qd, qw in inner]
+                word = []
+            if kinds[pos] != "*":
+                self.pos, w = pos, tuple(word)
+                return [(pa * a - pb * b, pa * b + pb * a, pd * d, pw + w)
+                        for pa, pb, pd, pw in product], degree
+            star = pos
+            pos += 1
 
 
 def parse_hamiltonian(text: str) -> HamiltonianExpr:
@@ -242,10 +240,11 @@ def parse_hamiltonian(text: str) -> HamiltonianExpr:
     symbol styles are mixed.
     """
     parser = _Parser(text)
-    terms = parser.parse_expr()
-    if parser.peek() != "end":
-        raise parser.fail(("'+'", "'-'", "'*'", "end of input"))
-    expr = HamiltonianExpr(terms=tuple(terms))
+    terms, _ = parser.parse_expr(0)
+    if parser.kinds[parser.pos] != "end":
+        raise parser.fail(parser.pos, ("'+'", "'-'", "'*'", "end of input"))
+    expr = HamiltonianExpr(terms=tuple(
+        ExprTerm(_reduced(a, b, d), word) for a, b, d, word in terms))
     _check_no_mixing(expr.symbols())
     return expr
 
@@ -265,33 +264,50 @@ def _mode_index(symbol: str) -> int:
     return int(digits)
 
 
+def _flat_indices(expr: HamiltonianExpr) -> tuple[int, dict[str, int]]:
+    """Mode count and each symbol's index in the basis x1..xK, p1..pK; only
+    an AST built by hand can mix styles here, since parsing refuses it."""
+    symbols = expr.symbols()
+    if not symbols.isdisjoint(_ALIASES):
+        _check_no_mixing(symbols)
+        return 2, {s: _ALIASES[s] for s in symbols}
+    modes = {s: _mode_index(s) for s in sorted(symbols)}
+    k = max(modes.values(), default=1)
+    return k, {s: n - 1 + (k if s[0] == "p" else 0) for s, n in modes.items()}
+
+
 def infer_num_modes(expr: HamiltonianExpr) -> int:
     """Mode count: 2 for alias style, the largest index for numbered style,
     and 1 for constant expressions with no symbols at all.
 
     Raises ParseError for a mode index above MAX_MODES.
     """
-    symbols = expr.symbols()
-    _check_no_mixing(symbols)
-    if any(s in _ALIASES for s in symbols):
-        return 2
-    return max((_mode_index(s) for s in sorted(symbols)), default=1)
+    return _flat_indices(expr)[0]
 
 
 def lower(expr: HamiltonianExpr) -> WeylPolynomial:
     """Evaluate the AST to a normal-ordered operator polynomial.
 
     Factors multiply in source order, so noncommuting products mean exactly
-    what the expression wrote.
+    what the expression wrote.  A word in which no p_j stands left of an x_j
+    is normal ordered up to commuting factors, and its exponents just add.
     """
-    num_modes = infer_num_modes(expr)
+    num_modes, flat_of = _flat_indices(expr)
     unit = (0,) * (2 * num_modes)
     total: dict = {}
     for term in expr.terms:
+        exps = [0] * (2 * num_modes)
+        for name, power in term.factors:
+            flat = flat_of[name]
+            if flat < num_modes and exps[flat + num_modes]:
+                break
+            exps[flat] += power
+        else:
+            _add_term(total, tuple(exps), term.coeff)
+            continue
         word = {unit: term.coeff}
         for name, power in term.factors:
-            kind, mode = _ALIASES.get(name) or _NUMBERED.match(name).groups()
-            flat = int(mode) - 1 + (num_modes if kind == "p" else 0)
+            flat = flat_of[name]
             factor = unit[:flat] + (power,) + unit[flat + 1:]
             product: dict = {}
             for exps, coeff in word.items():
@@ -300,7 +316,7 @@ def lower(expr: HamiltonianExpr) -> WeylPolynomial:
             word = product
         for exps, coeff in word.items():
             _add_term(total, exps, coeff)
-    return WeylPolynomial(num_modes, total)
+    return WeylPolynomial._from_terms(num_modes, total)
 
 
 def render(expr: HamiltonianExpr) -> str:

@@ -1,10 +1,15 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and how a message quotes input.
 
 Two broad families matter to callers: validation errors (bad input that a
 user can fix) and numeric failures (an iteration or tolerance check that did
 not meet its target).  The CLI maps the former to exit code 2 and the latter
 to exit code 3.
 """
+
+
+def abbreviated(text: str) -> str:
+    """text, or past 40 characters its first 7 and its length, as errors quote it."""
+    return text if len(text) <= 40 else f"{text[:7]}... ({len(text)} characters)"
 
 
 class QuadladderError(Exception):

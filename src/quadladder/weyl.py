@@ -425,6 +425,14 @@ class WeylPolynomial:
     def __setattr__(self, name, value):
         raise AttributeError("WeylPolynomial is immutable")
 
+    @classmethod
+    def _from_terms(cls, num_modes: int, terms: dict) -> "WeylPolynomial":
+        """Wrap a term map that is already clean (see __init__), unchecked."""
+        poly = _new(cls)
+        object.__setattr__(poly, "num_modes", num_modes)
+        object.__setattr__(poly, "terms", terms)
+        return poly
+
     # ---- constructors -------------------------------------------------
 
     @classmethod
@@ -646,20 +654,25 @@ def dagger(a: WeylPolynomial) -> WeylPolynomial:
     """
     num_modes = a.num_modes
     acc: dict[tuple[int, ...], ComplexRational] = {}
-    zeros = (0,) * num_modes
+    reorder = []
     for mono, coeff in a.terms.items():
+        if any(map(mul, mono[:num_modes], mono[num_modes:])):
+            reorder.append((mono, coeff))
+        else:   # p^b x^a with no mode in both is x^a p^b: one term per word
+            acc[mono] = coeff.conjugate()
+    zeros = (0,) * num_modes
+    for mono, coeff in reorder:
         cc = coeff.conjugate()
-        x_part = mono[:num_modes]
-        p_part = mono[num_modes:]
         # p^b x^a written as (unit * p^b) * (x^a * unit) and reordered.
-        for exps, w in _mono_product_terms(zeros + p_part, x_part + zeros, num_modes):
+        for exps, w in _mono_product_terms(
+                zeros + mono[num_modes:], mono[:num_modes] + zeros, num_modes):
             _add_term(acc, exps, cc if w is ONE else cc * w)
-    return WeylPolynomial(num_modes, acc)
+    return WeylPolynomial._from_terms(num_modes, acc)
 
 
 def is_hermitian(a: WeylPolynomial) -> bool:
-    """True when a equals its own adjoint."""
-    return a == dagger(a)
+    """True when a equals its own adjoint, compared term map to term map."""
+    return a.terms == dagger(a).terms
 
 
 def degree_decompose(a: WeylPolynomial) -> dict[int, WeylPolynomial]:

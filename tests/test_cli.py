@@ -460,6 +460,19 @@ class TestStrictBatemanFields:
         assert "not a rational number: [1, 1, ... (9000 characters)" in result.stderr
         assert len(result.stderr) < 120
 
+    @pytest.mark.parametrize("content, message", [
+        # 5,000 digits: past the interpreter's limit on integer text
+        (b'{"bateman": {"b": 1' + b"1" * 4999 + b"}}", "has an integer past 4,300 digits"),
+        (b'{"bateman": {"b": "1/2"}}\xff', "is not UTF-8 (byte 25)"),
+        (b"\xfe\xff{}", "is not UTF-8 (byte 0)"),
+    ])
+    def test_unreadable_model_files_exit_2(self, content, message, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_bytes(content)
+        result = run_cli("--model", str(path))
+        assert_one_error_line(result)
+        assert result.stderr.rstrip().endswith(message)
+
     @pytest.mark.parametrize("text, key", [
         ('{"bateman": {"b": 1, "b": 2}}', "b"),
         ('{"bateman": {"b": 1}, "bateman": {"b": 2}}', "bateman"),

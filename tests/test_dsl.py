@@ -9,22 +9,43 @@ from hypothesis import strategies as st
 
 from quadladder import cli
 from quadladder.bateman import build_hd
+from quadladder.adjoint import validate_quadratic
 from quadladder.dsl import (
     _ALIASES,
     _NUMBERED,
+    _TOKEN,
     MAX_MODES,
+    MAX_NESTING,
     MAX_PRODUCT_TERMS,
     MAX_TERM_DEGREE,
     ExprTerm,
     HamiltonianExpr,
+    _check_no_mixing,
+    _mode_index,
     infer_num_modes,
     lower,
     parse_hamiltonian,
     parse_to_polynomial,
     render,
 )
-from quadladder.errors import AliasConflictError, ParseError
-from quadladder.weyl import I, ONE, ComplexRational, WeylPolynomial
+from quadladder.errors import (
+    AliasConflictError,
+    NotHermitianError,
+    NotQuadraticError,
+    ParseError,
+)
+from quadladder.weyl import (
+    I,
+    ONE,
+    ComplexRational,
+    WeylPolynomial,
+    _add_term,
+    _mono_product_terms,
+    dagger,
+    degree_decompose,
+    is_hermitian,
+    word_text,
+)
 
 
 def roundtrip(text):
@@ -491,3 +512,339 @@ class TestOracle:
                 "x1 + 1/" + "7" * 5000]):
             assert _outcome(parse_hamiltonian, text) == \
                 _outcome(_old_parse_hamiltonian, text)
+
+
+class TestNestingBound:
+    """Parentheses nest MAX_NESTING deep; one more is a positioned refusal."""
+
+    def test_the_bound_parses(self):
+        expr = parse_hamiltonian("(" * MAX_NESTING + "x1^2" + ")" * MAX_NESTING)
+        assert expr == parse_hamiltonian("x1^2")
+
+    def test_one_level_more_is_refused(self):
+        text = "p1 + " + "(" * (MAX_NESTING + 1) + "x1^2" + ")" * (MAX_NESTING + 1)
+        with pytest.raises(ParseError) as err:
+            parse_hamiltonian(text)
+        col = 5 + MAX_NESTING + 1
+        assert (err.value.line, err.value.col) == (1, col)
+        assert str(err.value) == \
+            f"1:{col}: parentheses nest deeper than {MAX_NESTING} levels"
+
+    def test_cli_refuses_deep_nesting_in_one_line(self, capsys):
+        depth = 10_000
+        assert cli.main(["--expr", "(" * depth + "x1^2" + ")" * depth]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error [quadladder.dsl]: 1:{MAX_NESTING + 1}: parentheses "
+                       f"nest deeper than {MAX_NESTING} levels\n")
+
+
+class TestLongTokens:
+    """An error quotes a token past 40 characters by its first 7 and length."""
+
+    def test_unknown_long_symbol(self):
+        with pytest.raises(ParseError) as err:
+            parse_hamiltonian("x1^2 + " + "q" * 5000)
+        assert str(err.value).startswith(
+            "1:8: unknown symbol 'qqqqqqq... (5000 characters)'; expected one of")
+        assert len(str(err.value)) < 120
+
+    def test_stray_long_number(self):
+        with pytest.raises(ParseError) as err:
+            parse_hamiltonian("x1^2 " + "7" * 3000)
+        assert str(err.value) == ("1:6: expected '+', '-', '*', end of input; "
+                                  "got '7777777... (3000 characters)'")
+
+    def test_tokens_up_to_40_characters_are_quoted_whole(self):
+        with pytest.raises(ParseError, match="unknown symbol '" + "q" * 40 + "'"):
+            parse_hamiltonian("q" * 40)
+
+    def test_cli_prints_one_short_line(self, capsys):
+        assert cli.main(["--expr", "x1^2 + " + "q" * 5000]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and len(err) < 160
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the parser, lower and is_hermitian as they were before coefficients
+# became integer tuples, words with ordered factors skipped the reordering,
+# and Hermiticity compared term maps.  Kept verbatim apart from names.
+# ---------------------------------------------------------------------------
+
+_PARENT_ALIASES = {"x": ("x", 1), "y": ("x", 2), "px": ("p", 1), "py": ("p", 2)}
+
+
+def _parent_tokenize(text):
+    tokens = []
+    for match in _TOKEN.finditer(text):
+        word = match[0]
+        if word.isdecimal():
+            kind = "number"
+        elif word[0].isalpha():
+            kind = "ident"
+        elif word in "+-*/^()":
+            kind = word
+        else:
+            raise _parent_error_at(text, match.start(),
+                                   f"unexpected character {word[0]!r}")
+        tokens.append((kind, word, match.start()))
+    tokens.append(("end", "", len(text)))
+    return tokens
+
+
+def _parent_error_at(text, offset, message, expected=()):
+    line = text.count("\n", 0, offset) + 1
+    col = offset - text.rfind("\n", 0, offset)
+    return ParseError(f"{line}:{col}: {message}", line, col, expected)
+
+
+class _ParentParser:
+    def __init__(self, text):
+        self.text = text
+        self.tokens = _parent_tokenize(text)
+        self.pos = 0
+
+    def peek(self):
+        return self.tokens[self.pos][0]
+
+    def advance(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def error(self, tok, message, expected=()):
+        return _parent_error_at(self.text, tok[2], message, expected)
+
+    def fail(self, expected):
+        kind, word, _ = tok = self.tokens[self.pos]
+        got = "end of input" if kind == "end" else repr(word)
+        return self.error(tok, f"expected {', '.join(expected)}; got {got}", expected)
+
+    def number(self):
+        if self.peek() != "number":
+            raise self.fail(("number",))
+        tok = self.advance()
+        try:
+            return int(tok[1])
+        except ValueError:
+            raise self.error(
+                tok, f"number has too many digits ({len(tok[1])})") from None
+
+    def parse_expr(self):
+        terms = []
+        sign = ONE
+        if self.peek() in ("+", "-"):
+            if self.advance()[0] == "-":
+                sign = -ONE
+        terms.extend(self._signed_term(sign))
+        while self.peek() in ("+", "-"):
+            sign = ONE if self.advance()[0] == "+" else -ONE
+            terms.extend(self._signed_term(sign))
+        return terms
+
+    def _signed_term(self, sign):
+        return [ExprTerm(coeff=sign * t.coeff, factors=t.factors)
+                for t in self.parse_term()]
+
+    def parse_term(self):
+        product, degree = self._bounded_factor(0)
+        while self.peek() == "*":
+            star = self.advance()
+            rhs, degree = self._bounded_factor(degree)
+            size = len(product) * len(rhs)
+            if size > MAX_PRODUCT_TERMS:
+                raise self.error(star, f"product flattens to {size} terms; the "
+                                       f"limit is {MAX_PRODUCT_TERMS}")
+            product = [
+                ExprTerm(coeff=a.coeff * b.coeff, factors=a.factors + b.factors)
+                for a in product
+                for b in rhs
+            ]
+        return product
+
+    def _bounded_factor(self, degree):
+        tok = self.tokens[self.pos]
+        factor = self.parse_factor()
+        degree += max(sum(power for _, power in t.factors) for t in factor)
+        if degree > MAX_TERM_DEGREE:
+            raise self.error(
+                tok, f"term has degree {degree}; the limit is {MAX_TERM_DEGREE}")
+        return factor, degree
+
+    def parse_factor(self):
+        kind, word, _ = tok = self.tokens[self.pos]
+        if kind == "number":
+            value = Fraction(self.number())
+            if self.peek() == "/":
+                self.advance()
+                den_tok = self.tokens[self.pos]
+                denominator = self.number()
+                if denominator == 0:
+                    raise self.error(den_tok, "zero denominator")
+                value /= denominator
+            return [ExprTerm(coeff=ComplexRational(value), factors=())]
+        if kind == "ident":
+            self.advance()
+            if word == "i":
+                return [ExprTerm(coeff=I, factors=())]
+            if word not in _PARENT_ALIASES and not _NUMBERED.match(word):
+                raise self.error(tok, f"unknown symbol {word!r}; expected one of "
+                                 "x, y, px, py or numbered x<N>, p<N> with N >= 1",
+                                 ("symbol",))
+            power = 1
+            if self.peek() == "^":
+                self.advance()
+                power = self.number()
+            return [ExprTerm(coeff=ONE, factors=((word, power),))]
+        if kind == "(":
+            self.advance()
+            inner = self.parse_expr()
+            if self.peek() != ")":
+                raise self.fail(("')'", "'+'", "'-'", "'*'"))
+            self.advance()
+            return inner
+        raise self.fail(("number", "'i'", "symbol", "'('"))
+
+
+def _parent_parse_hamiltonian(text):
+    parser = _ParentParser(text)
+    terms = parser.parse_expr()
+    if parser.peek() != "end":
+        raise parser.fail(("'+'", "'-'", "'*'", "end of input"))
+    expr = HamiltonianExpr(terms=tuple(terms))
+    _check_no_mixing(expr.symbols())
+    return expr
+
+
+def _parent_infer_num_modes(expr):
+    symbols = expr.symbols()
+    _check_no_mixing(symbols)
+    if any(s in _PARENT_ALIASES for s in symbols):
+        return 2
+    return max((_mode_index(s) for s in sorted(symbols)), default=1)
+
+
+def _parent_lower(expr):
+    num_modes = _parent_infer_num_modes(expr)
+    unit = (0,) * (2 * num_modes)
+    total = {}
+    for term in expr.terms:
+        word = {unit: term.coeff}
+        for name, power in term.factors:
+            kind, mode = _PARENT_ALIASES.get(name) or _NUMBERED.match(name).groups()
+            flat = int(mode) - 1 + (num_modes if kind == "p" else 0)
+            factor = unit[:flat] + (power,) + unit[flat + 1:]
+            product = {}
+            for exps, coeff in word.items():
+                for key, w in _mono_product_terms(exps, factor, num_modes):
+                    _add_term(product, key, coeff if w is ONE else coeff * w)
+            word = product
+        for exps, coeff in word.items():
+            _add_term(total, exps, coeff)
+    return WeylPolynomial(num_modes, total)
+
+
+def _parent_dagger(a):
+    num_modes = a.num_modes
+    acc = {}
+    zeros = (0,) * num_modes
+    for mono, coeff in a.terms.items():
+        cc = coeff.conjugate()
+        x_part = mono[:num_modes]
+        p_part = mono[num_modes:]
+        for exps, w in _mono_product_terms(zeros + p_part, x_part + zeros, num_modes):
+            _add_term(acc, exps, cc if w is ONE else cc * w)
+    return WeylPolynomial(num_modes, acc)
+
+
+def _parent_is_hermitian(a):
+    return a == _parent_dagger(a)
+
+
+def _front_end(parse, lower_, hermitian, text):
+    """AST, polynomial (terms in order) and Hermiticity, or the first error."""
+    try:
+        expr = parse(text)
+        poly = lower_(expr)
+        return expr, poly.num_modes, list(poly.terms.items()), hermitian(poly)
+    except ParseError as exc:
+        return type(exc), str(exc), exc.line, exc.col, exc.expected
+
+
+# Words that reorder (p before x of one mode), that only commute, i and zero
+# coefficients, parenthesized sums, and factors that break the degree or
+# product-size bounds in longer products.
+_ORACLE_FACTOR = st.sampled_from([
+    "0", "1", "3/4", "0/7", "1/0", "i", "x1", "p1", "x2", "p2^2", "x1^0", "p1^0",
+    "p1*x1", "x1*p1*x1", "p1^2*x1^2", "p2*x1*p1", "x2*p2^2*x2", "x", "px*x",
+    "py^2*y", "x17", "q1", "x1^7", "(x1 + p1 + x2 + p2)", "(1 + i)", "(i*p1 - x1)",
+    "(0*x1 + p2)", "(1 + x1 + p1 + x2 + p2 + i + 2 + 3/4)"])
+_ORACLE_TEXT = st.recursive(_ORACLE_FACTOR, lambda inner: st.one_of(
+    st.tuples(inner, st.sampled_from([" + ", " - ", "*", "*"]), inner),
+    st.tuples(st.just("("), inner, st.just(")")),
+    st.tuples(st.sampled_from(["-", "+", ""]), inner)).map("".join), max_leaves=10)
+
+
+class TestParentOracle:
+    NEW = (parse_hamiltonian, lower, is_hermitian)
+    PARENT = (_parent_parse_hamiltonian, _parent_lower, _parent_is_hermitian)
+
+    @settings(max_examples=1500, deadline=None, derandomize=True)
+    @given(text=_ORACLE_TEXT)
+    def test_expressions(self, text):
+        assert _front_end(*self.NEW, text) == _front_end(*self.PARENT, text)
+
+    @settings(max_examples=600, deadline=None, derandomize=True)
+    @given(text=_GRAMMAR_TEXT)
+    def test_near_misses(self, text):
+        assert _front_end(*self.NEW, text) == _front_end(*self.PARENT, text)
+
+    @pytest.mark.parametrize("text", [
+        "p1*x1", "x1*p1*x1", "p1^2*x1^2", "p1*x1 + x1*p1", "i*(p1*x1 - x1*p1)",
+        "0*p1*x1", "-(p1 + x1)*(x1 - p1)", "2*p2*x1*p1*x2",
+        "*".join(["(x+y+px+py)"] * 5), "*".join(["(x+y+px+py)"] * 6),
+        "(x1 + p1)*x1^3*(p1^2 + 1)", "x1*x1*x1*p1*p1*p1*x1",
+        f"1/2*{TestSizeBounds.SUM32}*{TestSizeBounds.SUM32}",
+        "(" * MAX_NESTING + "p1*x1" + ")" * MAX_NESTING,
+    ])
+    def test_corpus(self, text):
+        assert _front_end(*self.NEW, text) == _front_end(*self.PARENT, text)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(text=_ORACLE_TEXT)
+    def test_dagger_and_validation(self, text):
+        try:
+            poly = _parent_lower(_parent_parse_hamiltonian(text))
+        except ParseError:
+            return
+        # the same map; dagger's terms need not come in the parent's order
+        assert dagger(poly).terms == _parent_dagger(poly).terms
+        assert _validation(validate_quadratic, poly) == \
+            _validation(_parent_validate_quadratic, poly)
+
+
+def _parent_validate_quadratic(op):
+    parts = degree_decompose(op)
+    bad = sorted(deg for deg in parts if deg not in (0, 2))
+    if bad:
+        offending = tuple(
+            word_text(mono, op.num_modes)
+            for deg in bad
+            for mono, _ in parts[deg].sorted_terms()
+        )
+        raise NotQuadraticError(
+            "operator has terms of degree "
+            f"{', '.join(str(d) for d in bad)} (only 0 and 2 allowed): "
+            + ", ".join(offending),
+            offending,
+        )
+    if not _parent_is_hermitian(op):
+        raise NotHermitianError("operator is not Hermitian: it differs from its dagger")
+    return op, op.num_modes, op.constant_term()
+
+
+def _validation(validate, op):
+    try:
+        ham = validate(op)
+    except (NotQuadraticError, NotHermitianError) as exc:
+        return type(exc), str(exc), getattr(exc, "offending", None)
+    return ham if isinstance(ham, tuple) else (ham.op, ham.num_modes, ham.energy_offset)
