@@ -55,7 +55,6 @@ __all__ = [
     "matrix_to_json",
 ]
 
-ExactRows = tuple[tuple[ComplexRational, ...], ...]
 IntegerRows = tuple[tuple[tuple[int, int, int], ...], ...]  # nonzero (column, re, im)
 
 
@@ -105,18 +104,6 @@ class ComplexMatrix:
 
     def __repr__(self):
         return f"<ComplexMatrix dim={self.dim}>"
-
-
-def exact_matmul(a: ExactRows, b: ExactRows) -> ExactRows:
-    """Product of two exact square matrices of equal dimension."""
-    n = len(a)
-    return tuple(
-        tuple(
-            sum((a[i][k] * b[k][j] for k in range(n)), ZERO)
-            for j in range(n)
-        )
-        for i in range(n)
-    )
 
 
 Scalar = TypeVar("Scalar", ComplexRational, complex)
@@ -215,10 +202,15 @@ def adjoint_matrix(ham: QuadraticHamiltonian) -> ComplexMatrix:
 
 
 def matrices_commute(a: ComplexMatrix, b: ComplexMatrix) -> bool:
-    """Whether AB - BA vanishes, decided exactly."""
+    """Whether AB - BA vanishes, decided exactly: on the integer forms
+    B_a = d_a A and B_b = d_b B, column by column as B_a (B_b e_j) = B_b (B_a e_j)."""
     if a.dim != b.dim:
         raise DimensionMismatchError(f"dimensions differ: {a.dim} vs {b.dim}")
-    return exact_matmul(a.exact, b.exact) == exact_matmul(b.exact, a.exact)
+    (_, rows_a), (_, rows_b) = a.integer_form, b.integer_form
+    zero = [(0, 0)] * a.dim
+    return all(integer_matvec(rows_a, integer_matvec(rows_b, e))
+               == integer_matvec(rows_b, integer_matvec(rows_a, e))
+               for e in (zero[:j] + [(1, 0)] + zero[j + 1:] for j in range(a.dim)))
 
 
 def matrix_to_json(m: ComplexMatrix) -> dict:

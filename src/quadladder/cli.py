@@ -176,6 +176,8 @@ def _load_model_file(path: str) -> dict:
         raise ValidationError(f"model file {path} is not UTF-8 (byte {exc.start})") from exc
     except ValueError as exc:  # int() refuses integer text past 4,300 digits
         raise ValidationError(f"model file {path} has an integer past 4,300 digits") from exc
+    except RecursionError as exc:
+        raise ValidationError("model file nests too deeply for the JSON decoder") from exc
     if not isinstance(doc, dict):
         raise ValidationError("model file must hold a JSON object")
     extra = sorted(set(doc) - {"bateman", "expression"})

@@ -257,10 +257,8 @@ def _mode_index(symbol: str) -> int:
     """
     digits = _NUMBERED.match(symbol).group(2)
     if len(digits) > len(str(MAX_MODES)) or int(digits) > MAX_MODES:
-        shown = symbol if len(digits) <= 12 else \
-            f"{symbol[:7]}... ({len(digits)} digits)"
         raise ParseError(
-            f"symbol {shown!r} exceeds the limit of {MAX_MODES} modes")
+            f"symbol {abbreviated(symbol)!r} exceeds the limit of {MAX_MODES} modes")
     return int(digits)
 
 

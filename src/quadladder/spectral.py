@@ -8,13 +8,13 @@ matrix, Van Loan 1984).  The spectral data follow from q on one exact path:
 1. chi is computed exactly from M's integer form (d, B), B = d*M with d the
    lcm of the denominators, by Hessenberg elimination modulo one Mersenne
    prime p = 2^e - 1, products folded as (x & p) + (x >> e).
-2. The roots s of q come from its exact square-free decomposition and a
-   Durand-Kerner iteration per factor.  Modulo 2^61 - 1, gcd(q, q') of
-   degree 0 proves q square-free; otherwise Yun's algorithm over Q(i) fixes
-   every multiplicity.  Newton steps in integer fixed point refine each s
-   until the rational root theorem decides, in integers, whether it lies in
-   Q(i).  The frequencies are lambda = +-sqrt(s), exact iff s is a square in
-   Q(i).
+2. The roots s of q come from its exact square-free decomposition (modulo
+   2^61 - 1, gcd(q, q') of degree 0 proves q square-free; otherwise Yun's
+   algorithm over Q(i) fixes every multiplicity) and one Aberth iteration
+   per factor in integer fixed point, from Newton-polygon seeds.  Each root
+   is accepted by its own small inclusion disc, disjoint from the others;
+   then the rational root theorem decides, in integers, whether it lies in
+   Q(i).  The frequencies are lambda = +-sqrt(s), exact iff s is a square.
 3. A simple exact lambda = g/L takes its eigenvector from one column of the
    adjugate over Z[i], adj(uI - B) e_0 = sum u^k b_k with b_(n-1) = e_0 and
    b_(k-1) = B b_k + A_k e_0 for det(uI - B) = sum A_k u^k, once per
@@ -27,15 +27,16 @@ matrix, Van Loan 1984).  The spectral data follow from q on one exact path:
    the geometric multiplicity geo is exact: 1 for a simple root, else read
    off M on the kernel of f(M^2), f the square-free factor of q with f(lambda^2) = 0.
 
-Everything is deterministic: fixed seed circle for the iteration, fixed
-pivoting and normalization rules, fixed ordering of results by (Re, Im).
+Everything is deterministic: integer seeds and iteration, fixed pivoting
+and normalization rules, fixed ordering of results by (Re, Im).
 """
 
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import zip_longest
-from math import frexp, isqrt, ldexp
+from math import isqrt
 from typing import Sequence
 
 from .adjoint import ComplexMatrix, Scalar, integer_matvec
@@ -51,10 +52,8 @@ __all__ = [
     "spectral_to_json",
 ]
 
-ROOT_RESIDUAL_TOL = 1e-9   # relative bound on |p(root)| for accepted roots
-MAX_SWEEPS = 500           # Durand-Kerner sweeps; roots() checks what they reach
-NEWTON_STEPS = 16          # exact refinement cap per root of q
-FLOAT_BITS = 64            # absolute accuracy 2^-64 * max(1, |s|) of refined roots
+MAX_SWEEPS = 500           # Aberth sweeps per factor of q: a bound on work only
+FLOAT_BITS = 64            # each root's disc radius is below 2^-65 * max(1, |s|)
 # A null vector is normalized at its first entry whose modulus is within this
 # relative gap of the largest, so float rounding cannot break exact ties.
 PEAK_TIE_TOL = 1e-9
@@ -102,7 +101,7 @@ def _pdivmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
 
 def _pmonic(p: Poly) -> Poly:
     p = _ptrim(p)
-    return [c / p[-1] for c in p]
+    return p if p[-1] == ONE else [c / p[-1] for c in p]
 
 
 def _pgcd(a: Poly, b: Poly) -> Poly:
@@ -118,11 +117,12 @@ def _pderiv(p: Poly) -> Poly:
     return _ptrim([p[k] * k for k in range(1, len(p))])
 
 
-def _peval_complex(p, z: complex) -> complex:
-    acc = 0j
+def _relative_residual(p, z: complex) -> float:
+    """|p(z)| in floats over max(1, sum_k |c_k| max(1, |z|)^k), the scale at z."""
+    acc, zm = 0j, max(1.0, abs(z))
     for c in reversed(p):
         acc = acc * z + complex(c)
-    return acc
+    return abs(acc) / max(1.0, sum(abs(complex(c)) * zm ** k for k, c in enumerate(p)))
 
 
 def _squarefree_mod(p: Poly) -> bool:
@@ -307,90 +307,62 @@ def characteristic_polynomial(m: ComplexMatrix) -> Poly:
 # root finding
 # ---------------------------------------------------------------------------
 
-def _scaled(p: Poly, e: int) -> Poly | list[complex]:
-    """2^(-e deg) p(2^e w): the coefficients c_k 2^(e (k - deg)), each rounded
-    once from its exact value; p itself when e = 0."""
-    deg = len(p) - 1
-    return [complex(c * Fraction(2) ** (e * (k - deg))) for k, c in enumerate(p)] if e else p
+@cache
+def _circle(k1: int, m: int, deg: int) -> tuple[tuple[int, int], ...]:
+    """e^(it) at t = 2 pi (j/m + k1/deg) + 2/5 for j < m, pi taken as 355/113, in
+    fixed point 2^-32 from 60 Taylor terms: seeds need spread, not accuracy."""
+    out = []
+    for j in range(m):
+        t = Fraction(710, 113) * ((Fraction(j, m) + Fraction(k1, deg)) % 1) + Fraction(2, 5)
+        n, d, re, im, x, y = t.numerator, t.denominator, 1 << 32, 0, 0, 0
+        for k in range(1, 61):
+            x, y, re, im = x + re, y + im, -im * n // (d * k), re * n // (d * k)
+        out.append((x, y))
+    return tuple(out)
 
 
-def _durand_kerner(factor: Poly) -> tuple[list[complex], int]:
-    """All roots of a monic polynomial with simple roots, simultaneously.
-
-    Deterministic seeds on a circle of radius 2 max_k |c_(n-k)|^(1/k) (the
-    Fujiwara bound), rotated off the axes so symmetric root sets do not
-    stall the sweep.  Where radius^deg reaches 2^1000, near the float range,
-    it iterates on the roots w = z/2^e of _scaled(factor, e), with 2^e near
-    the radius, and returns them with e (else e = 0).  It stops when every root's own last
-    step is at most 1e-14 max(2^-e, |w_j|), so small roots converge beside
-    huge ones, or after MAX_SWEEPS sweeps (steps can stall at rounding size
-    above that; roots() checks every residual).  A non-finite iterate raises.
-    """
-    coeffs = [complex(c) for c in factor]
-    deg = len(coeffs) - 1
-    if deg == 1:
-        return [-coeffs[0]], 0
-    radius = 2.0 * max(abs(coeffs[deg - k]) ** (1.0 / k) for k in range(1, deg + 1))
-    e = 0 if radius < 2.0 ** (1000 / deg) else max(0, frexp(radius)[1] - 1)  # inf: 0
-    if e:
-        coeffs, radius = _scaled(factor, e), ldexp(radius, -e)
-    floor = 2.0 ** -e
-    z = [radius * cmath.exp(1j * (2.0 * cmath.pi * j / deg + 0.4))
-         for j in range(deg)]
-    for _ in range(MAX_SWEEPS):
-        converged = True
-        for j in range(deg):
-            num = _peval_complex(coeffs, z[j])
-            den = 1.0 + 0j
-            for k in range(deg):
-                if k != j:
-                    den *= z[j] - z[k]
-            if den == 0:
-                den = 1e-300
-            step = num / den
-            z[j] -= step
-            converged = converged and abs(step) <= 1e-14 * max(floor, abs(z[j]))
-        if not all(map(cmath.isfinite, z)):
-            raise NumericFailureError(
-                "root iteration produced a non-finite iterate",
-                tuple(abs(w) for w in z))
-        if converged:
-            break
-    return z, e
+def _seeds(ints: list[tuple[int, int]], bits: int) -> list[tuple[int, int]]:
+    """Starting points in fixed point 2^-bits from the Newton polygon (Bini,
+    Numer. Algorithms 1996): each edge k1 -> k2 of the upper convex hull of
+    the points (k, h_k), h_k the bit length of |c_k|^2, puts k2 - k1 points on
+    the circle of radius 2^((h_k1 - h_k2) // (2 (k2 - k1))), or of 2^8 units
+    if that is smaller, so that the points of a circle are distinct."""
+    hull: list[tuple[int, int]] = []
+    for k, (a, b) in enumerate(ints):
+        h = (a * a + b * b).bit_length()
+        while len(hull) > 1 and ((hull[-1][1] - hull[-2][1]) * (k - hull[-2][0])
+                                 <= (h - hull[-2][1]) * (hull[-1][0] - hull[-2][0])):
+            hull.pop()
+        hull.append((k, h))
+    return [((x << e) >> 32, (y << e) >> 32) for (k1, h1), (k2, h2) in zip(hull, hull[1:])
+            for e in [max(bits + (h1 - h2) // (2 * (k2 - k1)), 8)]
+            for x, y in _circle(k1, k2 - k1, len(ints) - 1)]
 
 
-def _relative_residual(p, z: complex, floor: float = 1.0) -> float:
-    """|p(z)| over sum_k |c_k| max(floor,|z|)^k, the natural scale at z; inf
-    where that scale is not a normal float (its terms underflow)."""
-    zm = max(floor, abs(z))
-    scale = max(floor ** (len(p) - 1), sum(abs(complex(c)) * zm ** k for k, c in enumerate(p)))
-    return abs(_peval_complex(p, z)) / scale if scale >= 2.0 ** -1022 else float("inf")
+def _disc_radius(fx: int, fy: int, dx: int, dy: int, deg: int) -> int | None:
+    """An integer R > deg |f(z)/f'(z)| in units 2^-bits, for f(z) = fx + i fy and
+    f'(z) = dx + i dy in those units: the disc of radius R about z holds a root
+    of f, since f'/f = sum_k 1/(z - s_k).  None where f'(z) = 0."""
+    nd = dx * dx + dy * dy
+    return isqrt(deg * deg * (fx * fx + fy * fy) // nd) + 1 if nd else None
 
 
-def roots(p: Poly) -> list[tuple[complex, int]]:
-    """Float roots of an exact polynomial with multiplicities, sorted by (Re, Im).
-
-    Multiplicities come from the exact square-free decomposition, whose
-    factors are coprime with simple roots, so no two returned roots stand for
-    the same exact root.  Every returned root r satisfies |p(r)| < 1e-9
-    relative to the coefficient scale at r, evaluated on p scaled as the
-    iteration on r's factor was.
-    """
-    p = _ptrim(list(p))
-    if _pdeg(p) < 1:
-        raise ValueError("polynomial must have degree >= 1")
-    found = []  # (w, e, multiplicity, residual) for the root w 2^e
-    for factor, mult in squarefree_factors(p):  # monic factors
-        ws, e = _durand_kerner(factor)
-        scaled = _scaled(p, e)
-        found += [(w, e, mult, _relative_residual(scaled, w, 2.0 ** -e)) for w in ws]
-    # "not <" also refuses a NaN residual
-    bad = sorted((x for *_, x in found if not x < ROOT_RESIDUAL_TOL), reverse=True)
-    if bad:
-        raise NumericFailureError("root residuals exceed tolerance", tuple(bad))
-    found = [(complex(ldexp(w.real, e), ldexp(w.imag, e)), mult) for w, e, mult, _ in found]
-    found.sort(key=lambda rm: (rm[0].real, rm[0].imag))
-    return found
+def _isolated(z: list[tuple[int, int]], values: list[tuple[int, int, int, int]],
+              lead: int, bits: int) -> list[int] | None:
+    """The radii R_j of _disc_radius at the z_j (units 2^-bits) if every
+    2R_j < 2^-FLOAT_BITS max(1, |z_j|) and 2R_j < 1/(4 lead) and no two discs
+    meet, so that each holds exactly one root of f (degree len(z)); else None."""
+    one, radii = 1 << bits, []
+    for (x, y), v in zip(z, values):
+        r = _disc_radius(*v, len(z))
+        if (r is None or (r * r << 2 * FLOAT_BITS + 2) >= max(one * one, x * x + y * y)
+                or 8 * lead * r >= one):
+            return None
+        radii.append(r)
+    disjoint = all((x - u) ** 2 + (y - v) ** 2 > (r + t) ** 2
+                   for j, ((x, y), r) in enumerate(zip(z, radii))
+                   for (u, v), t in zip(z[j + 1:], radii[j + 1:]))
+    return radii if disjoint else None
 
 
 def _gauss_horner(coeffs: list[tuple[int, int]], x: int, y: int,
@@ -404,50 +376,78 @@ def _gauss_horner(coeffs: list[tuple[int, int]], x: int, y: int,
     return re, im
 
 
-def _refine_root(q: Poly, z: complex,
-                 mult: int) -> tuple[complex, ComplexRational | None]:
-    """Refine a float root z of q of multiplicity ``mult``; decide it exactly.
+def _factor_roots(f: Poly) -> list[tuple[complex, ComplexRational | None]]:
+    """The roots of a monic square-free f as (float, exact or None).
 
-    q must have rational coefficients; scaled to integers with leading
-    coefficient lead, any Gaussian-rational root s has lead*s in Z[i]
-    (rational root theorem).  Newton steps z -= mult*q(z)/q'(z) run in integer
-    fixed point, z = (x + iy)/2^bits.  Some root of q lies within
-    r = deg*|q(z)/q'(z)| of z, and within 2r of the stepped z; once
-    2r < 1/(4*lead), rounding lead*z finds that root if it is a Gaussian
-    rational, which q(root) == 0 and a distance of at most 2r then verify.
-    Returns the refined float and the exact root or None.
+    Aberth's iteration (Aberth, Math. Comp. 1973) runs in the Gaussian fixed
+    point z = (x + iy)/2^bits, bits = lead.bit_length() + FLOAT_BITS + 8,
+    lead the common denominator of f: each z_j in turn moves by
+    N/(1 - N sum_k 1/(z_j - z_k)), N = f/f'(z_j), or by N alone once
+    _isolated, asked after a sweep of small steps, accepts the discs.  The
+    first accepted sweep that moves no iterate ends it; each z_j is then a
+    fixed point of its rounded Newton step, with one root s_j in its disc.
+    If s_j is in Q(i), lead*s_j is in Z[i] (rational root theorem): rounding
+    lead*z_j finds it, which f(g/lead) == 0 and |z_j - g/lead| <= R_j verify.
+    More than MAX_SWEEPS sweeps raise NumericFailureError.
     """
-    _, ints = _common_denominator(q)
-    lead, deg = abs(ints[-1][0]), len(ints) - 1
-    slopes = [(k * c, 0) for k, (c, _) in enumerate(ints)][1:]
+    if len(f) == 2:
+        return [(complex(-f[0]), -f[0])]
+    lead, ints = _common_denominator(f)
+    slopes = [(k * a, k * b) for k, (a, b) in enumerate(ints)][1:]
     bits = lead.bit_length() + FLOAT_BITS + 8
     one = 1 << bits
-    x, y = round(Fraction(z.real) * one), round(Fraction(z.imag) * one)
-    for _ in range(NEWTON_STEPS):
-        ax, ay = _gauss_horner(ints, x, y, one)         # 2^(bits*deg) q(z)
-        bx, by = _gauss_horner(slopes, x, y, one)       # 2^(bits*(deg-1)) q'(z)
-        na, nb = ax * ax + ay * ay, bx * bx + by * by
-        if not na:
-            break  # z is a root; rounding below finds it exactly
-        if not nb:
-            return complex(x / one, y / one), None
-        # step mult*q/q' = mult*a*conj(b)/|b|^2 units of 2^-bits, rounded half up
-        x -= (2 * mult * (ax * bx + ay * by) + nb) // (2 * nb)
-        y -= (2 * mult * (ay * bx - ax * by) + nb) // (2 * nb)
-        # (2r)^2 = 4 deg^2 |a|^2/(|b|^2 4^bits) < 1/(16 lead^2), max(1,|z|^2)/4^FLOAT_BITS
-        if (64 * deg * deg * lead * lead * na < nb * one * one
-                and (4 * deg * deg * na << 2 * FLOAT_BITS)
-                < nb * max(one * one, x * x + y * y)):
+    z, near = _seeds(ints, bits), False  # near: the last steps were below 2^-16 max(1, |z_j|)
+    for _ in range(MAX_SWEEPS):  # one^deg f(z_j), one^(deg - 1) f'(z_j)
+        values = [_gauss_horner(ints, x, y, one) + _gauss_horner(slopes, x, y, one)
+                  for x, y in z]
+        radii = _isolated(z, values, lead, bits) if near else None
+        settled, near = radii is not None, True
+        for j, (fx, fy, dx, dy) in enumerate(values):
+            x, y = z[j]
+            nd = dx * dx + dy * dy  # N = f/f' = (re + i im)/nd in units 2^-bits
+            re, im = fx * dx + fy * dy, fy * dx - fx * dy
+            if radii is None and nd:  # Aberth: N/(1 - t), t = sum_k N/(z_j - z_k)
+                nx, ny = (re << bits) // nd, (im << bits) // nd
+                tx = ty = 0  # N one and the scale-free t in units 2^-bits
+                for u, v in z[:j] + z[j + 1:]:
+                    du, dv = x - u, y - v
+                    if du or dv:
+                        m = du * du + dv * dv
+                        tx, ty = tx + (nx * du + ny * dv) // m, ty + (ny * du - nx * dv) // m
+                ex, ey = one - tx, -ty
+                re, im, nd = nx * ex + ny * ey, ny * ex - nx * ey, ex * ex + ey * ey
+            if nd:  # the step rounded half up
+                step = ((2 * re + nd) // (2 * nd), (2 * im + nd) // (2 * nd))
+                settled = settled and step == (0, 0)
+                near = near and abs(step[0]) + abs(step[1]) << 16 < max(one, abs(x) + abs(y))
+                z[j] = (x - step[0], y - step[1])
+        if settled:
             break
     else:
-        return complex(x / one, y / one), None
-    gx, gy = (2 * lead * x + one) // (2 * one), (2 * lead * y + one) // (2 * one)
-    ex, ey = lead * x - gx * one, lead * y - gy * one   # lead*2^bits*(z - g/lead)
-    if ((ex * ex + ey * ey) * nb > 4 * deg * deg * na * lead * lead
-            or _gauss_horner(ints, gx, gy, lead) != (0, 0)):  # lead^deg q(g/lead)
-        return complex(x / one, y / one), None  # another root may be the rational one
-    near = _reduced(gx, gy, lead)
-    return complex(near), near
+        radii = [_disc_radius(*v, len(z)) or one << 1023 for v in values]  # None: f' = 0
+        raise NumericFailureError(
+            f"root discs still wide or overlapping after {MAX_SWEEPS} sweeps",
+            tuple(min(r, one << 1023) / one for r in radii))
+    out = []
+    for (x, y), r in zip(z, radii):
+        gx, gy = (2 * lead * x + one) // (2 * one), (2 * lead * y + one) // (2 * one)
+        ex, ey = lead * x - gx * one, lead * y - gy * one  # lead one (z - g/lead)
+        exact = (_reduced(gx, gy, lead) if ex * ex + ey * ey <= (lead * r) ** 2
+                 and _gauss_horner(ints, gx, gy, lead) == (0, 0) else None)
+        out.append((complex(_reduced(x, y, one) if exact is None else exact), exact))
+    return out
+
+
+def roots(p: Poly) -> list[tuple[complex, ComplexRational | None, int]]:
+    """Roots of an exact polynomial as (float, exact or None, multiplicity),
+    sorted by the float's (Re, Im): each root of each exact square-free factor
+    (coprime, with simple roots) certified by _factor_roots.
+    """
+    p = _ptrim(list(p))
+    if _pdeg(p) < 1:
+        raise ValueError("polynomial must have degree >= 1")
+    return sorted(((z, exact, mult) for f, mult in squarefree_factors(p)
+                   for z, exact in _factor_roots(f)), key=lambda r: (r[0].real, r[0].imag))
 
 
 def _sqrt_exact(s: ComplexRational) -> ComplexRational | None:
@@ -621,8 +621,7 @@ def _eigenvalues(q: Poly) -> list[tuple[complex, ComplexRational | None, int]]:
     multiplicity k; s = 0 gives lambda = 0 of multiplicity 2k.
     """
     out = []
-    for s, k in roots(q):
-        s, exact = _refine_root(q, s, k)
+    for s, exact, k in roots(q):
         root = None if exact is None else _sqrt_exact(exact)
         if root is not None and not root:
             out.append((0j, ZERO, 2 * k))

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -11,7 +12,6 @@ from quadladder.adjoint import (
     ComplexMatrix,
     QuadraticHamiltonian,
     adjoint_matrix,
-    exact_matmul,
     matrices_commute,
     matrix_to_json,
     validate_quadratic,
@@ -226,20 +226,21 @@ class TestClosedFormRefusesBadDegrees:
 
 
 class TestMatrixHelpers:
-    def test_exact_matmul_against_float(self, rng):
-        a = adjoint_matrix(build_hd(Fraction(1, 3))).exact
-        b = adjoint_matrix(build_hd(Fraction(2))).exact
-        product = exact_matmul(a, b)
-        for r in range(4):
-            for c in range(4):
-                expected = sum(
-                    complex(a[r][k]) * complex(b[k][c]) for k in range(4))
-                assert abs(complex(product[r][c]) - expected) < 1e-12
-
     def test_commute_is_exact(self):
         a = ComplexMatrix(((0, 1), (1, 0)))
         assert matrices_commute(a, ComplexMatrix(((0, 2), (2, 0))))
         assert not matrices_commute(a, ComplexMatrix(((1, 0), (0, -1))))
+        # different denominators: both are combinations of I and a
+        third, half = ComplexRational(Fraction(1, 3)), ComplexRational(Fraction(1, 2))
+        fifth, seventh = ComplexRational(Fraction(1, 5)), ComplexRational(Fraction(1, 7))
+        assert matrices_commute(ComplexMatrix(((third, half), (half, third))),
+                                ComplexMatrix(((fifth, seventh), (seventh, fifth))))
+        # AB - BA has entries +-10^-20, below float resolution beside 1
+        tiny = ComplexMatrix(((1, 0), (0, ComplexRational(1 + Fraction(1, 10 ** 20)))))
+        ab = np.array(a.entries) @ np.array(tiny.entries)
+        ba = np.array(tiny.entries) @ np.array(a.entries)
+        assert np.abs(ab - ba).max() <= 1e-15
+        assert not matrices_commute(a, tiny)
 
     def test_entries_mirror_exact_rows(self):
         half = ComplexRational(Fraction(1, 2), -3)

@@ -188,8 +188,8 @@ class TestWideCoefficientRange:
         "1/2*p1^2 + 1/2*x1^2 + 1/2*p2^2 + 1" + "0" * 15 + "*x2^2 + 1/2*p3^2"
         " + 2*x3^2 + x1*x3",
         "1/2*p1^2 + 1" + "0" * 100 + "*x1^2 + 1/2*p2^2 + x2^2 + x1*x2",
-        # r^deg of the largest root r of q passes the float range: the root
-        # iteration runs on the factor scaled by 2^e near r
+        # r^deg of the largest root r of q passes the float range, which the
+        # fixed-point root iteration never enters
         "1/2*p1^2 + 1/2*x1^2 + 1/2*p2^2 + 1" + "0" * 105 + "*x2^2 + 1/2*p3^2"
         " + 2*x3^2 + x1*x3",
         "1/2*p1^2 + 1" + "0" * 156 + "*x1^2 + 1/2*p2^2 + x2^2 + x1*x2",
@@ -206,6 +206,20 @@ class TestWideCoefficientRange:
         assert [f["algebraic_multiplicity"] for f in freqs] == [1] * dim
         for f, w in zip(freqs, want):
             assert abs(complex(*f["lambda"]) - w) <= 1e-9 * abs(w)
+
+    @pytest.mark.parametrize("zeros", [154, 200, 300])
+    def test_small_frequencies_beside_huge_ones(self, zeros, tmp_path):
+        # q = (s^2 - 5 s + 3)(s - 2*10^z) up to signs: |lambda|^2 is (5 +- sqrt(13))/2
+        # or 2*10^z, each for +-lambda; numpy cannot resolve the small ones here
+        expr = ("1/2*p1^2 + 1/2*x1^2 + 1/2*p2^2 + 1" + "0" * zeros
+                + "*x2^2 + 1/2*p3^2 + 2*x3^2 + x1*x3")
+        out = tmp_path / "report.json"
+        assert cli.main(["--expr", expr, "--format", "json", "--out", str(out)]) == 0
+        freqs = json.loads(out.read_text())["spectral"]["frequencies"]
+        assert [f["algebraic_multiplicity"] for f in freqs] == [1] * 6
+        want = sorted([(5 - 13 ** 0.5) / 2, (5 + 13 ** 0.5) / 2, 2.0 * 10.0 ** zeros] * 2)
+        got = sorted(abs(complex(*f["lambda"])) ** 2 for f in freqs)
+        assert got == pytest.approx(want, rel=1e-14)
 
 
 def chain(num_modes, c):
@@ -472,6 +486,18 @@ class TestStrictBatemanFields:
         result = run_cli("--model", str(path))
         assert_one_error_line(result)
         assert result.stderr.rstrip().endswith(message)
+
+    @pytest.mark.parametrize("text", ["[" * 100_000 + "]" * 100_000,
+                                      '{"a": ' * 100_000 + "1" + "}" * 100_000],
+                             ids=["arrays", "objects"])
+    def test_deeply_nested_model_files_exit_2(self, text, tmp_path):
+        # past the decoder's recursion limit: one line, not a RecursionError
+        path = tmp_path / "model.json"
+        path.write_text(text)
+        result = run_cli("--model", str(path))
+        assert_one_error_line(result)
+        assert result.stderr.rstrip().endswith("nests too deeply for the JSON decoder")
+        assert len(result.stderr.encode()) < 120
 
     @pytest.mark.parametrize("text, key", [
         ('{"bateman": {"b": 1, "b": 2}}', "b"),

@@ -111,7 +111,7 @@ class TestModeInference:
         with pytest.raises(ParseError, match=r"'x17' exceeds"):
             infer_num_modes(parse_hamiltonian(f"x{MAX_MODES + 1}^2"))
         # Too many digits for int(): refused by length, before conversion.
-        with pytest.raises(ParseError, match=r"\(5000 digits\)' exceeds"):
+        with pytest.raises(ParseError, match=r"'x111111\.\.\. \(5001 characters\)' exceeds"):
             infer_num_modes(parse_hamiltonian("x" + "1" * 5000 + "^2"))
 
 

@@ -1,5 +1,6 @@
 """Characteristic polynomials, root finding, and eigen decomposition."""
 
+import cmath
 import math
 import random
 from fractions import Fraction
@@ -121,69 +122,74 @@ class TestCharacteristicPolynomial:
             == ComplexRational(2, 1) * ComplexRational(-1) * ComplexRational(1)
 
 
+def sorted_complex(values):
+    return sorted((complex(w) for w in values), key=lambda z: (z.real, z.imag))
+
+
 class TestRoots:
     def test_simple_rational_roots(self):
         wanted = [ComplexRational(Fraction(1, 2)), ComplexRational(-3),
                   ComplexRational(0, 2)]
         got = roots(poly_from_roots(wanted))
-        assert [m for _, m in got] == [1, 1, 1]
-        for (r, _), w in zip(got, sorted((complex(w) for w in wanted),
-                                         key=lambda z: (z.real, z.imag))):
-            assert abs(r - w) < 1e-12
+        assert [m for *_, m in got] == [1, 1, 1]
+        for (r, exact, _), w in zip(got, sorted_complex(wanted)):
+            assert r == w and complex(exact) == w
 
     def test_repeated_roots_exact_multiplicity(self):
         p = poly_from_roots([ComplexRational(1)] * 3 + [ComplexRational(-2)] * 2)
-        got = roots(p)
-        assert [(round(r.real), m) for r, m in got] == [(-2, 2), (1, 3)]
-        for r, _ in got:
-            assert abs(r.imag) < 1e-12
+        assert roots(p) == [(-2 + 0j, ComplexRational(-2), 2), (1 + 0j, ComplexRational(1), 3)]
 
     def test_near_degenerate_pair_keeps_total_multiplicity(self):
-        # distinct exact roots 1e-12 apart: the float centers can only be
-        # trusted to ~sqrt(eps), but multiplicities must still sum to 2
+        # distinct exact roots 1e-12 apart: two discs, each certified and exact
         eps = Fraction(1, 10 ** 12)
         p = poly_from_roots([ComplexRational(1), ComplexRational(1 + eps)])
         got = roots(p)
-        assert sum(m for _, m in got) == 2
-        for r, _ in got:
-            assert abs(r - 1.0) < 5e-8
+        assert [(exact, m) for _, exact, m in got] == [
+            (ComplexRational(1), 1), (ComplexRational(1 + eps), 1)]
 
     def test_separated_pair_stays_split(self):
         p = poly_from_roots([ComplexRational(1), ComplexRational(Fraction(101, 100))])
-        assert [m for _, m in roots(p)] == [1, 1]
+        assert [m for *_, m in roots(p)] == [1, 1]
 
     def test_rejects_constants(self):
         with pytest.raises(ValueError):
             roots([ComplexRational(3)])
 
-    def test_overflowing_iteration_is_a_numeric_failure(self):
-        # z^2 + 10^308 z + 1 has the Fujiwara radius 2*10^308, past the float
-        # range, so its seeds are infinite; the NaN iterates must not pass as
-        # converged roots
+    def test_roots_beyond_the_float_range_are_certified(self, tmp_path):
+        # z^2 + 10^308 z + 1: no float scale holds both roots, -10^308 and
+        # about -10^-308, which lies below the fixed point's 2^-73 and so
+        # is reported as 0.0, certified within 2^-64 and not exact
         big = ComplexRational(10 ** 308)
-        with pytest.raises(NumericFailureError, match="non-finite"):
-            roots([ComplexRational(1), big, ComplexRational(1)])
+        (large, large_exact, _), (small, small_exact, _) = roots(
+            [ComplexRational(1), big, ComplexRational(1)])
+        assert large == -1e308 and large_exact is None
+        assert abs(small) <= 2.0 ** -64 and small_exact is None
+        # a model whose q is z^2 - (10^308 + 2) z + 1 meets that root as 0.0,
+        # which the pipeline refuses rather than reporting lambda = 0
+        expr = (f"1/2*p1^2 + {10 ** 308 + 1}/2*x1^2 + 1/2*p2^2 + 1/2*x2^2"
+                f" + {10 ** 154}*x1*x2")
+        with pytest.raises(NumericFailureError, match="nonzero root of q"):
+            eigen_decompose(adjoint_matrix(validate_quadratic(parse_to_polynomial(expr))))
 
-    def test_iteration_is_scaled_where_horner_would_overflow(self):
-        # z^3 + 10^300 z + 10^300: z^3 overflows near the seed circle of
-        # radius 2*10^150, so the iteration runs on z/2^e with 2^e near it
+    def test_roots_where_float_horner_would_overflow(self):
+        # z^3 + 10^300 z + 10^300: z^3 overflows floats near the roots of
+        # modulus 10^150, which the integer fixed point never meets
         big = ComplexRational(10 ** 300)
         # roots -1 - 10^-300 + O(10^-600) and 1/2 +- i sqrt(10^300 - 3/4)
         got = roots([big, big, ComplexRational(0), ComplexRational(1)])
-        assert [m for _, m in got] == [1, 1, 1]
-        for (r, _), w in zip(got, [-1, 0.5 - 1e150j, 0.5 + 1e150j]):
-            assert abs(r - w) <= 1e-12 * abs(w)
+        assert [m for *_, m in got] == [1, 1, 1]
+        for (r, exact, _), w in zip(got, [-1, 0.5 - 1e150j, 0.5 + 1e150j]):
+            assert abs(r - w) <= 1e-12 * abs(w) and exact is None
 
     def test_roots_spanning_a_hundred_orders_of_magnitude(self):
-        # Each root must converge on its own scale: a stopping rule relative
-        # to the largest root leaves the small ones about one unit off.
+        # Each root converges on its own scale: a stopping rule relative
+        # to the largest root would leave the small ones about one unit off.
         wanted = [ComplexRational(0, 10 ** 100), ComplexRational(Fraction(1, 2), 1),
                   ComplexRational(-2, 3)]
         got = roots(poly_from_roots(wanted))
-        assert [m for _, m in got] == [1, 1, 1]
-        for (r, _), w in zip(got, sorted((complex(w) for w in wanted),
-                                         key=lambda z: (z.real, z.imag))):
-            assert abs(r - w) < 1e-12 * abs(w)
+        assert [m for *_, m in got] == [1, 1, 1]
+        assert [r for r, *_ in got] == sorted_complex(wanted)
+        assert sorted_complex(exact for _, exact, _ in got) == sorted_complex(wanted)
 
     def test_sorted_by_real_then_imag(self, rng):
         for _ in range(10):
@@ -192,17 +198,226 @@ class TestRoots:
                                 Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
                 for _ in range(rng.randint(2, 5))
             ]
-            got = [r for r, _ in roots(poly_from_roots(wanted))]
+            got = [r for r, *_ in roots(poly_from_roots(wanted))]
             assert got == sorted(got, key=lambda z: (z.real, z.imag))
-
 
     def test_irrational_root_beside_a_rational_is_not_exact(self):
         # q = (s - 1)^2 - 5/10^20: both roots 1 +- sqrt(5)/10^10 round to a
-        # Gaussian rational within the Newton radius; q(g/lead) != 0 refuses it
+        # Gaussian rational near the disc; q(g/lead) != 0 refuses it
         q = [ComplexRational(1 - Fraction(5, 10 ** 20)), ComplexRational(-2),
              ComplexRational(1)]
-        for z, mult in roots(q):
-            assert spectral._refine_root(q, z, mult)[1] is None
+        assert [exact for _, exact, _ in roots(q)] == [None, None]
+
+    def test_a_root_below_the_fixed_point_is_not_the_rational_zero(self):
+        # s^2 + 2^100 s - 1: the small root, about 2^-100, is the grid point 0,
+        # within its own disc; only q(0) = -1 != 0 keeps it from being exact
+        q = [ComplexRational(-1), ComplexRational(2 ** 100), ComplexRational(1)]
+        (_, large, _), (small_float, small, _) = roots(q)
+        assert large is None and small is None and small_float == 0
+
+    def test_an_isolated_disc_never_claims_a_neighbouring_rational(self):
+        # q = s^3 + 34 s^2 + s from random_hermitian_quadratic(Random(110503), 3):
+        # the root near -0.0294 must not be decided as the exact root 0 while
+        # its disc still reaches it
+        q = [ComplexRational(0), ComplexRational(1), ComplexRational(34), ComplexRational(1)]
+        got = roots(q)
+        assert [exact for _, exact, _ in got] == [None, None, ComplexRational(0)]
+        assert got[1][0] == pytest.approx(-17 + 12 * 2 ** 0.5, rel=1e-15)
+        rng = random.Random(110503)
+        matrix = adjoint_matrix(validate_quadratic(random_hermitian_quadratic(rng, 3)))
+        assert characteristic_polynomial(matrix)[::2] == q
+
+
+def values_at(ints, x, y, one):
+    """one^n f(z) and one^(n-1) f'(z) at z = (x + iy)/one, as the iteration reads them."""
+    slopes = [(k * a, k * b) for k, (a, b) in enumerate(ints)][1:]
+    return spectral._gauss_horner(ints, x, y, one) + spectral._gauss_horner(slopes, x, y, one)
+
+
+class TestInclusionDiscs:
+    @pytest.mark.parametrize("offset", [3, 10, 40])
+    def test_the_radius_reaches_a_root_beside_a_cluster(self, offset):
+        # at z = 1 + 2^-(k - offset) the cluster looks like a triple root, so
+        # 3|f/f'| is nearly the distance to the nearest root: a smaller bound
+        # than the inclusion radius would miss every root
+        k, bits = 80, 200  # (s - 1)^3 - 2^-3k: roots 1 + 2^-k w, w^3 = 1
+        _, ints = spectral._common_denominator(
+            [ComplexRational(-1 - Fraction(1, 2 ** (3 * k))), ComplexRational(3),
+             ComplexRational(-3), ComplexRational(1)])
+        one = 1 << bits
+        x = one + (1 << (bits - k + offset))
+        radius = spectral._disc_radius(*values_at(ints, x, 0, one), 3)
+        nearest = min(abs(complex(x - one, 0) / 2 ** (bits - k) - w)
+                      for w in (1, complex(-0.5, 3 ** 0.5 / 2), complex(-0.5, -3 ** 0.5 / 2)))
+        assert nearest * 2 ** (bits - k) <= radius < 1.15 * nearest * 2 ** (bits - k)
+
+    def test_overlapping_discs_are_not_isolated(self):
+        # (s - 1)(s - 2) with both iterates on the root 1: each disc is tiny
+        # and holds a root, but the two discs are one disc, and s = 2 is in none
+        bits = 80
+        one = 1 << bits
+        _, ints = spectral._common_denominator(
+            poly_from_roots([ComplexRational(1), ComplexRational(2)]))
+        at_one = [(one, 0), (one, 0)]
+        values = [values_at(ints, x, y, one) for x, y in at_one]
+        assert spectral._isolated(at_one, values, 1, bits) is None
+        apart = [(one, 0), (2 * one, 0)]
+        values = [values_at(ints, x, y, one) for x, y in apart]
+        assert spectral._isolated(apart, values, 1, bits) == [1, 1]
+
+
+# Reference root finder for the oracle test, a different algorithm on the
+# same exact decisions: Durand-Kerner in floats with a float residual gate,
+# then exact Newton refinement of each root in integer fixed point.
+ORACLE_TOL, ORACLE_SWEEPS, ORACLE_STEPS = 1e-9, 500, 16
+
+
+def _oracle_eval(p, z):
+    acc = 0j
+    for c in reversed(p):
+        acc = acc * z + complex(c)
+    return acc
+
+
+def _oracle_scaled(p, e):
+    deg = len(p) - 1
+    return [complex(c * Fraction(2) ** (e * (k - deg))) for k, c in enumerate(p)] if e else p
+
+
+def _oracle_durand_kerner(factor):
+    coeffs = [complex(c) for c in factor]
+    deg = len(coeffs) - 1
+    if deg == 1:
+        return [-coeffs[0]], 0
+    radius = 2.0 * max(abs(coeffs[deg - k]) ** (1.0 / k) for k in range(1, deg + 1))
+    e = 0 if radius < 2.0 ** (1000 / deg) else max(0, math.frexp(radius)[1] - 1)
+    if e:
+        coeffs, radius = _oracle_scaled(factor, e), math.ldexp(radius, -e)
+    floor = 2.0 ** -e
+    z = [radius * cmath.exp(1j * (2.0 * cmath.pi * j / deg + 0.4)) for j in range(deg)]
+    for _ in range(ORACLE_SWEEPS):
+        converged = True
+        for j in range(deg):
+            num = _oracle_eval(coeffs, z[j])
+            den = 1.0 + 0j
+            for k in range(deg):
+                if k != j:
+                    den *= z[j] - z[k]
+            if den == 0:
+                den = 1e-300
+            step = num / den
+            z[j] -= step
+            converged = converged and abs(step) <= 1e-14 * max(floor, abs(z[j]))
+        if not all(map(cmath.isfinite, z)):
+            raise NumericFailureError("root iteration produced a non-finite iterate")
+        if converged:
+            break
+    return z, e
+
+
+def _oracle_residual(p, z, floor):
+    zm = max(floor, abs(z))
+    scale = max(floor ** (len(p) - 1), sum(abs(complex(c)) * zm ** k for k, c in enumerate(p)))
+    return abs(_oracle_eval(p, z)) / scale if scale >= 2.0 ** -1022 else float("inf")
+
+
+def _oracle_float_roots(p):
+    found = []
+    for factor, mult in squarefree_factors(p):
+        ws, e = _oracle_durand_kerner(factor)
+        scaled = _oracle_scaled(p, e)
+        found += [(w, e, mult, _oracle_residual(scaled, w, 2.0 ** -e)) for w in ws]
+    if any(not x < ORACLE_TOL for *_, x in found):
+        raise NumericFailureError("root residuals exceed tolerance")
+    found = [(complex(math.ldexp(w.real, e), math.ldexp(w.imag, e)), mult)
+             for w, e, mult, _ in found]
+    found.sort(key=lambda rm: (rm[0].real, rm[0].imag))
+    return found
+
+
+def _oracle_refine(q, z, mult):
+    _, ints = spectral._common_denominator(q)
+    lead, deg = abs(ints[-1][0]), len(ints) - 1
+    slopes = [(k * c, 0) for k, (c, _) in enumerate(ints)][1:]
+    bits = lead.bit_length() + 64 + 8
+    one = 1 << bits
+    x, y = round(Fraction(z.real) * one), round(Fraction(z.imag) * one)
+    for _ in range(ORACLE_STEPS):
+        ax, ay = spectral._gauss_horner(ints, x, y, one)
+        bx, by = spectral._gauss_horner(slopes, x, y, one)
+        na, nb = ax * ax + ay * ay, bx * bx + by * by
+        if not na:
+            break
+        if not nb:
+            return complex(x / one, y / one), None
+        x -= (2 * mult * (ax * bx + ay * by) + nb) // (2 * nb)
+        y -= (2 * mult * (ay * bx - ax * by) + nb) // (2 * nb)
+        if (64 * deg * deg * lead * lead * na < nb * one * one
+                and (4 * deg * deg * na << 128) < nb * max(one * one, x * x + y * y)):
+            break
+    else:
+        return complex(x / one, y / one), None
+    gx, gy = (2 * lead * x + one) // (2 * one), (2 * lead * y + one) // (2 * one)
+    ex, ey = lead * x - gx * one, lead * y - gy * one
+    if ((ex * ex + ey * ey) * nb > 4 * deg * deg * na * lead * lead
+            or spectral._gauss_horner(ints, gx, gy, lead) != (0, 0)):
+        return complex(x / one, y / one), None
+    near = ComplexRational(Fraction(gx, lead), Fraction(gy, lead))
+    return complex(near), near
+
+
+def oracle_roots(q):
+    """(float, exact or None, multiplicity) by the two-stage reference path."""
+    return [(*_oracle_refine(q, z, m), m) for z, m in _oracle_float_roots(q)]
+
+
+rationals = st.builds(Fraction, st.integers(-10 ** 4, 10 ** 4), st.integers(1, 10 ** 3))
+
+
+def _real_factor(atoms):
+    """prod (s - r) (s^2 + b s + c) over the atoms (r,) and (b, c), dropping
+    repeats and quadratics with rational roots: a real square-free
+    polynomial with rational, irrational and conjugate-pair roots."""
+    p = [ComplexRational(1)]
+    for atom in dict.fromkeys(atoms):
+        if len(atom) == 2 and fraction_sqrt_exact(ComplexRational(atom[0] ** 2 - 4 * atom[1])):
+            continue
+        f = [ComplexRational(-atom[0]), ComplexRational(1)] if len(atom) == 1 else \
+            [ComplexRational(atom[1]), ComplexRational(atom[0]), ComplexRational(1)]
+        if len(p) + len(f) - 2 > 8:
+            break
+        p = [sum((p[i] * f[k - i] for i in range(len(p)) if 0 <= k - i < len(f)),
+                 ComplexRational(0)) for k in range(len(p) + len(f) - 1)]
+    return p
+
+
+real_factors = st.lists(st.tuples(rationals) | st.tuples(rationals, rationals),
+                        min_size=1, max_size=8).map(_real_factor).filter(
+    lambda p: len(p) > 2 and squarefree_factors(p) == [(p, 1)]
+    and max(max(abs(c.re.numerator), c.re.denominator) for c in p) <= 10 ** 30)
+
+
+def _matches(new, old):
+    """Pairs of (new, oracle) roots matched by nearest float."""
+    old = list(old)
+    pairs = []
+    for root in new:
+        best = min(old, key=lambda o: abs(o[0] - root[0]))
+        old.remove(best)
+        pairs.append((root, best))
+    return pairs
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(real_factors)
+def test_roots_match_the_two_stage_reference(q):
+    new = roots(q)
+    for (z, exact, m), (w, old_exact, old_m) in _matches(new, oracle_roots(q)):
+        assert exact == old_exact and m == old_m == 1
+        assert z == w or abs(z - w) <= 2.0 ** -60 * abs(w)
+        if exact is not None:
+            assert not poly_eval(q, exact) and z == complex(exact)
 
 
 class TestEigenDecompose:
