@@ -51,7 +51,6 @@ from .ladders import (
     LadderOperator,
     build_ladders,
     commutator_table,
-    ladder_shift_check,
     ladders_to_json,
 )
 from .spectral import (
@@ -137,7 +136,6 @@ __all__ = [
     "inner_product",
     "is_hermitian",
     "is_square_integrable",
-    "ladder_shift_check",
     "ladder_spectrum",
     "ladders_to_json",
     "lower",

@@ -14,8 +14,8 @@ Degree-1 operators need no operator products: [H, Z] has coefficients M c,
 and [Z_a, Z_b] is the scalar i sum_m (a_xm b_pm - a_pm b_xm) given by the
 canonical symplectic form.  Both run on integers: M c = lambda c is checked
 on M's integer form, and the form on the numerators of the coefficients.
-``ladder_shift_check`` recomputes [H, Z] with the Weyl product as an
-independent check.
+That one check certifies [H, Z] = lambda Z for ``build_ladders`` and for the
+raisers that ``wavefn.ladder_spectrum`` is handed.
 """
 
 from dataclasses import dataclass
@@ -28,15 +28,22 @@ from .errors import (
     VerificationError,
 )
 from .spectral import NaturalFrequency, SpectralResult
-from .weyl import (ComplexRational, WeylPolynomial, ZERO, _common_denominator, _ratio,
-                   _reduced, commutator, render_terms, symbol)
+from .weyl import (
+    ComplexRational,
+    WeylPolynomial,
+    ZERO,
+    _common_denominator,
+    _reduced,
+    commutator,  # not called here; perfbench/trace.py wraps ladders.commutator
+    render_terms,
+    symbol,
+)
 
 __all__ = [
     "LadderOperator",
     "CommutatorTable",
     "build_ladders",
     "commutator_table",
-    "ladder_shift_check",
     "ladders_to_json",
     "LADDER_RESIDUAL_TOL",
 ]
@@ -114,6 +121,18 @@ def _normalize_float(vec: tuple[complex, ...]) -> list[complex]:
     return out
 
 
+def _shifts_by(ham: QuadraticHamiltonian, coefficients, lam: ComplexRational) -> bool:
+    """Whether [H, Z] = lam Z exactly for Z = sum_j c_j O_j: M c = lam c,
+    decided as L B n = d g n in Gaussian integers for the integer form (d, B)
+    of H's adjoint matrix, lam = g/L and n the numerators of c.  The caller
+    checks that c has 2K entries, since the products are zipped."""
+    d, rows = adjoint_matrix(ham).integer_form
+    den, ((gx, gy),) = _common_denominator([lam])
+    gx, gy, num = d * gx, d * gy, _common_denominator(coefficients)[1]
+    return all(den * bx == gx * x - gy * y and den * by == gx * y + gy * x
+               for (bx, by), (x, y) in zip(integer_matvec(rows, num), num))
+
+
 def build_ladders(ham: QuadraticHamiltonian,
                   spectrum: SpectralResult) -> list[LadderOperator]:
     """One ladder per eigenvector, ordered by (Re lambda, Im lambda).
@@ -144,7 +163,6 @@ def build_ladders(ham: QuadraticHamiltonian,
         raise VerificationError(
             "adjoint matrix is not purely imaginary: the Hamiltonian is not "
             "Hermitian, so the dagger of a ladder need not be a ladder")
-    d, rows = m.integer_form
     ladders: list[LadderOperator] = []
     norm = 0.0  # max(1, ||M||_inf), computed at the first float ladder
     for freq in spectrum.frequencies:
@@ -153,10 +171,7 @@ def build_ladders(ham: QuadraticHamiltonian,
             lam_exact = freq.lam_exact if exact_vec is not None else None
             if lam_exact is not None:
                 coeffs = _normalize_exact(exact_vec)
-                den, ((gx, gy),) = _common_denominator([lam_exact])
-                gx, gy, num = d * gx, d * gy, _common_denominator(coeffs)[1]
-                if any(den * bx != gx * x - gy * y or den * by != gx * y + gy * x
-                       for (bx, by), (x, y) in zip(integer_matvec(rows, num), num)):
+                if not _shifts_by(ham, coeffs, lam_exact):
                     residual = eigen_residual(m.exact, lam_exact, coeffs)
                     raise VerificationError(
                         f"exact ladder at lambda={lam_exact} fails its "
@@ -214,38 +229,6 @@ def commutator_table(ladders: list[LadderOperator]) -> CommutatorTable:
             entries[i][j] = _reduced(-im, re, da * db)  # i (re + i im)/(da db)
             entries[j][i] = -entries[i][j]
     return CommutatorTable(entries=tuple(map(tuple, entries)))
-
-
-def ladder_shift_check(ham: QuadraticHamiltonian,
-                       ladder: LadderOperator) -> ComplexRational | complex:
-    """Recompute [H, Z] and return the proportionality scalar.
-
-    Exact ladders give an exact scalar equal to lam_exact; float ladders get
-    a coefficientwise comparison at the construction residual tolerance.
-    Raises VerificationError when [H, Z] is not proportional to Z.
-    """
-    z = ladder.z
-    if z.is_zero:
-        raise VerificationError("ladder operator is zero")
-    comm = commutator(ham.op, z)
-    if ladder.lam_exact is not None:
-        ratio = _ratio(comm.terms, z.terms)
-        if ratio is None:
-            raise VerificationError(
-                f"[H, Z] is not exactly proportional to Z for lambda={ladder.lam_exact}")
-        return ratio
-    zc = {m: complex(c) for m, c in z.terms.items()}
-    lead = max(zc, key=lambda m: abs(zc[m]))
-    lam = complex(comm.coefficient(lead)) / zc[lead]
-    worst = 0.0
-    for mono in set(zc) | set(comm.terms):
-        got = complex(comm.coefficient(mono))
-        want = lam * zc.get(mono, 0.0)
-        worst = max(worst, abs(got - want))
-    if worst >= LADDER_RESIDUAL_TOL:
-        raise VerificationError(
-            f"[H, Z] deviates from lambda*Z by {worst:.3e}", (worst,))
-    return lam
 
 
 def _float_ladder_text(coefficients: list[complex], num_modes: int) -> str:

@@ -25,12 +25,14 @@ and coefficients as Gaussian-integer numerators over one denominator per
 polynomial, so a shift is one int addition and a product two int pairs.
 One routine reads an eigenvalue: E at one exponent, then H f = E f at all
 of them by cross-multiplied integers; ladder_spectrum runs it on the vacuum
-alone, and one certificate per raiser, H Z - Z H = lambda Z on a probe of
-tagged monomials, proves every energy of the family, each then written from
-its closed form.  A state is raised (packed, one content gcd) only when it
-is read or a pure derivation could annihilate it, and converted to exact
-values only when its function is read.  Whether a ladder kills a function
-needs no map: alpha = 2i S beta, beta^T l = 0 and beta^T grad P = 0.
+alone, and one certificate per raiser, M c = lambda c on the integer form of
+H's adjoint matrix (ladders._shifts_by), proves every energy of the family,
+each then written from its closed form.  A raiser's map is built when the
+first state is raised along it, a state (packed, one content gcd) only when
+it is read or a pure derivation could annihilate it, and converted to exact
+values only when its function is read.  Whether a ladder kills a function,
+or acts as a pure derivation, needs no map: alpha = 2i S beta and
+beta^T l = 0 make Z = -i beta^T grad on the polynomial part.
 
 Sums of such functions over distinct exponents (needed to witness that a
 mixture of eigenfunctions is not an eigenfunction) are GaussianPolySum;
@@ -56,7 +58,7 @@ from math import gcd, perm
 
 from .adjoint import ComplexMatrix, QuadraticHamiltonian, validate_quadratic
 from .errors import DivergentInputError, NumericFailureError, VerificationError
-from .ladders import LadderOperator
+from .ladders import LadderOperator, _shifts_by
 # Imported by name: the characteristic_polynomial module attribute that
 # perfbench/trace.py wraps keeps timing the spectral path alone.
 from .spectral import characteristic_polynomial
@@ -398,13 +400,13 @@ def _sector_map(op, f: GaussianPolyFunction, bits: int):
         for delta, group in groups.items())
 
 
-def _kernel(smap, poly: dict, acc: dict | None = None) -> dict:
+def _kernel(smap, poly: dict) -> dict:
     """The one application kernel: smap applied to poly, which maps packed
     exponents to Gaussian-integer numerators ``(a, b)`` over a denominator
-    the caller keeps, plus acc (an image over the same one) if given.  The
-    nonzero numerators come back, over that denominator times smap's."""
+    the caller keeps.  The nonzero numerators come back, over that
+    denominator times smap's."""
     mask = (1 << smap[1]) - 1
-    acc = {} if acc is None else acc
+    acc: dict = {}
     for e, (fa, fb) in poly.items():
         for derivs, group in smap[2]:
             ff = 1
@@ -511,9 +513,11 @@ class SpectrumEntry:
     ``state`` is the packed ``(bits, den, poly)``, or None where the ladder
     product vanished: an ``annihilated`` entry has no function but keeps the
     energy the closed form predicts.  The family shares ``_grid``, ``(bits,
-    (a_map, b_map), memo, pure)``: a state is raised on first read (B along
-    row 0, then A up column m) and kept in memo as ``(den, poly)``; pure
-    says, once per family, whether each map is a pure derivation.
+    (raise_a, raise_b), maps, memo, pure)``: a state is raised on first read
+    (B along row 0, then A up column m) and kept in memo as ``(den, poly)``;
+    maps holds each raiser's sector map, built the first time a state is
+    raised along it; pure says, once per family, whether each raiser is a
+    pure derivation in the vacuum's sector.
     """
 
     n: int
@@ -525,17 +529,19 @@ class SpectrumEntry:
 
     @property
     def state(self) -> tuple[int, int, dict] | None:
-        (bits, (a_map, b_map), memo, _), n, m = self._grid, self.n, self.m
+        (bits, raisers, maps, memo, _), n, m = self._grid, self.n, self.m
         for i, j in [(0, j) for j in range(1, m + 1)] + [(i, m) for i in range(1, n + 1)]:
             if (i, j) not in memo:
-                memo[i, j] = _raised(a_map if i else b_map,
-                                     memo[(i - 1, j) if i else (0, j - 1)])
+                side = 0 if i else 1
+                if maps[side] is None:
+                    maps[side] = _sector_map(raisers[side], self.vacuum, bits)
+                memo[i, j] = _raised(maps[side], memo[(i - 1, j) if i else (0, j - 1)])
         den, poly = memo[n, m]
         return (bits, den, poly) if poly else None
 
     @property
     def annihilated(self) -> bool:
-        a_pure, b_pure = self._grid[3]
+        a_pure, b_pure = self._grid[4]
         return (a_pure and self.n > 0 or b_pure and self.m > 0) and self.state is None
 
     @cached_property
@@ -577,17 +583,6 @@ def _eigenvalue(smap, poly: dict) -> ComplexRational | None:
     return energy if _eigen_holds(image, smap[0], poly, energy) else None
 
 
-def _shifts(h_map, z_map, lam, probe: dict, h_probe: dict) -> bool:
-    """Whether H Z - Z H == lam Z on probe, h_probe being H's image of -probe.
-    H's second-order part has constant coefficients and Z has order 1, so
-    C = H Z - Z H - lam Z = c_0 + sum_j c_j d/dx_j is zero iff it kills 1
-    and each x_j (C x_j = c_0 x_j + c_j), the probe's monomials; each has
-    its own tag digit above the K mode digits, which no map touches."""
-    z_probe = _kernel(z_map, probe)
-    diff = _kernel(z_map, h_probe, _kernel(h_map, z_probe))
-    return _eigen_holds(diff, h_map[0], z_probe, lam)
-
-
 def ladder_spectrum(ham: QuadraticHamiltonian,
                     vacuum: GaussianPolyFunction,
                     raise_a: LadderOperator,
@@ -598,18 +593,23 @@ def ladder_spectrum(ham: QuadraticHamiltonian,
     """States raise_a^n raise_b^m vacuum for the full (n, m) grid, certified.
 
     The vacuum must be a nonzero eigenfunction and both ladders must carry
-    exact frequencies.  Each direction with rows to raise is certified once
-    (see _shifts) or VerificationError is raised; with H v = E0 v that
-    proves H f = (E0 + n*lambda_a + m*lambda_b) f for every state.  The
-    states share the vacuum's sector and maps, and are raised only when
-    read (see SpectrumEntry); a vanishing one is an annihilated entry.
+    exact frequencies.  The raiser of each direction with rows to raise is
+    certified once, by M c = lambda c on the integer form of H's adjoint
+    matrix (ladders._shifts_by), or VerificationError is raised; with
+    H v = E0 v that proves H f = (E0 + n*lambda_a + m*lambda_b) f for every
+    state.  The states share the vacuum's sector, and each raiser's map is
+    built only when a state is raised along it (see SpectrumEntry); a
+    vanishing state is an annihilated entry.
     """
     if vacuum.is_zero:
         raise ValueError("ladder_spectrum requires a nonzero vacuum")
     if any(sum(mono) not in (0, 2) for mono in ham.op.terms):
-        validate_quadratic(ham.op)  # NotQuadraticError: the probe needs H quadratic
-    # a ladder is linear, so every digit of every state, of H applied to the
-    # vacuum and of the probe's images (degree 1 + 1 + 2) fits in bits
+        # NotQuadraticError: M c = lambda c proves [H, Z] = lambda Z for a
+        # quadratic H only, and the adjoint matrix exists for no other
+        validate_quadratic(ham.op)
+    # a ladder is linear, so every digit of every state and of H applied to
+    # the vacuum fits in bits; the floor of 2 is slack, kept so that the
+    # width ``state`` reports stays stable for callers
     bits = (max(max(map(sum, vacuum.poly)) + n_max + m_max, 2)
             + ham.op.degree).bit_length()
     h_map = _sector_map(ham.op, vacuum, bits)
@@ -620,21 +620,17 @@ def ladder_spectrum(ham: QuadraticHamiltonian,
     if raise_a.lam_exact is None or raise_b.lam_exact is None:
         raise ValueError("ladder_spectrum needs ladders with exact frequencies")
     lam_a, lam_b = raise_a.lam_exact, raise_b.lam_exact
-    # a ladder's map is built and certified only if its direction has rows
-    a_map = _sector_map(raise_a, vacuum, bits) if n_max else None
-    b_map = _sector_map(raise_b, vacuum, bits) if m_max else None
-    if a_map or b_map:
-        probe = {mono + (i << (vacuum.num_modes * bits)): (1, 0) for i, mono in
-                 enumerate([0] + [1 << (j * bits) for j in range(vacuum.num_modes)])}
-        h_probe = _kernel(h_map, {e: (-1, 0) for e in probe})
-        for name, smap, lam in (("a", a_map, lam_a), ("b", b_map, lam_b)):
-            if smap and not _shifts(h_map, smap, lam, probe, h_probe):
-                raise VerificationError(
-                    f"raise_{name} fails H Z - Z H = lambda Z for lambda = {lam}")
-    # a map u^T x + c + w^T d with u or c nonzero kills no nonzero
-    # polynomial (compare top-degree parts); only a pure derivation may
-    grid = (bits, (a_map, b_map), {(0, 0): (vac_den, vac_poly)}, tuple(
-        bool(smap) and all(d for d, _ in smap[2]) for smap in (a_map, b_map)))
+    # a raiser is checked only if its direction has rows.  A map
+    # u^T x + c + w^T d with u or c nonzero kills no nonzero polynomial
+    # (compare top-degree parts); only a pure derivation may
+    pure = tuple(bool(rows) and _pure_derivation(raiser, vacuum)
+                 for raiser, rows in ((raise_a, n_max), (raise_b, m_max)))
+    for name, raiser, lam, rows in (("a", raise_a, lam_a, n_max),
+                                    ("b", raise_b, lam_b, m_max)):
+        if rows and not _shifts_by(ham, raiser.coefficients, lam):
+            raise VerificationError(
+                f"raise_{name} fails H Z - Z H = lambda Z for lambda = {lam}")
+    grid = (bits, (raise_a, raise_b), [None, None], {(0, 0): (vac_den, vac_poly)}, pure)
     # E0 + n lam_a + m lam_b as integer numerators over one denominator
     d, ((ea, eb), (aa, ab), (ba, bb)) = _common_denominator((e_vac, lam_a, lam_b))
     return [SpectrumEntry(n=n, m=m, energy=_reduced(
@@ -643,12 +639,12 @@ def ladder_spectrum(ham: QuadraticHamiltonian,
             for n in range(n_max + 1) for m in range(m_max + 1)]
 
 
-def _ladder_kills(z: LadderOperator, f: GaussianPolyFunction) -> bool:
-    """Whether Z = alpha^T x + beta^T p kills f = P exp(x^T S x + l^T x).
+def _pure_derivation(z: LadderOperator, f: GaussianPolyFunction) -> bool:
+    """Whether Z = alpha^T x + beta^T p acts on the polynomial part P of
+    f = P exp(x^T S x + l^T x) as the pure derivation -i beta^T grad.
 
     Z f = ((alpha - 2i S beta)^T x - i beta^T l - i beta^T grad) P exp(...),
-    and a nonzero u^T x + c keeps P's top degree, so Z kills a nonzero f iff
-    alpha = 2i S beta, beta^T l = 0 and beta^T grad P = 0."""
+    so it does iff alpha = 2i S beta and beta^T l = 0."""
     k = f.num_modes
     if len(z.coefficients) != 2 * k:
         raise ValueError("operator and function mode counts differ")
@@ -657,8 +653,17 @@ def _ladder_kills(z: LadderOperator, f: GaussianPolyFunction) -> bool:
     def dot(row):
         return sum((v * bj for v, bj in zip(row, beta)), ZERO)
 
-    if dot(f.lin) or any(a != 2 * I * dot(row) for a, row in zip(alpha, f.quad)):
+    return not dot(f.lin) and all(a == 2 * I * dot(row) for a, row in zip(alpha, f.quad))
+
+
+def _ladder_kills(z: LadderOperator, f: GaussianPolyFunction) -> bool:
+    """Whether Z = alpha^T x + beta^T p kills f = P exp(x^T S x + l^T x).
+
+    A nonzero u^T x + c keeps P's top degree, so Z kills a nonzero f iff it
+    is a pure derivation there (_pure_derivation) and beta^T grad P = 0."""
+    if not _pure_derivation(z, f):
         return f.is_zero
+    beta = z.coefficients[f.num_modes:]
     grad: CPoly = {}
     for e, c in f.poly.items():
         for j, bj in enumerate(beta):

@@ -688,23 +688,3 @@ def degree_decompose(a: WeylPolynomial) -> dict[int, WeylPolynomial]:
         deg: WeylPolynomial(a.num_modes, terms)
         for deg, terms in sorted(buckets.items())
     }
-
-
-def _ratio(num: Mapping, den: Mapping) -> ComplexRational | None:
-    """The scalar r with num == r*den termwise, or None when none exists.
-
-    Both are term maps (key -> nonzero coefficient), such as
-    ``WeylPolynomial.terms`` or a wavefunction's ``poly``.
-    """
-    if not num:
-        return ZERO if den else None
-    if len(num) != len(den):
-        return None
-    ref = next(iter(den))
-    if ref not in num:
-        return None
-    ratio = num[ref] / den[ref]
-    for key, coeff in den.items():
-        if num.get(key) != ratio * coeff:
-            return None
-    return ratio

@@ -22,6 +22,27 @@ def rng():
     return random.Random(SEED)
 
 
+def ratio(num, den):
+    """The scalar r with num == r*den termwise, or None when none exists.
+
+    Both are term maps (key -> nonzero coefficient), such as
+    ``WeylPolynomial.terms`` or a wavefunction's ``poly``: the oracle the
+    eigenvalue and ladder tests compare against.
+    """
+    if not num:
+        return ComplexRational(0) if den else None
+    if len(num) != len(den):
+        return None
+    ref = next(iter(den))
+    if ref not in num:
+        return None
+    r = num[ref] / den[ref]
+    for key, coeff in den.items():
+        if num.get(key) != r * coeff:
+            return None
+    return r
+
+
 def random_fraction(rng, max_num=6, max_den=4, allow_zero=True):
     num = rng.randint(-max_num, max_num)
     if not allow_zero:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_fraction, random_polynomial
+from conftest import random_fraction, random_polynomial, ratio
 from test_acceptance import B_VALUES
 from quadladder import cli, wavefn
 from quadladder.adjoint import adjoint_matrix, validate_quadratic
@@ -22,7 +22,7 @@ from quadladder.errors import (
     NumericFailureError,
     VerificationError,
 )
-from quadladder.ladders import LadderOperator, build_ladders
+from quadladder.ladders import LadderOperator, _shifts_by, build_ladders
 from quadladder.spectral import eigen_decompose
 from quadladder.wavefn import (
     DIVERGENT,
@@ -48,7 +48,6 @@ from quadladder.weyl import (
     WeylPolynomial,
     _add_term,
     _common_denominator,
-    _ratio,
     _reduced,
 )
 
@@ -259,28 +258,55 @@ class TestLadderSpectrum:
         assert str(failure.value) == message
 
     @pytest.mark.parametrize("which", ["a", "b"])
-    def test_corrupted_raiser_map_fails_the_certificate(self, monkeypatch, which):
-        # one weight of one raiser's map doubled: the states it would raise
-        # are no eigenfunctions, and the certificate refuses the map itself
+    def test_corrupted_raiser_fails_the_certificate(self, which):
+        # one coefficient of one raiser doubled, each in turn: the state it
+        # raises is no eigenfunction, and M c = lambda c refuses the raiser
         ham, ladders, psi0, _ = bateman_setup(Fraction(1, 2))
-        target = ladders[2] if which == "a" else ladders[3]
+        for index in range(4):
+            raisers = {"a": ladders[2], "b": ladders[3]}
+            coefficients = list(raisers[which].coefficients)
+            assert coefficients[index]
+            coefficients[index] *= 2
+            raisers[which] = dataclasses.replace(
+                raisers[which], coefficients=tuple(coefficients))
+            with pytest.raises(VerificationError,
+                               match=f"^raise_{which} fails H Z - Z H = lambda Z"):
+                ladder_spectrum(ham, psi0, raisers["a"], raisers["b"], 1, 1)
+            assert eigencheck(ham, apply_operator(raisers[which], psi0)) is None
 
-        def corrupted(op, f, bits):
-            den, bits, groups = sector_map(op, f, bits)
-            if op is target:
-                (derivs, ((shift, a, b), *rest)), *others = groups
-                groups = ((derivs, ((shift, 2 * a, 2 * b), *rest)), *others)
-            return den, bits, groups
+    @pytest.mark.parametrize("which", ["a", "b"])
+    def test_raisers_of_another_b_fail_the_certificate(self, which):
+        # the Bateman ladders keep their coefficients as b moves, but not
+        # their frequencies: raisers built at b = 1 shift H at b = 1/2 by
+        # another lambda than they carry
+        ham, ladders, psi0, _ = bateman_setup(Fraction(1, 2))
+        _, other, _, _ = bateman_setup(Fraction(1))
+        raisers = {"a": ladders[2], "b": ladders[3]}
+        raisers[which] = other[2] if which == "a" else other[3]
+        assert raisers[which].coefficients == (ladders[2] if which == "a"
+                                               else ladders[3]).coefficients
+        lam = raisers[which].lam_exact
+        with pytest.raises(VerificationError) as failure:
+            ladder_spectrum(ham, psi0, raisers["a"], raisers["b"], 1, 1)
+        assert str(failure.value) == (
+            f"raise_{which} fails H Z - Z H = lambda Z for lambda = {lam}")
 
-        sector_map = wavefn._sector_map
-        monkeypatch.setattr(wavefn, "_sector_map", corrupted)
-        with pytest.raises(VerificationError, match=f"raise_{which} fails H Z - Z H"):
-            ladder_spectrum(ham, psi0, ladders[2], ladders[3], 1, 1)
+    @pytest.mark.parametrize("which", ["a", "b"])
+    def test_raiser_with_another_mode_count_is_refused_at_once(self, which):
+        # the certificate zips c against the rows of M, so a raiser of the
+        # wrong length must be refused before it, not when a state is read
+        ham, ladders, psi0, _ = bateman_setup(Fraction(1, 2))
+        raisers = {"a": ladders[2], "b": ladders[3]}
+        raisers[which] = dataclasses.replace(
+            raisers[which], coefficients=raisers[which].coefficients[:2])
+        with pytest.raises(ValueError, match="^operator and function mode counts differ$"):
+            ladder_spectrum(ham, psi0, raisers["a"], raisers["b"], 2, 2)
 
     def test_probe_images_outgrow_the_family_width(self, monkeypatch):
         # at (n_max, m_max) = (1, 0) the states and H v need digits up to 3,
-        # 2 bits, but the probe's images are bounded only by degree
-        # 1 + 1 + 2 = 4, which needs 3
+        # 2 bits, but the width is set for max(0 + 1 + 0, 2) + 2 = 4, which
+        # needs 3; H's map is built at that width, a raiser's map only when
+        # a state is read
         ham, ladders, psi0, _ = bateman_setup(Fraction(1, 2))
         widths = []
 
@@ -292,9 +318,11 @@ class TestLadderSpectrum:
         monkeypatch.setattr(wavefn, "_sector_map", recording)
         entries = ladder_spectrum(ham, psi0, ladders[2], ladders[3], 1, 0)
         assert (max(map(sum, psi0.poly)) + 1 + 0 + ham.op.degree).bit_length() == 2
-        assert widths == [3, 3]
         assert [e.energy for e in entries] == [1, 2 - ComplexRational(0, 1) / 4]
-        assert eigencheck(ham, entries[1].function) == entries[1].energy
+        assert widths == [3]
+        raised = entries[1].function
+        assert widths == [3, 3]
+        assert eigencheck(ham, raised) == entries[1].energy
 
     @pytest.mark.parametrize("b", (Fraction(0),) + B_VALUES)
     @pytest.mark.parametrize("which", [0, 1])
@@ -308,9 +336,10 @@ class TestLadderSpectrum:
             assert e.energy == e_vac + e.n * raise_a.lam_exact + e.m * raise_b.lam_exact
 
     def test_non_quadratic_hamiltonian_is_refused(self):
-        # H + (x + i px)^3 passes the K + 1 probe, yet the states (1, 2),
-        # (2, 1) and (2, 2) are no eigenfunctions of it: the probe holds for
-        # a quadratic H only.  A constant term is quadratic enough.
+        # the vacuum is an eigenfunction of H + (x + i px)^3, yet the states
+        # (1, 2), (2, 1) and (2, 2) are not: M c = lambda c proves
+        # [H, Z] = lambda Z for a quadratic H only.  A constant term is
+        # quadratic enough.
         ham, ladders, psi0, _ = bateman_setup(Fraction(1, 2))
         raise_a, raise_b = ladders[2], ladders[3]
         z = WeylPolynomial.position(1, 2) + I * WeylPolynomial.momentum(1, 2)
@@ -431,7 +460,7 @@ def oracle_spectrum(ham, vacuum, raise_a, raise_b, n_max, m_max):
     h_map = _tuple_map(ham.op, vacuum)
     a_map = _tuple_map(raise_a.z, vacuum)
     b_map = _tuple_map(raise_b.z, vacuum)
-    e_vac = _ratio(_tuple_apply(h_map, vacuum).poly, vacuum.poly)
+    e_vac = ratio(_tuple_apply(h_map, vacuum).poly, vacuum.poly)
     row = [vacuum]
     for _ in range(m_max):
         row.append(_tuple_apply(b_map, row[-1]))
@@ -444,7 +473,7 @@ def oracle_spectrum(ham, vacuum, raise_a, raise_b, n_max, m_max):
             f = grid[n][m]
             energy = e_vac + n * raise_a.lam_exact + m * raise_b.lam_exact
             if not f.is_zero:
-                assert _ratio(_tuple_apply(h_map, f).poly, f.poly) == energy
+                assert ratio(_tuple_apply(h_map, f).poly, f.poly) == energy
             out.append((n, m, energy, f.is_zero, None if f.is_zero else f))
     return out
 
@@ -538,13 +567,6 @@ def family_setup(b, which):
     return (ham, psi0, *raising) if which == 0 else (ham, psi1, *lowering)
 
 
-def probe(k, bits):
-    """1, x_1, ..., x_K tagged as in ladder_spectrum: the i-th carries digit
-    i above the K mode digits."""
-    return {mono + (i << (k * bits)): (1, 0) for i, mono in enumerate(
-        [0] + [1 << (j * bits) for j in range(k)])}
-
-
 class TestCertifiedStates:
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(b=st.fractions(min_value=0, max_value=3, max_denominator=8),
@@ -581,20 +603,14 @@ class TestCertifiedStates:
             assert eigencheck(ham, entry.function) == entry.energy
 
     def test_the_certificate_holds_in_any_sector(self):
-        # in the plain sector H's map multiplies by x^2, so H Z of the probe
-        # has a digit of 4, which 2 bits could not hold; at 3 bits right
-        # frequencies pass and wrong ones fail
-        ham, ladders, _, _ = bateman_setup(Fraction(1, 2))
-        plain = GaussianPolyFunction.pure_gaussian(((ZERO, ZERO), (ZERO, ZERO)))
-        h_map = wavefn._sector_map(ham.op, plain, 3)
-        h_probe = wavefn._kernel(h_map, {e: (-1, 0) for e in probe(2, 3)})
-        for lad in ladders:
-            z_map = wavefn._sector_map(lad, plain, 3)
-            image = wavefn._kernel(h_map, wavefn._kernel(z_map, probe(2, 3)))
-            assert max((e >> j) & 7 for e in image for j in (0, 3)) == 4
-            for lam, right in ((lad.lam_exact, True), (lad.lam_exact + 1, False)):
-                assert wavefn._shifts(
-                    h_map, z_map, lam, probe(2, 3), h_probe) is right
+        # M c = lambda c reads no sector: for each of the four ladders the
+        # right frequency passes, and one off by 1, by i or in sign fails
+        for b in B_VALUES:
+            ham, ladders, _, _ = bateman_setup(b)
+            for lad in ladders:
+                assert _shifts_by(ham, lad.coefficients, lad.lam_exact)
+                for wrong in (lad.lam_exact + 1, lad.lam_exact + I, -lad.lam_exact):
+                    assert not _shifts_by(ham, lad.coefficients, wrong)
 
 
 # ---------------------------------------------------------------------------
@@ -772,6 +788,19 @@ class TestClosedFormLadders:
             assert apply_operator(z1.z, f).is_zero is killed
 
     @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.one_of(sectors_and_ladders(),
+                     killed_functions().map(lambda case: (case[1], case[0]))))
+    def test_pure_flag_matches_the_map(self, case):
+        # the coefficient identity against the map-derived flag: every term
+        # of the ladder's sector map carries a derivative.  Random ladders
+        # are almost never pure; killed_functions' are, unless alpha or l
+        # was nudged off the identity
+        f, lad = case
+        bits = (max(map(sum, f.poly), default=0) + 1).bit_length()
+        smap = wavefn._sector_map(lad, f, bits)
+        assert wavefn._pure_derivation(lad, f) is all(d for d, _ in smap[2])
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
     @given(killed_functions())
     def test_identity_matches_the_kernel(self, case):
         # the identity path (a LadderOperator) against the kernel path (its
@@ -783,8 +812,9 @@ class TestClosedFormLadders:
 
     @pytest.mark.parametrize("n_max", [0, 1, 3])
     def test_one_sector_map_per_spectrum(self, monkeypatch, n_max):
-        # H's map once, each raiser's once, and none for a direction with
-        # no rows to raise
+        # H's map once; a raiser's once, when the first state is raised
+        # along it (B along row 0, then A), and none for a direction with
+        # no rows to raise, however many states are read
         ham, ladders, psi0, _ = bateman_setup(Fraction(1, 2))
         raise_a, raise_b = ladders[2], ladders[3]
         built = []
@@ -797,10 +827,57 @@ class TestClosedFormLadders:
         monkeypatch.setattr(wavefn, "_sector_map", counting)
         for n, m in ((n_max, n_max), (n_max, 2), (2, n_max)):
             built.clear()
-            ladder_spectrum(ham, psi0, raise_a, raise_b, n, m)
-            expected = [ham.op] + [raise_a] * (n > 0) + [raise_b] * (m > 0)
+            entries = ladder_spectrum(ham, psi0, raise_a, raise_b, n, m)
+            assert len(built) == 1 and built[0] is ham.op
+            entries[-1].state
+            expected = [ham.op] + [raise_b] * (m > 0) + [raise_a] * (n > 0)
             assert len(built) == len(expected)
             assert all(op is want for op, want in zip(built, expected))
+            for entry in entries:
+                entry.function
+            assert len(built) == len(expected)
+
+    def test_one_state_builds_each_needed_map_once(self, monkeypatch):
+        # state (0, 2) needs raise_b's map alone, (2, 0) raise_a's alone;
+        # reading either again, or (2, 2), builds nothing twice
+        ham, ladders, psi0, _ = bateman_setup(Fraction(1, 2))
+        raise_a, raise_b = ladders[2], ladders[3]
+        built = []
+
+        def counting(op, f, bits):
+            built.append(op)
+            return sector_map(op, f, bits)
+
+        sector_map = wavefn._sector_map
+        monkeypatch.setattr(wavefn, "_sector_map", counting)
+        for first, needed in (((0, 2), raise_b), ((2, 0), raise_a)):
+            entries = {(e.n, e.m): e for e in
+                       ladder_spectrum(ham, psi0, raise_a, raise_b, 2, 2)}
+            built.clear()
+            entries[first].state
+            entries[first].function
+            assert len(built) == 1 and built[0] is needed
+            entries[2, 2].function
+            assert len(built) == 2 and {id(op) for op in built} == {id(raise_a), id(raise_b)}
+            assert entries[2, 2].function == apply_operator(
+                raise_a, apply_operator(raise_a, apply_operator(
+                    raise_b, apply_operator(raise_b, psi0))))
+
+    def test_reports_build_no_raiser_map(self, monkeypatch):
+        # a families report reads no state, so only H's map is built, once
+        # per family
+        expected = cli.run_report(b=Fraction(1, 2), ladder_states=4)
+        built = []
+
+        def counting(op, f, bits):
+            built.append(op)
+            return sector_map(op, f, bits)
+
+        sector_map = wavefn._sector_map
+        monkeypatch.setattr(wavefn, "_sector_map", counting)
+        assert cli.run_report(b=Fraction(1, 2), ladder_states=4) == expected
+        assert len(built) == 2
+        assert all(isinstance(op, WeylPolynomial) and op.degree == 2 for op in built)
 
     def test_reports_convert_no_state(self, monkeypatch):
         ham, ladders, psi0, _ = bateman_setup(Fraction(1, 2))
@@ -859,7 +936,7 @@ def eigenvalue(op, f):
 
 
 class TestEigenvalueRoutine:
-    """_eigenvalue against _ratio on the exact image of apply_operator."""
+    """_eigenvalue against ratio on the exact image of apply_operator."""
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(sectors_and_ladders(), gaussian_rationals)
@@ -872,7 +949,7 @@ class TestEigenvalueRoutine:
         k = f.num_modes
         for op in (lad, lad.z, WeylPolynomial.constant(c, k),
                    WeylPolynomial.constant(c, k) + lad.z, WeylPolynomial(k, {})):
-            assert eigenvalue(op, f) == _ratio(apply_operator(op, f).poly, f.poly)
+            assert eigenvalue(op, f) == ratio(apply_operator(op, f).poly, f.poly)
 
     @pytest.mark.parametrize("b", B_VALUES)
     def test_raised_states_are_proportional(self, b):
@@ -881,7 +958,7 @@ class TestEigenvalueRoutine:
                    + ladder_spectrum(ham, psi1, ladders[0], ladders[1], 2, 2))
         for entry in entries:
             assert eigenvalue(ham.op, entry.function) == entry.energy
-            assert eigenvalue(ham.op, entry.function) == _ratio(
+            assert eigenvalue(ham.op, entry.function) == ratio(
                 apply_operator(ham, entry.function).poly, entry.function.poly)
 
     def test_empty_image_reads_zero(self):
@@ -900,7 +977,7 @@ class TestEigenvalueRoutine:
         # constant, and x*p + 1 keeps every exponent but not the ratio
         f = gauss_1d(0, poly=poly)
         op = parse_to_polynomial(op)
-        expected = _ratio(apply_operator(op, f).poly, f.poly)
+        expected = ratio(apply_operator(op, f).poly, f.poly)
         assert expected is None
         assert eigenvalue(op, f) is None
 

@@ -8,14 +8,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import naive_multiply, random_crat, random_polynomial
+from conftest import naive_multiply, random_crat, random_polynomial, ratio
 from quadladder.errors import DimensionMismatchError
 from quadladder.weyl import (
     ONE,
     ComplexRational,
     WeylPolynomial,
     _mono_product_terms,
-    _ratio,
     commutator,
     dagger,
     degree_decompose,
@@ -333,22 +332,23 @@ class TestStructure:
 
 
 class TestRatio:
-    """_ratio(num, den): the scalar r with num == r*den termwise, or None."""
+    """ratio(num, den), the tests' oracle: the scalar r with num == r*den
+    termwise, or None."""
 
     def test_contract(self):
         half, c = ComplexRational(Fraction(1, 2)), ComplexRational(2, -3)
         den = {"a": ComplexRational(1), "b": half}
-        assert _ratio({}, den) == 0
-        assert _ratio(den, {}) is None
-        assert _ratio({"a": c, "c": c * half}, den) is None     # other keys
-        assert _ratio({"a": c}, den) is None                    # fewer keys
-        assert _ratio({"a": c, "b": c}, den) is None            # not proportional
-        assert _ratio({"a": c, "b": c * half}, den) == c        # complex ratio
+        assert ratio({}, den) == 0
+        assert ratio(den, {}) is None
+        assert ratio({"a": c, "c": c * half}, den) is None     # other keys
+        assert ratio({"a": c}, den) is None                    # fewer keys
+        assert ratio({"a": c, "b": c}, den) is None            # not proportional
+        assert ratio({"a": c, "b": c * half}, den) == c        # complex ratio
 
     def test_operator_terms(self):
         c = ComplexRational(2, -3)
-        assert _ratio((c * (x() + p())).terms, (x() + p()).terms) == c
-        assert _ratio((x() + p()).terms, (x() - p()).terms) is None
+        assert ratio((c * (x() + p())).terms, (x() + p()).terms) == c
+        assert ratio((x() + p()).terms, (x() - p()).terms) is None
 
 
 # ---------------------------------------------------------------------------
