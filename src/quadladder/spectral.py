@@ -6,8 +6,8 @@ real rational coefficients (the square-reduced structure of a Hamiltonian
 matrix, Van Loan 1984).  The spectral data follow from q on one exact path:
 
 1. chi is computed exactly from M's integer form (d, B), B = d*M with d the
-   lcm of the denominators, by Hessenberg elimination modulo one Mersenne
-   prime p = 2^e - 1, products folded as (x & p) + (x >> e).
+   lcm of the denominators, by Berkowitz's division-free recurrence over the
+   leading blocks of B, in integer products and sums alone.
 2. The roots s of q come from its exact square-free decomposition (modulo
    2^61 - 1, gcd(q, q') of degree 0 proves q square-free; otherwise Yun's
    algorithm over Q(i) fixes every multiplicity) and one Aberth iteration
@@ -189,15 +189,14 @@ def squarefree_factors(p: Poly) -> list[tuple[Poly, int]]:
 # characteristic polynomial
 # ---------------------------------------------------------------------------
 
-# Exponents e of the Mersenne primes 2^e - 1 >= 2^61 - 1, each 3 (mod 4).
-_MERSENNE_EXPONENTS = (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423, 9689,
-                       9941, 11213, 19937, 21701, 23209, 44497, 86243, 110503, 132049,
-                       216091, 756839, 859433, 1257787, 1398269)
+# Bit length of the coefficient bound past which a characteristic polynomial is
+# refused: a bound on work only, since the recurrence's integers grow with it.
+MAX_CHARPOLY_BITS = 1398269
 
 
 class _GaussMod(tuple):
-    """(a, b) = a + b*i in Z[i]/(p) = GF(p^2), with the arithmetic the elimination
-    uses; & and >> act on both parts, for the Mersenne fold."""
+    """(a, b) = a + b*i: a Gaussian integer under +, - and *, and an element
+    of Z[i]/(p) = GF(p^2) under % p, & and >> (a Mersenne fold) and inverse."""
 
     def __add__(self, o):
         return _GaussMod((self[0] + o[0], self[1] + o[1]))
@@ -230,21 +229,18 @@ def characteristic_polynomial(m: ComplexMatrix) -> Poly:
 
     A 2 x 2 M expands over Q(i).  Otherwise it reads M's integer form
     (d, B = d*M) and writes B = i^rot B', with rot = 1 if M is i times a real
-    matrix, else 0.  Each
-    coefficient c_k of det(tI - B') sums C(n, k) principal minors of modulus
-    at most R^(n-k), R the largest row sum of |Re| + |Im| in B, so
-    |c_k| <= (1 + R)^n < p/2 for the first listed Mersenne prime p above
-    2 (1 + R)^n.  Modulo p (GF(p^2) when B' is not real), elimination by
-    similarity transforms gives a Hessenberg H (Cohen, Alg. 2.2.9) whose
-    minors p_k = det(tI - H_k) = (t - h_kk) p_{k-1} - sum_{i<k} h_ik
-    (h_{i+1,i} ... h_{k,k-1}) p_{i-1} hold the c_k as symmetric residues.
-    Products are folded as (x & p) + (x >> e) before the final % p, which
-    is exact for negative x too, since 2^e = 1 (mod p = 2^e - 1).
-    det(M - tI) = (-1)^n sum_k i^(rot (n-k)) c_k d^(k-n) t^k.  A bound past
-    the last prime raises NumericFailureError.
+    matrix, else 0, so that B' is a matrix of ints for every adjoint matrix
+    (of Gaussian integers, as _GaussMod, otherwise).  Berkowitz's
+    division-free recurrence (Inform. Process. Lett. 18, 1984) gives
+    det(tI - B') = sum_k c_k t^k: for each leading block
+    B_r = [[B_(r-1), C], [R, b_rr]], det(tI - B_r) is the column
+    (1, -b_rr, -R C, -R B_(r-1) C, ...) convolved with det(tI - B_(r-1)).
+    det(M - tI) = (-1)^n sum_k i^(rot (n-k)) c_k d^(k-n) t^k.  Each |c_k| is
+    at most (1 + R)^n, R the largest row sum of |Re| + |Im| in B; a bound
+    2 (1 + R)^n of more than MAX_CHARPOLY_BITS bits raises NumericFailureError.
     """
     n = m.dim
-    if n == 2:  # cheaper without the reduction
+    if n == 2:  # cheaper without the recurrence
         (a, b), (c, e) = m.exact
         return [a * e - b * c, -(a + e), ONE]
     d, rows = m.integer_form
@@ -252,52 +248,28 @@ def characteristic_polynomial(m: ComplexMatrix) -> Poly:
            else 1 if not any(a for row in rows for _, a, _ in row) else None)
     bound = 2 * (1 + max((sum(abs(a) + abs(b) for _, a, b in row) for row in rows),
                          default=0)) ** n
-    e = next((e for e in _MERSENNE_EXPONENTS if (1 << e) - 1 > bound), None)
-    if e is None:
+    if bound.bit_length() > MAX_CHARPOLY_BITS:
         raise NumericFailureError(f"characteristic polynomial bound of {bound.bit_length()} "
-                                  f"bits exceeds the modulus 2^{_MERSENNE_EXPONENTS[-1]} - 1")
-    p, one = (1 << e) - 1, 1 if rot is not None else _GaussMod((1, 0))
+                                  f"bits exceeds the limit of {MAX_CHARPOLY_BITS} bits")
+    one = 1 if rot is not None else _GaussMod((1, 0))
     zero = one - one
-    h = [[zero] * n for _ in range(n)]
-    for row, cells in zip(h, rows):
-        for j, a, b in cells:  # a or b is 0 when rot is not None
-            row[j] = a + b if rot is not None else _GaussMod((a, b))
-
-    def fold(x):
-        return ((x & p) + (x >> e)) % p
-
-    for c in range(n - 2):
-        r = c + 1
-        piv = next((i for i in range(r, n) if h[i][c]), None)
-        if piv is None:
-            continue
-        h[r], h[piv] = h[piv], h[r]
-        for row in h:
-            row[r], row[piv] = row[piv], row[r]
-        inv, top = pow(h[r][c], -1, p), h[r]
-        for i in range(r + 1, n):
-            if h[i][c]:
-                u = fold(h[i][c] * inv)
-                h[i] = [fold(a - u * b) for a, b in zip(h[i], top)]
-                for row in h:
-                    if row[i]:
-                        row[r] = fold(row[r] + u * row[i])
-    minors = [[one]]
-    for k in range(n):
-        poly = [a - h[k][k] * b for a, b in zip([zero] + minors[k], minors[k] + [zero])]
-        chain = one
-        for i in range(k - 1, -1, -1):
-            chain = fold(chain * h[i + 1][i])
-            if not chain:
-                break
-            if h[i][k]:
-                coeff = fold(h[i][k] * chain)
-                for j, c in enumerate(minors[i]):
-                    poly[j] -= coeff * c
-        minors.append([fold(c) for c in poly])
+    b = [[(j, x + y if rot is not None else _GaussMod((x, y))) for j, x, y in row]
+         for row in rows]  # B' by nonzero entries; x or y is 0 when rot is not None
+    poly = [one]  # det(tI - B_r), descending
+    for r, row in enumerate(b):
+        block = [[(j, x) for j, x in cells if j < r] for cells in b[:r]]  # B_(r-1)
+        v = [next((x for j, x in cells if j == r), zero) for cells in b[:r]]  # C
+        top = [(j, x) for j, x in row if j < r]  # R
+        column = [one, zero - next((x for j, x in row if j == r), zero)]
+        for k in range(r):  # -R B_(r-1)^k C
+            if k:
+                v = [sum([x * v[j] for j, x in cells], zero) for cells in block]
+            column.append(zero - sum([x * v[j] for j, x in top], zero))
+        poly = [sum((column[i - j] * poly[j] for j in range(min(i, r) + 1)), zero)
+                for i in range(r + 2)]
     out = []
-    for k, c in enumerate(minors[n]):
-        a, b = (x - p if 2 * x > p else x for x in ((c, 0) if rot is not None else c))
+    for k in range(n + 1):
+        a, b = (poly[n - k], 0) if rot is not None else poly[n - k]
         a, b = ((a, b), (-b, a), (-a, -b), (b, -a))[(2 * n + (rot or 0) * (n - k)) % 4]
         out.append(_reduced(a, b, d ** (n - k)))
     return out
