@@ -54,8 +54,8 @@ __all__ = [
 ]
 
 # Largest mode index a numbered symbol may carry.  At K = 16 (2-core VM) a
-# nearest-neighbour chain runs end to end in 0.2 s (char-poly 1.2 ms), and a dense
-# form with one-digit rational coefficients in 0.8 s (char-poly 70 ms).
+# nearest-neighbour chain runs end to end in 0.15 s (char-poly 5 ms), and a dense
+# form with one-digit rational coefficients in 0.3 s (char-poly 28 ms).
 MAX_MODES = 16
 # Degree of one flattened term and terms one product flattens to: they admit a
 # K = 16 quadratic form written as a 32-symbol sum squared; the costliest

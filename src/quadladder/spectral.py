@@ -293,12 +293,10 @@ def _circle(k1: int, m: int, deg: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-def _seeds(ints: list[tuple[int, int]], bits: int) -> list[tuple[int, int]]:
-    """Starting points in fixed point 2^-bits from the Newton polygon (Bini,
-    Numer. Algorithms 1996): each edge k1 -> k2 of the upper convex hull of
-    the points (k, h_k), h_k the bit length of |c_k|^2, puts k2 - k1 points on
-    the circle of radius 2^((h_k1 - h_k2) // (2 (k2 - k1))), or of 2^8 units
-    if that is smaller, so that the points of a circle are distinct."""
+def _newton_polygon(ints: list[tuple[int, int]]) -> list[tuple[int, int, int]]:
+    """The edges (k1, k2, e) of the upper convex hull of the points (k, h_k),
+    h_k the bit length of |c_k|^2, with e = (h_k1 - h_k2) // (2 (k2 - k1)):
+    k2 - k1 roots have moduli near 2^e (Bini, Numer. Algorithms 1996)."""
     hull: list[tuple[int, int]] = []
     for k, (a, b) in enumerate(ints):
         h = (a * a + b * b).bit_length()
@@ -306,9 +304,7 @@ def _seeds(ints: list[tuple[int, int]], bits: int) -> list[tuple[int, int]]:
                                  <= (h - hull[-2][1]) * (hull[-1][0] - hull[-2][0])):
             hull.pop()
         hull.append((k, h))
-    return [((x << e) >> 32, (y << e) >> 32) for (k1, h1), (k2, h2) in zip(hull, hull[1:])
-            for e in [max(bits + (h1 - h2) // (2 * (k2 - k1)), 8)]
-            for x, y in _circle(k1, k2 - k1, len(ints) - 1)]
+    return [(k1, k2, (h1 - h2) // (2 * (k2 - k1))) for (k1, h1), (k2, h2) in zip(hull, hull[1:])]
 
 
 def _disc_radius(fx: int, fy: int, dx: int, dy: int, deg: int) -> int | None:
@@ -352,8 +348,10 @@ def _factor_roots(f: Poly) -> list[tuple[complex, ComplexRational | None]]:
     """The roots of a monic square-free f as (float, exact or None).
 
     Aberth's iteration (Aberth, Math. Comp. 1973) runs in the Gaussian fixed
-    point z = (x + iy)/2^bits, bits = lead.bit_length() + FLOAT_BITS + 8,
-    lead the common denominator of f: each z_j in turn moves by
+    point z = (x + iy)/2^bits, bits = lead.bit_length() + FLOAT_BITS + 8 - e,
+    lead the common denominator of f and 2^e < 1 the smallest modulus that
+    the Newton polygon predicts (e = 0 if none is below 1), so that a small
+    root keeps its own significant bits: each z_j in turn moves by
     N/(1 - N sum_k 1/(z_j - z_k)), N = f/f'(z_j), or by N alone once
     _isolated, asked after a sweep of small steps, accepts the discs.  The
     first accepted sweep that moves no iterate ends it; each z_j is then a
@@ -366,9 +364,14 @@ def _factor_roots(f: Poly) -> list[tuple[complex, ComplexRational | None]]:
         return [(complex(-f[0]), -f[0])]
     lead, ints = _common_denominator(f)
     slopes = [(k * a, k * b) for k, (a, b) in enumerate(ints)][1:]
-    bits = lead.bit_length() + FLOAT_BITS + 8
+    edges = _newton_polygon(ints)
+    bits = lead.bit_length() + FLOAT_BITS + 8 + max(0, -min(e for *_, e in edges))
     one = 1 << bits
-    z, near = _seeds(ints, bits), False  # near: the last steps were below 2^-16 max(1, |z_j|)
+    # seeds: each edge puts k2 - k1 points on the circle of radius 2^e, or of
+    # 2^8 units if that is smaller, so that the points of a circle are distinct
+    z = [((x << s) >> 32, (y << s) >> 32) for k1, k2, e in edges
+         for s in [max(bits + e, 8)] for x, y in _circle(k1, k2 - k1, len(ints) - 1)]
+    near = False  # the last steps were below 2^-16 max(1, |z_j|)
     for _ in range(MAX_SWEEPS):  # one^deg f(z_j), one^(deg - 1) f'(z_j)
         values = [_gauss_horner(ints, x, y, one) + _gauss_horner(slopes, x, y, one)
                   for x, y in z]

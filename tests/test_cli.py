@@ -1,5 +1,6 @@
 """End-to-end command-line runs plus in-process report/render checks."""
 
+import decimal
 import json
 import os
 import re
@@ -220,6 +221,25 @@ class TestWideCoefficientRange:
         want = sorted([(5 - 13 ** 0.5) / 2, (5 + 13 ** 0.5) / 2, 2.0 * 10.0 ** zeros] * 2)
         got = sorted(abs(complex(*f["lambda"])) ** 2 for f in freqs)
         assert got == pytest.approx(want, rel=1e-14)
+
+    def test_a_small_frequency_beside_a_large_one_keeps_its_significant_bits(self, tmp_path):
+        # q = s^2 - (10^20 + 2) s + 1: |lambda| = 10^-10 (1 - 10^-20 + ...) and
+        # 10^10 (1 + 10^-20 + ...), each to a relative error of at most 1e-15
+        expr = ("1/2*p1^2 + 100000000000000000001/2*x1^2 + 1/2*p2^2 + 1/2*x2^2"
+                " + 10000000000*x1*x2")
+        out = tmp_path / "report.json"
+        assert cli.main(["--expr", expr, "--format", "json", "--out", str(out)]) == 0
+        freqs = json.loads(out.read_text())["spectral"]["frequencies"]
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            b = decimal.Decimal(10 ** 20 + 2)
+            large = ((b + (b * b - 4).sqrt()) / 2).sqrt()  # the roots of q multiply to 1
+            small = 1 / large
+        want = [-float(large), -float(small), float(small), float(large)]
+        got = [complex(*f["lambda"]) for f in freqs]
+        assert [z.imag for z in got] == [0.0] * 4
+        for z, w in zip(got, want):
+            assert abs(z.real - w) <= 1e-15 * abs(w)
 
 
 def chain(num_modes, c):

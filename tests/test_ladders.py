@@ -23,6 +23,7 @@ from quadladder.dsl import parse_to_polynomial
 from quadladder.errors import DefectiveSpectrumError, VerificationError
 from quadladder.ladders import (
     LADDER_RESIDUAL_TOL,
+    _float_ladder_text,
     build_ladders,
     commutator_table,
     ladders_to_json,
@@ -395,6 +396,17 @@ class TestFloatLadders:
         for lad in build_ladders(ham, eigen_decompose(adjoint_matrix(ham))):
             assert "/" in str(lad.z)
             assert "/" not in str(lad)
+
+    def test_text_follows_the_exact_text_rules(self):
+        # a unit coefficient writes no 1*, a negative one-part coefficient
+        # writes its own minus, and a mixed one stays parenthesized after +
+        ham = validate_quadratic(parse_to_polynomial("1/2*p1^2 + x1^2"))
+        ladders = build_ladders(ham, eigen_decompose(adjoint_matrix(ham)))
+        assert [lad.text for lad in ladders] == ["x1 + 0.7071067812i*p1",
+                                                 "x1 - 0.7071067812i*p1"]
+        assert _float_ladder_text([-1, -2.5, 1j, -1j, 0.5 - 0.25j, 0], 3) \
+            == "-x1 - 2.5*x2 + i*x3 - i*p1 + (0.5-0.25i)*p2"
+        assert _float_ladder_text([0, 0], 1) == "0"
 
     def test_weyl_product_confirms_float_ladders(self):
         # [H, Z] - lambda Z by the Weyl product, coefficient by coefficient
