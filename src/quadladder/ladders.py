@@ -234,7 +234,7 @@ def commutator_table(ladders: list[LadderOperator]) -> CommutatorTable:
 def _float_ladder_text(coefficients: list[complex], num_modes: int) -> str:
     """Readable form of a ladder with float coefficients, in 10 digits, so
     that no binary fraction passes for an exact rational.  It follows the
-    exact text's rules: a unit coefficient writes no 1*, a one-part
+    exact text's rules: a coefficient that reads 1 writes no 1*, a one-part
     coefficient carries its sign, and a mixed one is parenthesized after +."""
     text = ""
     for flat, c in enumerate(coefficients):
@@ -244,7 +244,8 @@ def _float_ladder_text(coefficients: list[complex], num_modes: int) -> str:
             sign, body = "+", f"({c.real:.10g}{c.imag:+.10g}i)*"
         else:
             v = c.real or c.imag
-            sign, mag = "-" if v < 0 else "+", "" if abs(v) == 1 else f"{abs(v):.10g}"
+            sign, mag = "-" if v < 0 else "+", f"{abs(v):.10g}"
+            mag = "" if mag == "1" else mag  # a unit in 10 digits
             body = f"{mag}i*" if c.imag else f"{mag}*" if mag else ""
         text += (f" {sign} " if text else "" if sign == "+" else "-") + body + symbol(flat, num_modes)
     return text or "0"

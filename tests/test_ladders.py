@@ -398,14 +398,17 @@ class TestFloatLadders:
             assert "/" not in str(lad)
 
     def test_text_follows_the_exact_text_rules(self):
-        # a unit coefficient writes no 1*, a negative one-part coefficient
-        # writes its own minus, and a mixed one stays parenthesized after +
+        # a coefficient that reads 1 in 10 digits writes no 1*, a negative
+        # one-part coefficient writes its own minus, and a mixed one stays
+        # parenthesized after +
         ham = validate_quadratic(parse_to_polynomial("1/2*p1^2 + x1^2"))
         ladders = build_ladders(ham, eigen_decompose(adjoint_matrix(ham)))
         assert [lad.text for lad in ladders] == ["x1 + 0.7071067812i*p1",
                                                  "x1 - 0.7071067812i*p1"]
         assert _float_ladder_text([-1, -2.5, 1j, -1j, 0.5 - 0.25j, 0], 3) \
             == "-x1 - 2.5*x2 + i*x3 - i*p1 + (0.5-0.25i)*p2"
+        assert _float_ladder_text([1 + 2 ** -52, -(1 - 2 ** -53) * 1j, 10, 0.1j], 2) \
+            == "x - i*y + 10*px + 0.1i*py"
         assert _float_ladder_text([0, 0], 1) == "0"
 
     def test_weyl_product_confirms_float_ladders(self):
