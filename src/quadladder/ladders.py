@@ -27,7 +27,7 @@ from .errors import (
     DimensionMismatchError,
     VerificationError,
 )
-from .spectral import NaturalFrequency, SpectralResult
+from .spectral import SpectralResult
 from .weyl import (
     ComplexRational,
     WeylPolynomial,
@@ -64,7 +64,6 @@ class LadderOperator:
     coefficients: tuple[ComplexRational, ...]
     lam: complex
     lam_exact: ComplexRational | None
-    frequency: NaturalFrequency
 
     @property
     def z(self) -> WeylPolynomial:
@@ -191,7 +190,7 @@ def build_ladders(ham: QuadraticHamiltonian,
                 coeffs = [ComplexRational.from_complex(c) for c in floats]
             ladders.append(LadderOperator(
                 coefficients=tuple(coeffs), lam=freq.lam,
-                lam_exact=lam_exact, frequency=freq))
+                lam_exact=lam_exact))
 
     for lad in ladders:
         target = -lad.lam.conjugate()

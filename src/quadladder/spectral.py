@@ -8,21 +8,23 @@ matrix, Van Loan 1984).  The spectral data follow from q on one exact path:
 1. chi is computed exactly from M's integer form (d, B), B = d*M with d the
    lcm of the denominators, by Berkowitz's division-free recurrence over the
    leading blocks of B, in integer products and sums alone.
-2. The roots s of q come from its exact square-free decomposition (modulo
-   2^61 - 1, gcd(q, q') of degree 0 proves q square-free; otherwise Yun's
-   algorithm over Q(i) fixes every multiplicity) and one Aberth iteration
-   per factor in integer fixed point, from Newton-polygon seeds.  Each root
-   is accepted by its own small inclusion disc, disjoint from the others;
-   then the rational root theorem decides, in integers, whether it lies in
-   Q(i).  The frequencies are lambda = +-sqrt(s), exact iff s is a square.
+2. The roots s of q come from its exact square-free decomposition (q is
+   real: modulo 2^61 - 1, gcd(q, q') of degree 0 proves it square-free;
+   otherwise Yun's algorithm over Q(i) fixes every multiplicity) and one
+   Aberth iteration per factor in integer fixed point, from Newton-polygon
+   seeds.  Each root is accepted by its own small inclusion disc, disjoint
+   from the others; then the rational root theorem decides, in integers,
+   whether it lies in Q(i).  The frequencies are lambda = +-sqrt(s), exact
+   iff s is a square.
 3. A simple exact lambda = g/L takes its eigenvector from one column of the
    adjugate over Z[i], adj(uI - B) e_0 = sum u^k b_k with b_(n-1) = e_0 and
    b_(k-1) = B b_k + A_k e_0 for det(uI - B) = sum A_k u^k, once per
    matrix.  At u = d*lambda it is a multiple of adj(lambda I - M) e_0, an
    eigenvector whenever it is nonzero, since (lambda I - M) adj(lambda I - M)
    = chi(lambda) I = 0; it is evaluated homogeneously in integers, and one
-   division normalizes it.  Repeated roots, a column that
-   vanishes at lambda, and irrational lambda take Gauss-Jordan elimination
+   division normalizes it.  Repeated roots, a column that vanishes at
+   lambda, and irrational lambda take Gauss-Jordan elimination (the
+   package's one, which wavefn also runs to invert a Gaussian exponent)
    on M - lambda*I, exact over Q(i), or in floats with n - geo pivots, where
    the geometric multiplicity geo is exact: 1 for a simple root, else read
    off M on the kernel of f(M^2), f the square-free factor of q with f(lambda^2) = 0.
@@ -126,28 +128,25 @@ def _relative_residual(p, z: complex) -> float:
 
 
 def _squarefree_mod(p: Poly) -> bool:
-    """True when p is certainly square-free over Q(i): modulo P = 2^61 - 1 (in
-    GF(P^2) when p is not real), P does not divide the leading coefficient of
-    p's integer form and gcd(p, p') has degree 0.  A common factor of degree k
-    over Q(i) would map to one of degree k there (the degree argument of
-    Brown's modular gcd, J. ACM 1971)."""
-    big, e = (1 << 61) - 1, 61
+    """True when a real p is certainly square-free over Q(i): modulo
+    P = 2^61 - 1, P does not divide the leading coefficient of p's integer
+    form and gcd(p, p') has degree 0.  A common factor of degree k over Q(i)
+    would map to one of degree k there (the degree argument of Brown's
+    modular gcd, J. ACM 1971).  A non-real p gives False, which leaves it to
+    Yun's algorithm."""
+    big = (1 << 61) - 1
     _, pairs = _common_denominator(p)
-    lift = ((lambda a, b: a % big) if not any(b for _, b in pairs)
-            else lambda a, b: _GaussMod((a % big, b % big)))
-    a = [lift(x, y) for x, y in pairs]
-    # deg p < P, so lc(p') = deg p * lc(p) is nonzero when lc(p) is
-    b = [lift(k * x, k * y) for k, (x, y) in enumerate(pairs)][1:]
-    if not a[-1]:
+    a = [x % big for x, _ in pairs]
+    if any(y for _, y in pairs) or not a[-1]:
         return False
+    # deg p < P, so lc(p') = deg p * lc(p) is nonzero when lc(p) is
+    b = [k * x % big for k, (x, _) in enumerate(pairs)][1:]
     while b:  # Euclid on trimmed remainders
         inv = pow(b[-1], -1, big)
         while len(a) >= len(b):
-            f = a[-1] * inv
-            f = ((f & big) + (f >> e)) % big
+            f = a[-1] * inv % big
             for j, c in enumerate(b[:-1], len(a) - len(b)):
-                t = a[j] - f * c
-                a[j] = ((t & big) + (t >> e)) % big
+                a[j] = (a[j] - f * c) % big
             a.pop()
             while a and not a[-1]:
                 a.pop()
@@ -194,43 +193,13 @@ def squarefree_factors(p: Poly) -> list[tuple[Poly, int]]:
 MAX_CHARPOLY_BITS = 1398269
 
 
-class _GaussMod(tuple):
-    """(a, b) = a + b*i: a Gaussian integer under +, - and *, and an element
-    of Z[i]/(p) = GF(p^2) under % p, & and >> (a Mersenne fold) and inverse."""
-
-    def __add__(self, o):
-        return _GaussMod((self[0] + o[0], self[1] + o[1]))
-
-    def __sub__(self, o):
-        return _GaussMod((self[0] - o[0], self[1] - o[1]))
-
-    def __mul__(self, o):
-        return _GaussMod((self[0] * o[0] - self[1] * o[1], self[0] * o[1] + self[1] * o[0]))
-
-    def __mod__(self, p):
-        return _GaussMod((self[0] % p, self[1] % p))
-
-    def __and__(self, p):
-        return _GaussMod((self[0] & p, self[1] & p))
-
-    def __rshift__(self, e):
-        return _GaussMod((self[0] >> e, self[1] >> e))
-
-    def __pow__(self, e, p):  # e = -1: (a - bi)/(a^2 + b^2)
-        n = pow(self[0] ** 2 + self[1] ** 2, e, p)
-        return _GaussMod((self[0] * n % p, -self[1] * n % p))
-
-    def __bool__(self):
-        return bool(self[0] or self[1])
-
-
 def characteristic_polynomial(m: ComplexMatrix) -> Poly:
     """Coefficients of det(M - lambda*I), ascending, exact.
 
     A 2 x 2 M expands over Q(i).  Otherwise it reads M's integer form
     (d, B = d*M) and writes B = i^rot B', with rot = 1 if M is i times a real
     matrix, else 0, so that B' is a matrix of ints for every adjoint matrix
-    (of Gaussian integers, as _GaussMod, otherwise).  Berkowitz's
+    (of Gaussian integers, ComplexRationals over 1, otherwise).  Berkowitz's
     division-free recurrence (Inform. Process. Lett. 18, 1984) gives
     det(tI - B') = sum_k c_k t^k: for each leading block
     B_r = [[B_(r-1), C], [R, b_rr]], det(tI - B_r) is the column
@@ -251,9 +220,8 @@ def characteristic_polynomial(m: ComplexMatrix) -> Poly:
     if bound.bit_length() > MAX_CHARPOLY_BITS:
         raise NumericFailureError(f"characteristic polynomial bound of {bound.bit_length()} "
                                   f"bits exceeds the limit of {MAX_CHARPOLY_BITS} bits")
-    one = 1 if rot is not None else _GaussMod((1, 0))
-    zero = one - one
-    b = [[(j, x + y if rot is not None else _GaussMod((x, y))) for j, x, y in row]
+    one, zero = (1, 0) if rot is not None else (ONE, ZERO)
+    b = [[(j, x + y if rot is not None else _reduced(x, y, 1)) for j, x, y in row]
          for row in rows]  # B' by nonzero entries; x or y is 0 when rot is not None
     poly = [one]  # det(tI - B_r), descending
     for r, row in enumerate(b):
@@ -267,9 +235,10 @@ def characteristic_polynomial(m: ComplexMatrix) -> Poly:
             column.append(zero - sum([x * v[j] for j, x in top], zero))
         poly = [sum((column[i - j] * poly[j] for j in range(min(i, r) + 1)), zero)
                 for i in range(r + 2)]
+    pairs = [(c, 0) for c in poly] if rot is not None else _common_denominator(poly)[1]
     out = []
     for k in range(n + 1):
-        a, b = (poly[n - k], 0) if rot is not None else poly[n - k]
+        a, b = pairs[n - k]
         a, b = ((a, b), (-b, a), (-a, -b), (b, -a))[(2 * n + (rot or 0) * (n - k)) % 4]
         out.append(_reduced(a, b, d ** (n - k)))
     return out
@@ -447,20 +416,19 @@ def _sqrt_exact(s: ComplexRational) -> ComplexRational | None:
 # null spaces
 # ---------------------------------------------------------------------------
 
-def _nullspace(a: Sequence[Sequence[Scalar]],
-               rank: int | None = None) -> list[list[Scalar]]:
-    """Basis of the null space by Gauss-Jordan elimination.
+def _gauss_jordan(m: list[list[Scalar]],
+                  rank: int | None = None) -> tuple[list[int], list[Scalar]]:
+    """Reduce the rows of m in place by Gauss-Jordan elimination; return the
+    pivot columns and the pivots, each taken before its row is divided by it.
 
     Without ``rank`` it runs exactly over the Gaussian rationals, taking the
     first nonzero pivot in column order until none is left (the reduced form
     is unique); in complex floats it takes ``rank`` pivots of largest modulus.
-    Each free column gives one basis vector, normalized by _normalized.
     """
-    m = [list(r) for r in a]
     n = len(m)
-    scalar = type(m[0][0]) if n else complex
     pivot_cols: list[int] = []
-    free_cols = list(range(n))
+    pivots: list[Scalar] = []
+    free_cols = list(range(len(m[0]) if n else 0))
     for row in range(n if rank is None else rank):
         if rank is None:
             cells = ((r, c) for c in free_cols for r in range(row, n))
@@ -483,9 +451,22 @@ def _nullspace(a: Sequence[Sequence[Scalar]],
             if r != row and factor != 0:
                 m[r] = [z - factor * p for z, p in zip(m[r], m[row])]
         pivot_cols.append(col)
+        pivots.append(pivot)
         free_cols.remove(col)
+    return pivot_cols, pivots
+
+
+def _nullspace(a: Sequence[Sequence[Scalar]],
+               rank: int | None = None) -> list[list[Scalar]]:
+    """Basis of the null space of a square matrix: each free column of
+    _gauss_jordan's reduced form (exact without ``rank``) gives one basis
+    vector, normalized by _normalized."""
+    m = [list(r) for r in a]
+    n = len(m)
+    scalar = type(m[0][0]) if n else complex
+    pivot_cols, _ = _gauss_jordan(m, rank)
     basis = []
-    for free in free_cols:
+    for free in [c for c in range(n) if c not in pivot_cols]:
         v = [scalar(0)] * n
         v[free] = scalar(1)
         for r, col in enumerate(pivot_cols):

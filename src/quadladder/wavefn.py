@@ -40,8 +40,9 @@ both types expose ``components``, so the checking operations take either.
 Square integrability depends only on the exponent and is decided once per
 function.
 
-Integrals <f|g> come from one Gauss-Jordan elimination and a moment
-recurrence.  Eliminating x_K, ..., x_1 in turn from [quad | I] gives quad^-1
+Integrals <f|g> come from the package's one Gauss-Jordan elimination
+(spectral._gauss_jordan) and a moment recurrence.  Eliminating x_K, ..., x_1
+in turn from [quad | I], quad's rows and columns taken in reverse, gives quad^-1
 and pivots a_k with Re(a_k) < 0, each a factor sqrt(pi / -a_k) on the
 principal branch.  With S = -quad^-1 / 4 and g = 2 S lin, the exponent
 contributes exp(lin^T g / 2) and each x^e its moment m_e: m_0 = 1 and
@@ -61,7 +62,7 @@ from .errors import DivergentInputError, NumericFailureError, VerificationError
 from .ladders import LadderOperator, _shifts_by
 # Imported by name: the characteristic_polynomial module attribute that
 # perfbench/trace.py wraps keeps timing the spectral path alone.
-from .spectral import characteristic_polynomial
+from .spectral import _gauss_jordan, characteristic_polynomial
 from .weyl import (
     ComplexRational,
     I,
@@ -722,22 +723,19 @@ def _gaussian_integral(poly: CPoly,
     if not poly:
         return 0j
     n = len(lin)
-    rows = [list(row) + [ONE if j == i else ZERO for j in range(n)]
-            for i, row in enumerate(quad)]
+    # [quad | I] with quad's rows and columns reversed: x_K is column 0, so
+    # the pivots come x_K first, and this order fixes factor's rounding
+    rows = [[quad[-1 - i][-1 - j] for j in range(n)]
+            + [ONE if j == i else ZERO for j in range(n)] for i in range(n)]
+    cols, pivots = _gauss_jordan(rows)
+    if cols != list(range(n)) or not all(a.re < 0 for a in pivots):
+        raise NumericFailureError(
+            "elimination pivot has nonnegative real part; "
+            "exponent is not negative definite")
     factor = 1.0 + 0j
-    for k in range(n - 1, -1, -1):  # x_K first: this order fixes factor's rounding
-        a = rows[k][k]
-        if not (a.re < 0):
-            raise NumericFailureError(
-                "elimination pivot has nonnegative real part; "
-                "exponent is not negative definite")
+    for a in pivots:
         factor *= cmath.sqrt(cmath.pi / complex(-a))
-        rows[k] = pivot = [v / a for v in rows[k]]
-        for i, row in enumerate(rows):
-            c = row[k]
-            if c and i != k:
-                rows[i] = [v - c * p for v, p in zip(row, pivot)]
-    s = [[v / -4 for v in row[n:]] for row in rows]
+    s = [[v / -4 for v in row[:n - 1:-1]] for row in reversed(rows)]  # quad^-1 / -4
     g = [2 * sum((v * l for v, l in zip(row, lin)), ZERO) for row in s]
     moments = {(0,) * n: ONE}
 

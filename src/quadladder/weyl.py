@@ -581,18 +581,6 @@ class WeylPolynomial:
     def __hash__(self):
         return hash((self.num_modes, frozenset(self.terms.items())))
 
-    # ---- involution and structure --------------------------------------
-
-    def dagger(self) -> "WeylPolynomial":
-        return dagger(self)
-
-    def commutator(self, other: "WeylPolynomial") -> "WeylPolynomial":
-        return commutator(self, other)
-
-    @property
-    def is_hermitian(self) -> bool:
-        return self == dagger(self)
-
     def sorted_terms(self) -> list[tuple[tuple[int, ...], ComplexRational]]:
         """Terms in canonical render order: degree descending, then lex descending."""
         return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]),

@@ -1124,7 +1124,8 @@ def test_repeated_roots_take_yun():
                                  for a in (-2, 0, 3) for c in (-1, 0, 2) for b in (1, 3)]),
                 min_size=1, max_size=7))
 def test_squarefree_matches_yun_on_gaussian_polynomials(root_list):
-    # real and Gaussian roots with repeats: GF(p) and GF(p^2) on both sides
+    # real and Gaussian roots with repeats: the modular test sees the real
+    # polynomials, and Yun's algorithm alone decides the others
     p = poly_from_roots(root_list)
     assert squarefree_factors(p) == yun_squarefree_factors(p)
     assert sum(len(f) - 1 and (len(f) - 1) * k for f, k in squarefree_factors(p)) \
@@ -1139,6 +1140,14 @@ def test_prime_dividing_the_leading_coefficient_takes_yun(root_list):
     p = poly_from_roots([ComplexRational(Fraction(r, big)) for r in root_list])
     assert squarefree_factors(p) == yun_squarefree_factors(p)
     assert [k for _, k in squarefree_factors(p)] == ([2] if root_list == [1, 1] else [1])
+
+
+def test_non_real_polynomial_takes_yun():
+    # (t - i)(t + 2) is square-free, but the modular test decides real
+    # polynomials only: it answers False and Yun's algorithm finds the factor
+    p = poly_from_roots([I, ComplexRational(-2)])
+    assert spectral._squarefree_mod(p) is False
+    assert squarefree_factors(p) == yun_squarefree_factors(p) == [(p, 1)]
 
 
 def fraction_sqrt_exact(s):

@@ -641,8 +641,7 @@ def sectors_and_ladders(draw):
     k = draw(st.integers(1, 3))
     f = draw(gaussian_functions(k))
     coefficients = tuple(draw(gaussian_rationals) for _ in range(2 * k))
-    lad = LadderOperator(coefficients=coefficients, lam=0j, lam_exact=None,
-                         frequency=None)
+    lad = LadderOperator(coefficients=coefficients, lam=0j, lam_exact=None)
     return f, lad
 
 
@@ -724,8 +723,7 @@ def killed_functions(draw):
     elif nudge == 3:
         poly = _cp_mul(poly, {(1,) + (0,) * (k - 1): ONE})
     g = GaussianPolyFunction(k, poly, f.quad, tuple(lin))
-    lad = LadderOperator(coefficients=tuple(alpha) + beta, lam=0j,
-                         lam_exact=None, frequency=None)
+    lad = LadderOperator(coefficients=tuple(alpha) + beta, lam=0j, lam_exact=None)
     return lad, g, nudge == 0
 
 
@@ -1351,6 +1349,15 @@ class TestGaussianIntegral:
 
     def test_zero_polynomial_is_zero(self):
         assert _gaussian_integral({}, ((ComplexRational(1),),), (ZERO,)) == 0j
+
+    def test_inner_product_runs_the_shared_elimination(self, monkeypatch):
+        # the integral inverts its exponent by the package's one Gauss-Jordan
+        calls, eliminate = [], wavefn._gauss_jordan
+        monkeypatch.setattr(wavefn, "_gauss_jordan",
+                            lambda m, rank=None: calls.append(len(m)) or eliminate(m, rank))
+        psi0 = GaussianPolyFunction.pure_gaussian(((ComplexRational(-HALF),),))
+        assert abs(inner_product(psi0, psi0) - math.sqrt(math.pi)) <= 1e-12
+        assert calls == [1]
 
     def test_pivot_with_nonnegative_real_part_fails(self):
         quad = ((ComplexRational(-1), ONE), (ONE, ComplexRational(-1)))
